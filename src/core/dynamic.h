@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "core/subcore_region.h"
 #include "graph/edge_list.h"
 #include "graph/graph.h"
 
@@ -54,17 +55,18 @@ class DynamicKCore {
   /// Start from an initial graph; runs the protocol to convergence.
   explicit DynamicKCore(const graph::Graph& initial);
 
-  /// Insert edge {u,v} (no-op if present; self-loops rejected).
+  /// Insert edge {u,v} (no-op if present; self-loops rejected): a
+  /// one-update apply_batch, so it charges the same messages and rounds.
   MaintenanceStats add_edge(graph::NodeId u, graph::NodeId v);
 
-  /// Remove edge {u,v} (no-op if absent).
+  /// Remove edge {u,v} (no-op if absent): a one-update apply_batch.
   MaintenanceStats remove_edge(graph::NodeId u, graph::NodeId v);
 
   /// Apply a whole batch of updates with ONE reconvergence instead of one
-  /// per edge. Self-loops and updates that do not change the topology
-  /// (duplicate inserts, absent removes, insert+remove churn within the
-  /// batch) are coalesced away — only the batch's NET topology effect is
-  /// applied, since transient edges cannot affect the final coreness.
+  /// per edge. graph::coalesce reduces the batch to its NET topology
+  /// effect: self-loops, duplicate inserts, absent removes and
+  /// insert+remove churn within the batch cost nothing. An out-of-range
+  /// node id throws util::CheckError before anything is applied.
   ///
   /// Soundness of the single reconvergence: net insertions are applied
   /// one at a time, each raising its K-subcore candidate region to
@@ -105,20 +107,17 @@ class DynamicKCore {
 
  private:
   /// Synchronous reconvergence from the current (safe) estimates with the
-  /// given initially-active frontier.
-  MaintenanceStats reconverge(std::vector<graph::NodeId> frontier);
-
-  /// Collect the insertion candidate region: nodes with coreness == K
-  /// reachable from `roots` through nodes of coreness == K.
-  [[nodiscard]] std::vector<graph::NodeId> subcore_region(
-      std::vector<graph::NodeId> roots, graph::NodeId K) const;
-
-  [[nodiscard]] bool has_edge(graph::NodeId u, graph::NodeId v) const;
+  /// given initially-active frontier. `extra_messages` (the update events
+  /// and raises that led here) is charged on top of the rounds'
+  /// broadcasts; the total is added to lifetime_stats().
+  MaintenanceStats reconverge(std::vector<graph::NodeId> frontier,
+                              std::uint64_t extra_messages);
 
   std::vector<std::vector<graph::NodeId>> adjacency_;  // sorted per node
   std::vector<graph::NodeId> estimate_;  // == coreness between updates
   std::uint64_t num_edges_ = 0;
   MaintenanceStats lifetime_;
+  RegionScratch region_;
 };
 
 }  // namespace kcore::core

@@ -1,8 +1,10 @@
 #include "graph/edge_list.h"
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -156,6 +158,30 @@ void write_edge_stream_file(const std::string& path, const EdgeStream& stream) {
   write_edge_stream(out, stream);
   out.flush();
   if (!out.good()) throw util::IoError(path + ": write failed");
+}
+
+NetUpdates coalesce(std::span<const EdgeUpdate> batch, NodeId num_nodes,
+                    const std::function<bool(NodeId, NodeId)>& has_edge) {
+  NetUpdates net;
+  std::map<std::pair<NodeId, NodeId>, bool> final_present;
+  for (const EdgeUpdate& update : batch) {
+    NodeId u = update.u;
+    NodeId v = update.v;
+    if (u >= num_nodes || v >= num_nodes) {
+      ++net.rejected;
+      continue;
+    }
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    final_present[{u, v}] = update.op == EdgeOp::kInsert;
+  }
+  for (const auto& [edge, present] : final_present) {
+    if (present == has_edge(edge.first, edge.second)) continue;
+    (present ? net.inserts : net.removes).push_back({edge.first, edge.second});
+  }
+  net.ignored = batch.size() - net.rejected - net.inserts.size() -
+                net.removes.size();
+  return net;
 }
 
 std::vector<EdgeUpdateBatch> batch_by_window(const EdgeStream& stream,

@@ -12,7 +12,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,9 +53,10 @@ enum class EdgeOp : std::uint8_t {
   kRemove,  // '-'
 };
 
-/// One churn event. The SAME type drives the synchronous maintenance
-/// protocol (core::DynamicKCore::apply_batch) and the async live service
-/// (live::Service::apply), so both paths replay identical streams.
+/// One churn event. The SAME type, reduced by the same coalesce(), drives
+/// the synchronous maintenance protocol (core::DynamicKCore::apply_batch)
+/// and the async live service (live::Service::apply), so both paths
+/// replay identical streams to identical topologies.
 struct EdgeUpdate {
   EdgeOp op = EdgeOp::kInsert;
   NodeId u = 0;
@@ -97,6 +100,25 @@ void write_edge_stream(std::ostream& out, const EdgeStream& stream);
 
 /// Convenience file wrapper around write_edge_stream(std::ostream&).
 void write_edge_stream_file(const std::string& path, const EdgeStream& stream);
+
+/// A batch's net topology effect (see coalesce()).
+struct NetUpdates {
+  std::vector<Edge> inserts;   // absent edges to add, u < v, sorted by (u,v)
+  std::vector<Edge> removes;   // present edges to drop, u < v, sorted by (u,v)
+  std::uint64_t rejected = 0;  // updates naming a node id >= num_nodes
+  std::uint64_t ignored = 0;   // self-loops and updates with no net effect
+};
+
+/// Reduce a batch to its net effect on a topology of `num_nodes` nodes
+/// whose current edges `has_edge(u, v)` reports (asked with u < v only).
+/// The LAST op per edge decides its final presence; an edge whose final
+/// presence matches the topology drops out, so duplicate inserts, absent
+/// removes and transient insert+remove churn cost nothing (transient
+/// edges cannot change the final coreness). Every update is counted
+/// exactly once: rejected + ignored + inserts + removes == batch size.
+[[nodiscard]] NetUpdates coalesce(
+    std::span<const EdgeUpdate> batch, NodeId num_nodes,
+    const std::function<bool(NodeId, NodeId)>& has_edge);
 
 /// Group a stream into batches of `window` ticks anchored at the first
 /// event's timestamp; window 0 means one batch per distinct timestamp.

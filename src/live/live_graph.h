@@ -3,10 +3,11 @@
 // graph::Graph and mutated in place by the single writer.
 //
 // Thread contract: apply() is single-writer. The repair workers
-// (live/repair.cpp) read neighbors() concurrently with EACH OTHER but
-// never concurrently with apply() — the service's apply cycle is
-// strictly "mutate topology, then run repair workers, then publish", and
-// the writer's thread spawn/join gives the needed happens-before edges.
+// (par::relax, run by live/repair.cpp) read neighbors() concurrently
+// with EACH OTHER but never concurrently with apply() — the service's
+// apply cycle is strictly "mutate topology, then run repair workers,
+// then publish", and the writer's thread spawn/join gives the needed
+// happens-before edges.
 // Snapshot readers never touch this structure at all (they read the
 // published immutable live::Snapshot).
 #pragma once

@@ -1,13 +1,10 @@
 #include "live/repair.h"
 
 #include <algorithm>
-#include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 
-#include "core/compute_index.h"
 #include "par/engine.h"
+#include "par/relax.h"
+#include "util/check.h"
 #include "util/clock.h"
 
 namespace kcore::live {
@@ -16,26 +13,31 @@ using core::SchedPolicy;
 using graph::NodeId;
 using Clock = util::SteadyClock;
 
+namespace {
+
+// The resolved thread count, capped at one worker per node.
+unsigned worker_count(unsigned threads, NodeId n) {
+  const unsigned workers = par::resolve_threads(threads);
+  return n > 0 ? std::min<unsigned>(workers, n) : workers;
+}
+
+}  // namespace
+
 RepairEngine::RepairEngine(const LiveGraph& graph,
                            const RepairOptions& options)
-    : graph_(graph), options_(options) {
+    : graph_(graph),
+      options_(options),
+      tables_(par::AsyncPrepared{worker_count(options.threads,
+                                              graph.num_nodes()),
+                                 options.sched,
+                                 {}},
+              graph.num_nodes()) {
   const NodeId n = graph.num_nodes();
-  workers_ = par::resolve_threads(options.threads);
-  if (n > 0 && workers_ > n) workers_ = n;
-  est_ = std::vector<std::atomic<NodeId>>(n);
   for (NodeId u = 0; u < n; ++u) {
-    est_[u].store(graph.degree(u), std::memory_order_relaxed);
+    tables_.est[u].store(graph.degree(u), std::memory_order_relaxed);
   }
-  if (options_.sched == SchedPolicy::kDelta) {
-    delta_ = std::vector<std::atomic<std::uint32_t>>(n);
-    for (NodeId u = 0; u < n; ++u) {
-      delta_[u].store(0, std::memory_order_relaxed);
-    }
-  }
-  worklist_ = std::make_unique<par::AsyncWorklist>(n, workers_,
-                                                   options_.sched);
   in_pending_.assign(n, 0);
-  in_region_.assign(n, 0);
+  region_.in_region.assign(n, 0);
 }
 
 void RepairEngine::mark_pending(NodeId u) {
@@ -47,92 +49,34 @@ void RepairEngine::mark_pending(NodeId u) {
 RepairStats RepairEngine::initialize() {
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
-    est_[u].store(graph_.degree(u), std::memory_order_relaxed);
+    tables_.est[u].store(graph_.degree(u), std::memory_order_relaxed);
     mark_pending(u);
   }
   return repair();
 }
 
 void RepairEngine::warm_start(const std::vector<NodeId>& coreness) {
-  KCORE_CHECK_MSG(coreness.size() == est_.size(),
+  KCORE_CHECK_MSG(coreness.size() == tables_.est.size(),
                   "warm_start table size " << coreness.size()
-                                           << " != node count " << est_.size());
+                                           << " != node count "
+                                           << tables_.est.size());
   const NodeId n = graph_.num_nodes();
   for (NodeId u = 0; u < n; ++u) {
-    est_[u].store(coreness[u], std::memory_order_relaxed);
+    tables_.est[u].store(coreness[u], std::memory_order_relaxed);
   }
-}
-
-std::vector<NodeId> RepairEngine::subcore_region(NodeId u, NodeId v,
-                                                 NodeId K) {
-  // Mirrors core::DynamicKCore::subcore_region over the live adjacency
-  // and the (currently exact, single-threaded) atomic table; see the
-  // purecore-pruning argument there.
-  auto est_of = [&](NodeId w) {
-    return est_[w].load(std::memory_order_relaxed);
-  };
-  auto can_rise = [&](NodeId w) {
-    if (est_of(w) != K) return false;
-    NodeId cd = 0;
-    for (const NodeId x : graph_.neighbors(w)) {
-      if (est_of(x) >= K && ++cd > K) return true;
-    }
-    return false;
-  };
-
-  std::vector<NodeId> region;
-  region_stack_.clear();
-  for (const NodeId r : {u, v}) {
-    if (!in_region_[r] && can_rise(r)) {
-      in_region_[r] = 1;
-      region_stack_.push_back(r);
-    }
-  }
-  while (!region_stack_.empty()) {
-    const NodeId w = region_stack_.back();
-    region_stack_.pop_back();
-    region.push_back(w);
-    for (const NodeId x : graph_.neighbors(w)) {
-      if (!in_region_[x] && can_rise(x)) {
-        in_region_[x] = 1;
-        region_stack_.push_back(x);
-      }
-    }
-  }
-
-  // Peel candidates lacking K+1 supporters among (estimate >= K+1) ∪
-  // (still in region) down to the maximal fixpoint.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < region.size(); ++i) {
-      const NodeId w = region[i];
-      NodeId support = 0;
-      for (const NodeId x : graph_.neighbors(w)) {
-        if (est_of(x) >= K + 1 || in_region_[x]) ++support;
-      }
-      if (support >= K + 1) {
-        region[keep++] = w;
-      } else {
-        in_region_[w] = 0;
-        changed = true;
-      }
-    }
-    region.resize(keep);
-  }
-  for (const NodeId w : region) in_region_[w] = 0;
-  return region;
 }
 
 void RepairEngine::note_insert(NodeId u, NodeId v) {
-  const NodeId K = std::min(est_[u].load(std::memory_order_relaxed),
-                            est_[v].load(std::memory_order_relaxed));
-  const auto region = subcore_region(u, v, K);
+  const NodeId K = std::min(tables_.est[u].load(std::memory_order_relaxed),
+                            tables_.est[v].load(std::memory_order_relaxed));
+  const auto& region = core::subcore_region(
+      u, v, K,
+      [this](NodeId w) { return tables_.est[w].load(std::memory_order_relaxed); },
+      [this](NodeId w) { return graph_.neighbors(w); }, region_);
   for (const NodeId w : region) {
     // The provable post-insertion upper bound; restores Theorem 2 safety
     // so the downward relaxation below is exact again.
-    est_[w].store(std::min<NodeId>(K + 1, graph_.degree(w)),
+    tables_.est[w].store(std::min<NodeId>(K + 1, graph_.degree(w)),
                   std::memory_order_relaxed);
     mark_pending(w);
   }
@@ -151,133 +95,29 @@ RepairStats RepairEngine::repair() {
   if (pending_.empty()) return stats;
   const auto start = Clock::now();
 
-  par::AsyncWorklist& worklist = *worklist_;
+  par::AsyncWorklist& worklist = *tables_.worklist;
   worklist.reset();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const NodeId u = pending_[i];
     in_pending_[u] = 0;
     const std::uint32_t bucket =
         options_.sched == SchedPolicy::kBound
-            ? par::bound_bucket(est_[u].load(std::memory_order_relaxed))
+            ? par::bound_bucket(tables_.est[u].load(std::memory_order_relaxed))
             : 0;
-    worklist.seed(u, static_cast<unsigned>(i) % workers_, bucket);
+    worklist.seed(u, static_cast<unsigned>(i) % worklist.workers(), bucket);
   }
   stats.seeded = pending_.size();
   stats.raised = raised_pending_;
   pending_.clear();
   raised_pending_ = 0;
 
-  const bool targeted = options_.targeted_send;
-  const SchedPolicy sched = options_.sched;
-  std::atomic<std::uint64_t> skipped_total{0};
-  std::atomic<bool> abort{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  // The bsp-async worker loop (par/async_engine.cpp) over the live
-  // adjacency: acquire -> begin (clear-before-read) -> streamed refine ->
-  // CAS-min publish -> targeted wakes -> finish-after-wakes. Identical
-  // protocol, so every ordering claim pinned by the chk/TSan suites
-  // carries over.
-  auto worker_fn = [&](unsigned w) {
-    try {
-      core::IndexScratch scratch;
-      std::uint64_t skipped = 0;
-      unsigned idle_sweeps = 0;
-      while (!worklist.done() && !abort.load(std::memory_order_relaxed)) {
-        const std::uint32_t u = worklist.acquire(w);
-        if (u == par::AsyncWorklist::kNone) {
-          if (worklist.try_confirm()) break;
-          if (++idle_sweeps < 64) {
-            std::this_thread::yield();
-          } else {
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-          }
-          continue;
-        }
-        idle_sweeps = 0;
-        worklist.begin(u);
-        if (sched == SchedPolicy::kDelta) {
-          delta_[u].store(0, std::memory_order_relaxed);
-        }
-        const NodeId stored = est_[u].load(std::memory_order_acquire);
-        const std::span<const NodeId> nbrs = graph_.neighbors(u);
-        // Deletions can leave the stored estimate ABOVE the live degree —
-        // the one place the static-graph invariant behind refine()'s
-        // skip-scan ("k never exceeds the degree") breaks. Clamp first:
-        // coreness <= degree always, so min(stored, degree) is still a
-        // safe upper bound and refine()'s contract holds again.
-        const NodeId k = std::min<NodeId>(
-            stored, static_cast<NodeId>(nbrs.size()));
-        bool fast_path = false;
-        const NodeId refined = scratch.refine(
-            nbrs.size(), k,
-            [&](std::size_t i) {
-              return est_[nbrs[i]].load(std::memory_order_acquire);
-            },
-            fast_path);
-        if (fast_path) ++skipped;
-        if (refined < stored) {
-          NodeId cur = est_[u].load(std::memory_order_relaxed);
-          bool lowered = false;
-          while (cur > refined) {
-            if (est_[u].compare_exchange_weak(cur, refined,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_relaxed)) {
-              lowered = true;
-              break;
-            }
-          }
-          if (lowered) {
-            const std::uint32_t drop = stored - refined;
-            const bool need_neighbor_estimate =
-                targeted || sched == SchedPolicy::kBound;
-            for (const NodeId v : graph_.neighbors(u)) {
-              const NodeId ev = need_neighbor_estimate
-                                    ? est_[v].load(std::memory_order_acquire)
-                                    : 0;
-              if (targeted && ev <= refined) continue;
-              std::uint32_t bucket = 0;
-              switch (sched) {
-                case SchedPolicy::kLifo:
-                  break;
-                case SchedPolicy::kBound:
-                  bucket = par::bound_bucket(ev);
-                  break;
-                case SchedPolicy::kDelta:
-                  bucket = par::delta_bucket(
-                      delta_[v].fetch_add(drop, std::memory_order_relaxed) +
-                      drop);
-                  break;
-              }
-              worklist.schedule(v, w, bucket);
-            }
-          }
-        }
-        worklist.finish();
-      }
-      skipped_total.fetch_add(skipped, std::memory_order_relaxed);
-    } catch (...) {
-      {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      abort.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers_ - 1);
-  for (unsigned w = 1; w < workers_; ++w) pool.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
-
-  stats.relaxations = worklist.total_enqueues();
-  stats.steals = worklist.total_steals();
-  stats.pop_scans = worklist.total_pop_scans();
-  stats.detector_passes = worklist.detector().passes();
-  stats.skipped_recomputes = skipped_total.load(std::memory_order_relaxed);
+  const par::AsyncStats run =
+      par::relax(graph_, tables_, options_.targeted_send, nullptr);
+  stats.relaxations = run.relaxations;
+  stats.steals = run.steals;
+  stats.pop_scans = run.pop_scans;
+  stats.detector_passes = run.detector_passes;
+  stats.skipped_recomputes = run.skipped_recomputes;
   stats.repair_ms = util::ms_between(start, Clock::now());
   return stats;
 }
@@ -286,7 +126,7 @@ void RepairEngine::copy_coreness(std::vector<NodeId>& out) const {
   const NodeId n = graph_.num_nodes();
   out.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    out[u] = est_[u].load(std::memory_order_relaxed);
+    out[u] = tables_.est[u].load(std::memory_order_relaxed);
   }
 }
 

@@ -4,10 +4,11 @@
 // engine keeps a persistent shared atomic estimate table over a
 // LiveGraph and, after each topology change, re-establishes the exact
 // fixed point by chaotic relaxation seeded ONLY with the perturbed
-// region — not the whole graph. The machinery is exactly the bsp-async
-// batch engine's (par/async_worklist.h: in-queue flags, bucketed
-// work-stealing pool, quiescence detector, the same bound/delta bucket
-// maps), re-pointed at a mutable adjacency and a warm estimate table.
+// region — not the whole graph. The relaxation is par::relax
+// (par/relax.h), the same kernel the bsp-async engine runs, started from
+// a warm table instead of the degrees; the insertion region is
+// core::subcore_region (core/subcore_region.h), shared with
+// core::DynamicKCore.
 //
 // Why warm-starting is exact (core/dynamic.h has the full argument):
 //  * a DELETION only lowers coreness, so the converged table is still a
@@ -28,13 +29,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/run_options.h"
+#include "core/subcore_region.h"
 #include "graph/graph.h"
 #include "live/live_graph.h"
-#include "par/async_worklist.h"
+#include "par/async_engine.h"
 
 namespace kcore::live {
 
@@ -92,40 +93,29 @@ class RepairEngine {
   /// is pending.
   RepairStats repair();
 
-  [[nodiscard]] unsigned workers() const noexcept { return workers_; }
+  [[nodiscard]] unsigned workers() const noexcept {
+    return tables_.worklist->workers();
+  }
   [[nodiscard]] core::SchedPolicy sched() const noexcept {
     return options_.sched;
   }
   /// Current exact estimate of one node (between repairs).
   [[nodiscard]] graph::NodeId estimate(graph::NodeId u) const {
-    return est_[u].load(std::memory_order_relaxed);
+    return tables_.est[u].load(std::memory_order_relaxed);
   }
   /// Copy the converged table (between repairs).
   void copy_coreness(std::vector<graph::NodeId>& out) const;
 
  private:
-  /// Collect the insertion candidate region around {u,v}: nodes of
-  /// estimate exactly K reachable through such nodes, peeled to those
-  /// with enough support to actually rise (mirrors
-  /// core::DynamicKCore::subcore_region over the live adjacency).
-  [[nodiscard]] std::vector<graph::NodeId> subcore_region(graph::NodeId u,
-                                                          graph::NodeId v,
-                                                          graph::NodeId K);
-
   void mark_pending(graph::NodeId u);
 
   const LiveGraph& graph_;
   RepairOptions options_;
-  unsigned workers_ = 1;
-  std::vector<std::atomic<graph::NodeId>> est_;
-  std::vector<std::atomic<std::uint32_t>> delta_;  // kDelta accumulators
-  std::unique_ptr<par::AsyncWorklist> worklist_;
+  par::AsyncRunContext tables_;  // kept warm across repairs
   std::vector<graph::NodeId> pending_;   // dirty set for the next repair
   std::vector<std::uint8_t> in_pending_;
   std::uint64_t raised_pending_ = 0;
-  // subcore_region scratch (kept across calls: zero steady-state allocs)
-  std::vector<graph::NodeId> region_stack_;
-  std::vector<std::uint8_t> in_region_;
+  core::RegionScratch region_;
 };
 
 }  // namespace kcore::live

@@ -1,8 +1,6 @@
 #include "live/service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -315,46 +313,27 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
                                                         batch.end())});
   }
 
-  // Net topology effect (same coalescing as DynamicKCore::apply_batch):
-  // the LAST op per edge decides; transient churn inside the batch is
-  // ignored. Out-of-range ids are rejected instead of KCORE_CHECK-ing —
-  // a service survives garbage input.
-  const NodeId n = graph_.num_nodes();
-  std::map<std::pair<NodeId, NodeId>, bool> final_present;
-  std::uint64_t valid = 0;
-  for (const graph::EdgeUpdate& update : batch) {
-    NodeId u = update.u;
-    NodeId v = update.v;
-    if (u >= n || v >= n) {
-      ++result.rejected_updates;
-      continue;
-    }
-    if (u == v) {
-      ++result.ignored_updates;
-      continue;
-    }
-    if (u > v) std::swap(u, v);
-    final_present[{u, v}] = update.op == graph::EdgeOp::kInsert;
-    ++valid;
-  }
+  // Net topology effect. Out-of-range ids are rejected and counted, not
+  // KCORE_CHECKed: a service survives garbage input.
+  const graph::NetUpdates net = graph::coalesce(
+      batch, graph_.num_nodes(),
+      [this](NodeId u, NodeId v) { return graph_.has_edge(u, v); });
+  result.rejected_updates = net.rejected;
+  result.ignored_updates = net.ignored;
+  result.applied_inserts = net.inserts.size();
+  result.applied_removes = net.removes.size();
 
   // Insertions first: each raise runs against a table that is exact for
   // the graph-so-far, which keeps the raises (and therefore the single
   // repair below) exact — see live/repair.h.
-  for (const auto& [edge, present] : final_present) {
-    if (!present || graph_.has_edge(edge.first, edge.second)) continue;
-    graph_.apply({graph::EdgeOp::kInsert, edge.first, edge.second});
-    engine_.note_insert(edge.first, edge.second);
-    ++result.applied_inserts;
+  for (const graph::Edge& e : net.inserts) {
+    graph_.apply({graph::EdgeOp::kInsert, e.u, e.v});
+    engine_.note_insert(e.u, e.v);
   }
-  for (const auto& [edge, present] : final_present) {
-    if (present || !graph_.has_edge(edge.first, edge.second)) continue;
-    graph_.apply({graph::EdgeOp::kRemove, edge.first, edge.second});
-    engine_.note_remove(edge.first, edge.second);
-    ++result.applied_removes;
+  for (const graph::Edge& e : net.removes) {
+    graph_.apply({graph::EdgeOp::kRemove, e.u, e.v});
+    engine_.note_remove(e.u, e.v);
   }
-  result.ignored_updates +=
-      valid - result.applied_inserts - result.applied_removes;
 
   result.repair = repair_with_watchdog(result.provisional_publishes);
   publish();

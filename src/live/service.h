@@ -40,13 +40,13 @@
 //    WAL still carries the data; a failed WAL append propagates as
 //    util::IoError BEFORE any mutation, leaving the service consistent.
 //
-// Update semantics per batch (identical to DynamicKCore::apply_batch, so
-// the simulator and async paths replay identical streams):
+// Update semantics per batch (graph::coalesce, the one coalescer
+// DynamicKCore::apply_batch uses too, so the simulator and async paths
+// replay identical streams):
 //  * out-of-range node ids are REJECTED (counted, not applied — a live
 //    feed's garbage must not take the service down);
 //  * self-loops, duplicate inserts, absent removes and insert+remove
-//    churn within one batch are IGNORED (only the net topology effect is
-//    applied);
+//    churn within one batch are IGNORED (only the net effect is applied);
 //  * net insertions are applied before net deletions, each insertion
 //    raising its K-subcore candidate region (see live/repair.h), then
 //    one relaxation run re-converges the whole batch.

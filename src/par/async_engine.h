@@ -8,33 +8,9 @@
 // and (b) re-examines a vertex whenever a neighbor's estimate drops,
 // converges to the exact decomposition — that is chaotic relaxation, and
 // it is exactly the asynchrony tolerance the paper claims for deployed
-// (non-lockstep) hosts. run_bsp_async executes it on shared memory:
-//
-//  * ONE shared atomic estimate table — no epochs, no double buffering,
-//    no barriers. Readers may observe half-propagated states; the lattice
-//    argument above makes every such state safe.
-//  * A pluggable SCHEDULING POLICY (core::SchedPolicy): because any
-//    schedule converges, pop order is a pure performance lever. The
-//    dirty-vertex pool is a bucketed priority pool (par/priority_pool.h)
-//    of Chase–Lev deques — policy lifo uses one bucket per worker (the
-//    classic LIFO/steal path), policy bound buckets by current estimate
-//    and pops lowest first (the peeling frontier), policy delta buckets
-//    by accumulated neighborhood change and pops largest first.
-//  * A lost-wakeup-safe re-enqueue protocol: one atomic in-queue flag per
-//    vertex. schedule() enqueues only on the flag's 0->1 exchange (a
-//    vertex sits in at most one bucket); a worker clears the flag — also
-//    with an exchange, so every flag write is an RMW and the release
-//    sequence never breaks — BEFORE reading its inputs. An estimate that
-//    drops after the clear re-flags and re-enqueues the vertex; one that
-//    dropped before is visible to the read (the clearing exchange
-//    synchronizes with every earlier flag RMW). Either way the update is
-//    never lost. The protocol is identical under every policy — the pool
-//    only changes which flagged vertex is popped next.
-//  * Concurrent quiescence detection: core::QuiescenceDetector counts
-//    outstanding work (add on every enqueue, finish after a vertex is
-//    fully processed, including the wakes it issued), and an idle worker
-//    that finds the counter at zero runs the confirmation pass — the §3.3
-//    centralized detector ported to shared memory.
+// (non-lockstep) hosts. run_bsp_async executes it on shared memory: it
+// resets the estimate table to the degrees, seeds every vertex and runs
+// par::relax (par/relax.h), whose comment describes the worker protocol.
 //
 // AsyncWorklist is the scheduling core (flags + priority pool + detector)
 // factored out of the engine — into par/async_worklist.h, as a template
@@ -129,8 +105,10 @@ struct AsyncPrepared {
   std::vector<std::vector<std::uint32_t>> seeds;
 };
 
-/// Per-run mutable state, owned privately by one run at a time:
-///  * the shared atomic estimate table (reset to the degrees per run),
+/// The mutable tables par::relax (par/relax.h) works on, owned privately
+/// by one run at a time:
+///  * the shared atomic estimate table (run_bsp_async_prepared resets it
+///    to the degrees per run; live::RepairEngine keeps it warm),
 ///  * the per-vertex pending-change accumulators (sched=delta only),
 ///  * the worklist (flags + pool + detector), reset in place per run so
 ///    sequential reuse re-allocates nothing.

@@ -255,10 +255,10 @@ class BasicAsyncWorklist {
 using AsyncWorklist = BasicAsyncWorklist<>;
 
 // --- bucket maps ------------------------------------------------------------
-// The priority each scheduling policy seeds/wakes with, shared by every
-// worklist client (the batch engine in par/async_engine.cpp and the
-// incremental repair engine in live/repair.cpp) so the policies cannot
-// drift between the full and the incremental paths.
+// The priority each scheduling policy seeds/wakes with: par::relax
+// (par/relax.h) wakes with them, and both of its callers (the batch
+// engine in par/async_engine.cpp, the repair engine in live/repair.cpp)
+// seed with them, so the policies cannot drift between the two.
 
 /// bound: clamp the estimate into the bitmap width — ascending pop order
 /// makes the lowest still-live estimate the peeling frontier.

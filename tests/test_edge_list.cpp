@@ -152,6 +152,33 @@ TEST(EdgeStream, WindowsAnchorAtFirstEvent) {
   EXPECT_EQ(batches[0].updates.size(), 2U);
 }
 
+TEST(Coalesce, KeepsOnlyTheNetEffectAndCountsEveryUpdate) {
+  // Current topology on 5 nodes: {0,1} and {2,3}.
+  const auto has_edge = [](NodeId u, NodeId v) {
+    EXPECT_LT(u, v);
+    return (u == 0 && v == 1) || (u == 2 && v == 3);
+  };
+  const std::vector<EdgeUpdate> batch{
+      {EdgeOp::kInsert, 3, 4},  // last op wins: net insert {3,4}
+      {EdgeOp::kRemove, 4, 3},
+      {EdgeOp::kInsert, 4, 3},
+      {EdgeOp::kInsert, 1, 2},  // insert then remove of an absent edge
+      {EdgeOp::kRemove, 2, 1},
+      {EdgeOp::kInsert, 1, 0},  // duplicate insert of a present edge
+      {EdgeOp::kRemove, 3, 2},  // net remove {2,3}
+      {EdgeOp::kRemove, 0, 4},  // remove of an absent edge
+      {EdgeOp::kInsert, 2, 2},  // self-loop
+      {EdgeOp::kInsert, 0, 5},  // out of range
+      {EdgeOp::kRemove, 7, 1},  // out of range
+      {EdgeOp::kInsert, 2, 0},  // net insert {0,2}
+  };
+  const NetUpdates net = coalesce(batch, 5, has_edge);
+  EXPECT_EQ(net.inserts, (std::vector<Edge>{{0, 2}, {3, 4}}));
+  EXPECT_EQ(net.removes, (std::vector<Edge>{{2, 3}}));
+  EXPECT_EQ(net.rejected, 2U);
+  EXPECT_EQ(net.ignored, 7U);
+}
+
 TEST(EdgeList, WriteReadRoundtrip) {
   const Graph original = gen::erdos_renyi_gnm(200, 600, 17);
   std::stringstream buffer;

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -40,6 +41,7 @@
 #include "live/repair.h"
 #include "live/update_log.h"
 #include "obs/options.h"
+#include "par/async_engine.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
 #include "util/storage.h"
@@ -580,6 +582,80 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
     EXPECT_EQ(service.metrics().value("live.provisional_publishes"),
               provisional_published);
   }
+}
+
+// --- one kernel, one region routine ----------------------------------------
+
+TEST(RepairEngine, InitializeDoesTheSameWorkAsBspAsync) {
+  // Both callers run par::relax. At one thread both seed every node in id
+  // order at estimate = degree, so any drift in either caller's seeding
+  // or in the loop shows up as a different work profile.
+  graph::gen::RmatParams params;
+  params.scale = 13;
+  params.edge_factor = 8.0;
+  const Graph g = gen::rmat(params, 7);
+  const auto truth = seq::coreness_bz(g);
+  for (const SchedPolicy sched :
+       {SchedPolicy::kLifo, SchedPolicy::kBound, SchedPolicy::kDelta}) {
+    core::RunOptions options;
+    options.threads = 1;
+    options.sched = sched;
+    options.targeted_send = true;
+    const par::AsyncResult batch = par::run_bsp_async(g, options);
+
+    const LiveGraph live(g);
+    RepairEngine engine(live, RepairOptions{1, sched, true});
+    const RepairStats stats = engine.initialize();
+    std::vector<NodeId> coreness;
+    engine.copy_coreness(coreness);
+
+    const std::string policy(core::to_string(sched));
+    EXPECT_EQ(stats.relaxations, batch.stats.relaxations) << policy;
+    EXPECT_EQ(stats.skipped_recomputes, batch.stats.skipped_recomputes)
+        << policy;
+    EXPECT_EQ(stats.pop_scans, batch.stats.pop_scans) << policy;
+    EXPECT_EQ(batch.coreness, truth) << policy;
+    EXPECT_EQ(coreness, truth) << policy;
+  }
+}
+
+TEST(RepairEngine, RaisedRegionIsExactlyTheNodesThatRise) {
+  // Against an exact table the support peel's fixpoint is precisely the
+  // set of nodes whose coreness rises: every raised node rises and every
+  // rising node was raised. A bounded region routine must keep this.
+  graph::gen::RmatParams params;
+  params.scale = 10;
+  params.edge_factor = 4.0;
+  const std::array<Graph, 2> graphs{gen::rmat(params, 3),
+                                    gen::barabasi_albert(1000, 3, 5)};
+  std::uint64_t total_raised = 0;
+  for (const Graph& g : graphs) {
+    LiveGraph live(g);
+    RepairEngine engine(live, RepairOptions{1, SchedPolicy::kBound, true});
+    engine.initialize();
+    std::vector<NodeId> before = seq::coreness_bz(g);
+    util::Xoshiro256 rng(g.num_nodes());
+    for (int inserted = 0; inserted < 150;) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (!live.apply({EdgeOp::kInsert, u, v})) continue;
+      ++inserted;
+      engine.note_insert(u, v);
+      const RepairStats stats = engine.repair();
+      const std::vector<NodeId> after = seq::coreness_bz(live.snapshot());
+      std::uint64_t rose = 0;
+      for (NodeId w = 0; w < g.num_nodes(); ++w) {
+        if (after[w] > before[w]) ++rose;
+      }
+      ASSERT_EQ(stats.raised, rose) << "insert {" << u << "," << v << "}";
+      std::vector<NodeId> coreness;
+      engine.copy_coreness(coreness);
+      ASSERT_EQ(coreness, after);
+      total_raised += stats.raised;
+      before = after;
+    }
+  }
+  EXPECT_GT(total_raised, 0U);
 }
 
 // --- locality: incremental repair beats full reconvergence ------------------
