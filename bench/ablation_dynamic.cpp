@@ -49,9 +49,9 @@ int main() {
     kcore::util::RunningStats rounds;
     for (int i = 0; i < updates; ++i) {
       const auto u =
-          static_cast<kcore::graph::NodeId>(rng.next_below(dyn.num_nodes()));
+          static_cast<kcore::graph::NodeId>(rng.next_below(g.num_nodes()));
       const auto v =
-          static_cast<kcore::graph::NodeId>(rng.next_below(dyn.num_nodes()));
+          static_cast<kcore::graph::NodeId>(rng.next_below(g.num_nodes()));
       if (u == v) continue;
       const auto stats =
           rng.next_bool(0.5) ? dyn.add_edge(u, v) : dyn.remove_edge(u, v);

@@ -14,8 +14,8 @@ int main() {
   graph::Graph g = graph::gen::barabasi_albert(20000, 3, 31);
   core::DynamicKCore overlay(g);
   const auto bootstrap = overlay.lifetime_stats();
-  std::cout << "bootstrap: " << overlay.num_nodes() << " peers, "
-            << overlay.num_edges() << " links, " << bootstrap.rounds
+  std::cout << "bootstrap: " << overlay.graph().num_nodes() << " peers, "
+            << overlay.graph().num_edges() << " links, " << bootstrap.rounds
             << " rounds, " << bootstrap.messages << " messages\n\n";
 
   util::Xoshiro256 rng(7);
@@ -34,24 +34,24 @@ int main() {
         const auto fresh = overlay.add_node();
         for (int l = 0; l < 3; ++l) {
           const auto peer = static_cast<graph::NodeId>(
-              rng.next_below(overlay.num_nodes() - 1));
+              rng.next_below(overlay.graph().num_nodes() - 1));
           rounds += overlay.add_edge(fresh, peer).rounds;
         }
         ++joins;
       } else if (dice < 0.60) {
         const auto u = static_cast<graph::NodeId>(
-            rng.next_below(overlay.num_nodes()));
+            rng.next_below(overlay.graph().num_nodes()));
         const auto v = static_cast<graph::NodeId>(
-            rng.next_below(overlay.num_nodes()));
+            rng.next_below(overlay.graph().num_nodes()));
         if (u != v) rounds += overlay.add_edge(u, v).rounds;
         ++adds;
       } else {
         const auto u = static_cast<graph::NodeId>(
-            rng.next_below(overlay.num_nodes()));
-        if (overlay.degree(u) > 0) {
+            rng.next_below(overlay.graph().num_nodes()));
+        if (overlay.graph().degree(u) > 0) {
           // Drop one of u's links.
           const auto v = static_cast<graph::NodeId>(
-              rng.next_below(overlay.num_nodes()));
+              rng.next_below(overlay.graph().num_nodes()));
           rounds += overlay.remove_edge(u, v).rounds;
           ++removals;
         }

@@ -9,13 +9,10 @@
 #include "core/one_to_many.h"
 #include "core/one_to_one.h"
 #include "core/pregel_kcore.h"
-#include "live/service.h"
-#include "obs/obs.h"
 #include "par/async_engine.h"
 #include "par/runtime.h"
 #include "seq/kcore_seq.h"
 #include "util/check.h"
-#include "util/clock.h"
 
 namespace kcore::api {
 
@@ -457,90 +454,37 @@ ProtocolRegistry::ProtocolRegistry() {
   bsp_async.observer = ObserverGranularity::kNone;
   bsp_async.deterministic_extras = false;
 
-  Capabilities live;
-  live.execution = ExecutionKind::kAsync;
-  live.consumes_threads = true;
-  live.consumes_sched = true;
-  live.consumes_targeted_send = true;
-  live.consumes_obs = true;
-  live.observer = ObserverGranularity::kNone;
-  live.deterministic_extras = false;
-
   add({std::string(kProtocolBz), "[3]",
-       "sequential Batagelj–Zaveršnik bucket baseline", sequential, nullptr,
+       "sequential Batagelj–Zaveršnik bucket baseline", sequential,
        [](const DecomposeRequest&) {
          return std::unique_ptr<PreparedProtocol>(
              new PreparedSequential(&seq::coreness_bz));
        }});
   add({std::string(kProtocolPeeling), "Def. 1",
        "naive iterated-peeling oracle (differential testing)", sequential,
-       nullptr, [](const DecomposeRequest&) {
+       [](const DecomposeRequest&) {
          return std::unique_ptr<PreparedProtocol>(
              new PreparedSequential(&seq::coreness_peeling));
        }});
   add({std::string(kProtocolOneToOne), "§3.1",
        "one-to-one protocol: every node is a host (Algorithms 1+2)",
-       one_to_one, nullptr, make_request_preparer<PreparedOneToOne>()});
+       one_to_one, make_request_preparer<PreparedOneToOne>()});
   add({std::string(kProtocolOneToMany), "§3.2",
        "one-to-many protocol: hosts own node partitions (Algorithms 3-5)",
-       one_to_many, nullptr, make_request_preparer<PreparedOneToMany>()});
+       one_to_many, make_request_preparer<PreparedOneToMany>()});
   add({std::string(kProtocolBsp), "§6",
        "Pregel/BSP vertex-program port with vote-to-halt termination", bsp,
-       nullptr, make_request_preparer<PreparedBsp>()});
+       make_request_preparer<PreparedBsp>()});
   add({std::string(kProtocolOneToManyPar), "§3.2 (par)",
        "one-to-many protocol on real worker threads (src/par engine)",
-       one_to_many_par, nullptr,
-       make_request_preparer<PreparedOneToManyPar>()});
+       one_to_many_par, make_request_preparer<PreparedOneToManyPar>()});
   add({std::string(kProtocolBspPar), "§6 (par)",
        "shared-memory BSP port: threads over a shared atomic estimate table",
-       bsp_par, nullptr, make_request_preparer<PreparedBspPar>()});
+       bsp_par, make_request_preparer<PreparedBspPar>()});
   add({std::string(kProtocolBspAsync), "§4/§3.3 (async)",
        "chaotic relaxation: work-stealing threads, no barriers, concurrent "
        "quiescence detector",
-       bsp_async, nullptr, make_request_preparer<PreparedBspAsync>()});
-  add({std::string(kProtocolLive), "§4 (streaming)",
-       "live streaming service: incremental async repair behind epoch "
-       "snapshots (one-shot run = the initial convergence)",
-       live,
-       [](const DecomposeRequest& request, const ProgressObserver&) {
-         const auto start = util::SteadyClock::now();
-         live::ServiceOptions options;
-         options.threads = request.options.threads;
-         options.sched = request.options.sched;
-         options.targeted_send = request.options.targeted_send;
-         options.metrics = request.options.obs.metrics;
-         const live::Service service(*request.graph, options);
-         const double total_ms =
-             util::ms_between(start, util::SteadyClock::now());
-         const live::RepairStats& stats = service.initial_stats();
-         DecomposeReport report;
-         report.coreness = service.query()->coreness;
-         const graph::NodeId n = request.graph->num_nodes();
-         AsyncExtras extras;
-         extras.threads_used = service.workers();
-         extras.sched = request.options.sched;
-         extras.relaxations = stats.relaxations;
-         extras.steals = stats.steals;
-         extras.re_enqueues =
-             stats.relaxations >= n ? stats.relaxations - n : 0;
-         extras.detector_passes = stats.detector_passes;
-         extras.skipped_recomputes = stats.skipped_recomputes;
-         extras.pop_scans = stats.pop_scans;
-         extras.run_ms = stats.repair_ms;
-         extras.setup_ms =
-             total_ms > stats.repair_ms ? total_ms - stats.repair_ms : 0.0;
-         report.traffic.total_messages = extras.re_enqueues;
-         report.traffic.converged = true;
-         report.extras = extras;
-         if (service.metrics_enabled()) {
-           auto telemetry = std::make_shared<obs::RunTelemetry>();
-           telemetry->has_metrics = true;
-           telemetry->metrics = service.metrics();
-           report.telemetry = std::move(telemetry);
-         }
-         return report;
-       },
-       nullptr});
+       bsp_async, make_request_preparer<PreparedBspAsync>()});
 }
 
 ProtocolRegistry& ProtocolRegistry::instance() {
@@ -552,9 +496,8 @@ void ProtocolRegistry::add(Entry entry) {
   KCORE_CHECK_MSG(!entry.name.empty(), "protocol key must be non-empty");
   KCORE_CHECK_MSG(!contains(entry.name),
                   "protocol '" << entry.name << "' is already registered");
-  KCORE_CHECK_MSG(entry.run != nullptr || entry.prepare != nullptr,
-                  "protocol '" << entry.name
-                               << "' needs a runner or a preparer");
+  KCORE_CHECK_MSG(entry.prepare != nullptr,
+                  "protocol '" << entry.name << "' needs a preparer");
   entries_.push_back(std::move(entry));
 }
 

@@ -16,7 +16,7 @@
 // * One report type: DecomposeReport = coreness + TrafficStats + a typed
 //   variant of per-protocol extras + wall-clock timing.
 // * One registry: ProtocolRegistry maps string keys ("bz", "peeling",
-//   "one-to-one", "one-to-many", "bsp") to runners; new backends register
+//   "one-to-one", "one-to-many", "bsp") to preparers; new backends register
 //   under a new key and every CLI flag, bench and experiment picks them
 //   up by name.
 // * One observer: core::ProgressObserver streams (round, estimates,
@@ -81,12 +81,6 @@ inline constexpr std::string_view kProtocolBspPar = "bsp-par";  // §6, threaded
 // §3.3 centralized termination detector ported to shared memory. The
 // paper's convergence-under-asynchrony claim, executed literally.
 inline constexpr std::string_view kProtocolBspAsync = "bsp-async";  // §4/§3.3
-// The live streaming service (src/live): a one-shot decompose through
-// this key runs the service's initial convergence (the same chaotic
-// relaxation as bsp-async, driven by the incremental repair engine);
-// streaming updates flow through live::Service / `kcore stream` rather
-// than the batch facade.
-inline constexpr std::string_view kProtocolLive = "live";  // §4 (streaming)
 
 /// A decomposition request: which graph, which protocol, which knobs.
 /// `graph` must outlive the call.
@@ -302,11 +296,9 @@ class PreparedProtocol {
 
 /// String-keyed protocol registry. Keys are stable CLI-facing names;
 /// registration is open — experiments and future backends can add
-/// runners at startup and every facade consumer picks them up by name.
+/// preparers at startup and every facade consumer picks them up by name.
 class ProtocolRegistry {
  public:
-  using Runner = std::function<DecomposeReport(const DecomposeRequest&,
-                                               const ProgressObserver&)>;
   using Preparer = std::function<std::unique_ptr<PreparedProtocol>(
       const DecomposeRequest&)>;
 
@@ -315,15 +307,8 @@ class ProtocolRegistry {
     std::string paper_section;  // e.g. "§3.2" — the protocol table's spine
     std::string summary;        // one-line human description
     Capabilities capabilities;  // drives validate() and the tables
-    /// One-shot runner. Optional when `prepare` is provided (the facade
-    /// then routes every call through a Session); simple external
-    /// protocols can register just a Runner. Because Session serves
-    /// concurrent callers, a registered Runner must tolerate concurrent
-    /// invocations (pure functions of the request trivially do).
-    Runner run;
-    /// Prepared-execution factory backing api::Session. Optional: without
-    /// it, Session::prepare() is a no-op and run() calls `run` each time
-    /// (still bit-identical, nothing amortized).
+    /// Prepared-execution factory backing api::Session; every call, the
+    /// one-shot decompose() included, runs through it.
     Preparer prepare;
   };
 
@@ -331,7 +316,7 @@ class ProtocolRegistry {
   [[nodiscard]] static ProtocolRegistry& instance();
 
   /// Register a protocol. Throws util::CheckError on a duplicate key or
-  /// when neither `run` nor `prepare` is provided.
+  /// when `prepare` is missing.
   void add(Entry entry);
 
   [[nodiscard]] bool contains(std::string_view name) const;

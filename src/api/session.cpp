@@ -28,24 +28,6 @@ void throw_on_problems(const std::vector<std::string>& problems) {
   throw util::CheckError("invalid decompose request: " + joined);
 }
 
-/// Fallback for protocols registered with only a one-shot Runner:
-/// nothing to amortize, every run() re-executes the runner. The Runner
-/// is copied, not referenced — a later ProtocolRegistry::add() may
-/// reallocate the entry vector and invalidate pointers into it.
-class RunnerPrepared final : public PreparedProtocol {
- public:
-  explicit RunnerPrepared(ProtocolRegistry::Runner runner)
-      : runner_(std::move(runner)) {}
-
-  DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
-    return runner_(request, observer);
-  }
-
- private:
-  const ProtocolRegistry::Runner runner_;
-};
-
 /// One cell's RunOptions: the base with the swept axes applied, and the
 /// telemetry request clamped off for protocols whose Capabilities lack
 /// consumes_obs. A sweep mixing instrumented and uninstrumented
@@ -101,11 +83,7 @@ const PreparedProtocol& Session::ensure_prepared(double* prepared_cost) const {
   if (!state.ready.load(std::memory_order_relaxed)) {
     const auto& entry = ProtocolRegistry::instance().entry(request_.protocol);
     const auto start = Clock::now();
-    if (entry.prepare) {
-      state.prepared = entry.prepare(request_);
-    } else {
-      state.prepared = std::make_unique<RunnerPrepared>(entry.run);
-    }
+    state.prepared = entry.prepare(request_);
     state.prepare_ms = ms_between(start, Clock::now());
     state.ready.store(true, std::memory_order_release);
     // Only the caller that performed the derivation absorbs its cost;

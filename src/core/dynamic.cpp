@@ -13,14 +13,11 @@ namespace kcore::core {
 using graph::NodeId;
 
 DynamicKCore::DynamicKCore(const graph::Graph& initial)
-    : adjacency_(initial.num_nodes()), estimate_(initial.num_nodes()) {
+    : graph_(initial), estimate_(initial.num_nodes()) {
   region_.in_region.assign(initial.num_nodes(), 0);
   for (NodeId u = 0; u < initial.num_nodes(); ++u) {
-    const auto nbrs = initial.neighbors(u);
-    adjacency_[u].assign(nbrs.begin(), nbrs.end());
     estimate_[u] = initial.degree(u);
   }
-  num_edges_ = initial.num_edges();
   // Initial convergence: everyone starts active with estimate = degree,
   // exactly Algorithm 1's initialization.
   std::vector<NodeId> all(initial.num_nodes());
@@ -29,10 +26,9 @@ DynamicKCore::DynamicKCore(const graph::Graph& initial)
 }
 
 NodeId DynamicKCore::add_node() {
-  adjacency_.emplace_back();
   estimate_.push_back(0);
   region_.in_region.push_back(0);
-  return static_cast<NodeId>(adjacency_.size() - 1);
+  return graph_.add_node();
 }
 
 MaintenanceStats DynamicKCore::add_edge(NodeId u, NodeId v) {
@@ -50,20 +46,10 @@ MaintenanceStats DynamicKCore::apply_batch(
     std::span<const graph::EdgeUpdate> updates) {
   // Net topology effect; self-loops are ignored, matching GraphBuilder.
   const graph::NetUpdates net = graph::coalesce(
-      updates, num_nodes(),
-      [this](NodeId u, NodeId v) {
-        return std::binary_search(adjacency_[u].begin(), adjacency_[u].end(),
-                                  v);
-      });
+      updates, graph_.num_nodes(),
+      [this](NodeId u, NodeId v) { return graph_.has_edge(u, v); });
   KCORE_CHECK_MSG(net.rejected == 0, "node out of range");
   if (net.inserts.empty() && net.removes.empty()) return {};
-
-  auto insert_sorted = [](std::vector<NodeId>& a, NodeId x) {
-    a.insert(std::upper_bound(a.begin(), a.end(), x), x);
-  };
-  auto erase_sorted = [](std::vector<NodeId>& a, NodeId x) {
-    a.erase(std::lower_bound(a.begin(), a.end(), x));
-  };
 
   // Distributed cost accounting: the endpoints exchange the edge event
   // (2 messages); the candidate traversal visits each region node once
@@ -75,24 +61,18 @@ MaintenanceStats DynamicKCore::apply_batch(
   // estimates of the graph-so-far (see the header comment), so the table
   // stays exact through the whole insertion pass.
   for (const auto& [u, v] : net.inserts) {
-    insert_sorted(adjacency_[u], v);
-    insert_sorted(adjacency_[v], u);
-    ++num_edges_;
+    graph_.apply({graph::EdgeOp::kInsert, u, v});
     const NodeId K = std::min(estimate_[u], estimate_[v]);
     const auto& region = subcore_region(
         u, v, K, [this](NodeId w) { return estimate_[w]; },
-        [this](NodeId w) -> const std::vector<NodeId>& {
-          return adjacency_[w];
-        },
-        region_);
+        [this](NodeId w) { return graph_.neighbors(w); }, region_);
     extra_messages += 2;
     // Raise candidates to the provable upper bound min(K+1, degree); this
     // restores Theorem 2 safety, after which plain downward convergence
     // recomputes the exact values.
     for (const NodeId w : region) {
-      estimate_[w] =
-          std::min<NodeId>(K + 1, static_cast<NodeId>(adjacency_[w].size()));
-      extra_messages += 3 * adjacency_[w].size();
+      estimate_[w] = std::min<NodeId>(K + 1, graph_.degree(w));
+      extra_messages += 3 * graph_.degree(w);
     }
     frontier.insert(frontier.end(), region.begin(), region.end());
     // Endpoints always re-examine (their degree changed even if their
@@ -105,9 +85,7 @@ MaintenanceStats DynamicKCore::apply_batch(
   // restores exactness for the whole batch. The endpoints learn of the
   // drop with one message each.
   for (const auto& [u, v] : net.removes) {
-    erase_sorted(adjacency_[u], v);
-    erase_sorted(adjacency_[v], u);
-    --num_edges_;
+    graph_.apply({graph::EdgeOp::kRemove, u, v});
     extra_messages += 2;
     frontier.push_back(u);
     frontier.push_back(v);
@@ -133,7 +111,7 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
   // synchronous schedule every change is published in the same round.
   std::vector<NodeId> gather;
   std::vector<NodeId> scratch;
-  std::vector<bool> queued(adjacency_.size(), false);
+  std::vector<bool> queued(graph_.num_nodes(), false);
   std::vector<NodeId> next;
   for (const NodeId u : frontier) queued[u] = true;
 
@@ -148,14 +126,14 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
       const NodeId current = estimate_[w];
       if (current == 0) continue;
       gather.clear();
-      for (const NodeId x : adjacency_[w]) gather.push_back(estimate_[x]);
+      for (const NodeId x : graph_.neighbors(w)) gather.push_back(estimate_[x]);
       const NodeId t = compute_index(gather, current, scratch);
       if (t < current) updates.emplace_back(w, t);
     }
     for (const auto& [w, value] : updates) {
       estimate_[w] = value;
-      stats.messages += adjacency_[w].size();  // broadcast to neighbors
-      for (const NodeId x : adjacency_[w]) {
+      stats.messages += graph_.degree(w);  // broadcast to neighbors
+      for (const NodeId x : graph_.neighbors(w)) {
         if (!queued[x]) {
           queued[x] = true;
           next.push_back(x);
@@ -168,16 +146,6 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
   lifetime_.messages += stats.messages;
   lifetime_.nodes_activated += stats.nodes_activated;
   return stats;
-}
-
-graph::Graph DynamicKCore::snapshot() const {
-  graph::GraphBuilder b(num_nodes());
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (const NodeId v : adjacency_[u]) {
-      if (u < v) b.add_edge(u, v);
-    }
-  }
-  return b.build();
 }
 
 }  // namespace kcore::core

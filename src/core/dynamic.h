@@ -21,8 +21,9 @@
 //    region) to min(K+1, degree) before re-activating them. Everything
 //    outside the region is provably unaffected.
 //
-// The maintenance protocol is simulated in synchronous rounds on a
-// mutable adjacency structure; per-update round and message costs are
+// The maintenance protocol is simulated in synchronous rounds over the
+// graph layer's mutable adjacency (graph::MutableGraph, the one the live
+// service keeps too); per-update round and message costs are
 // returned so the savings over a full §3.1 re-run can be measured
 // (bench/ablation_dynamic).
 #pragma once
@@ -34,6 +35,7 @@
 #include "core/subcore_region.h"
 #include "graph/edge_list.h"
 #include "graph/graph.h"
+#include "graph/mutable_graph.h"
 
 namespace kcore::core {
 
@@ -86,19 +88,11 @@ class DynamicKCore {
     return estimate_;
   }
 
-  [[nodiscard]] graph::NodeId num_nodes() const noexcept {
-    return static_cast<graph::NodeId>(adjacency_.size());
+  /// The current topology (snapshot() it to cross-check against the
+  /// sequential baseline).
+  [[nodiscard]] const graph::MutableGraph& graph() const noexcept {
+    return graph_;
   }
-  [[nodiscard]] std::uint64_t num_edges() const noexcept {
-    return num_edges_;
-  }
-  [[nodiscard]] graph::NodeId degree(graph::NodeId u) const {
-    return static_cast<graph::NodeId>(adjacency_[u].size());
-  }
-
-  /// Snapshot the current topology as an immutable Graph (O(N+M)); used
-  /// by tests to cross-check against the sequential baseline.
-  [[nodiscard]] graph::Graph snapshot() const;
 
   /// Total cost since construction (sum over all reconvergences).
   [[nodiscard]] const MaintenanceStats& lifetime_stats() const noexcept {
@@ -113,9 +107,8 @@ class DynamicKCore {
   MaintenanceStats reconverge(std::vector<graph::NodeId> frontier,
                               std::uint64_t extra_messages);
 
-  std::vector<std::vector<graph::NodeId>> adjacency_;  // sorted per node
+  graph::MutableGraph graph_;
   std::vector<graph::NodeId> estimate_;  // == coreness between updates
-  std::uint64_t num_edges_ = 0;
   MaintenanceStats lifetime_;
   RegionScratch region_;
 };

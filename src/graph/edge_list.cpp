@@ -1,5 +1,6 @@
 #include "graph/edge_list.h"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -188,22 +189,25 @@ std::vector<EdgeUpdateBatch> batch_by_window(const EdgeStream& stream,
                                              std::uint64_t window) {
   std::vector<EdgeUpdateBatch> batches;
   const std::size_t count = stream.events.size();
+  // Ticks per batch; the membership test below is `time - t_begin <
+  // span`, which cannot wrap the way `time < t_begin + span` does near
+  // UINT64_MAX.
+  const std::uint64_t span = window == 0 ? 1 : window;
   std::size_t i = 0;
   while (i < count) {
     const std::uint64_t t = stream.events[i].time;
     EdgeUpdateBatch batch;
     if (window == 0) {
       batch.t_begin = t;
-      batch.t_end = t + 1;
     } else {
       // Anchor windows at the FIRST event's timestamp so a stream starting
       // at t=1000 doesn't open with hundreds of empty windows.
       const std::uint64_t t0 = stream.events.front().time;
-      const std::uint64_t index = (t - t0) / window;
-      batch.t_begin = t0 + index * window;
-      batch.t_end = batch.t_begin + window;
+      batch.t_begin = t0 + (t - t0) / window * window;
     }
-    while (i < count && stream.events[i].time < batch.t_end) {
+    batch.t_end = batch.t_begin +
+                  std::min<std::uint64_t>(span, UINT64_MAX - batch.t_begin);
+    while (i < count && stream.events[i].time - batch.t_begin < span) {
       batch.updates.push_back(stream.events[i].update);
       ++i;
     }

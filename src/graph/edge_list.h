@@ -78,7 +78,9 @@ struct EdgeStream {
 };
 
 /// Consecutive events grouped into one apply unit: all events with
-/// timestamp in [t_begin, t_end).
+/// timestamp in [t_begin, t_end). t_end saturates at UINT64_MAX, and the
+/// batch it ends also holds the events stamped UINT64_MAX. The batch
+/// type of the live service's replay and of `kcore stream`.
 struct EdgeUpdateBatch {
   std::uint64_t t_begin = 0;
   std::uint64_t t_end = 0;

@@ -1,12 +1,10 @@
-#include "live/live_graph.h"
+#include "graph/mutable_graph.h"
 
 #include <algorithm>
 
-namespace kcore::live {
+namespace kcore::graph {
 
-using graph::NodeId;
-
-LiveGraph::LiveGraph(const graph::Graph& initial)
+MutableGraph::MutableGraph(const Graph& initial)
     : adjacency_(initial.num_nodes()), num_edges_(initial.num_edges()) {
   for (NodeId u = 0; u < initial.num_nodes(); ++u) {
     const auto nbrs = initial.neighbors(u);
@@ -14,17 +12,17 @@ LiveGraph::LiveGraph(const graph::Graph& initial)
   }
 }
 
-bool LiveGraph::has_edge(NodeId u, NodeId v) const {
+bool MutableGraph::has_edge(NodeId u, NodeId v) const {
   const auto& a = adjacency_[u];
   return std::binary_search(a.begin(), a.end(), v);
 }
 
-bool LiveGraph::apply(const graph::EdgeUpdate& update) {
+bool MutableGraph::apply(const EdgeUpdate& update) {
   const NodeId u = update.u;
   const NodeId v = update.v;
   if (u == v) return false;
   const bool present = has_edge(u, v);
-  if (update.op == graph::EdgeOp::kInsert) {
+  if (update.op == EdgeOp::kInsert) {
     if (present) return false;
     auto insert_sorted = [](std::vector<NodeId>& a, NodeId x) {
       a.insert(std::upper_bound(a.begin(), a.end(), x), x);
@@ -45,14 +43,25 @@ bool LiveGraph::apply(const graph::EdgeUpdate& update) {
   return true;
 }
 
-graph::Graph LiveGraph::snapshot() const {
-  graph::GraphBuilder b(num_nodes());
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (const NodeId v : adjacency_[u]) {
-      if (u < v) b.add_edge(u, v);
-    }
-  }
-  return b.build();
+NodeId MutableGraph::add_node() {
+  adjacency_.emplace_back();
+  ++version_;
+  return static_cast<NodeId>(adjacency_.size() - 1);
 }
 
-}  // namespace kcore::live
+std::vector<Edge> MutableGraph::edges() const {
+  std::vector<Edge> edges;
+  edges.reserve(num_edges_);
+  for (NodeId u = 0; u < num_nodes(); ++u) {
+    for (const NodeId v : adjacency_[u]) {
+      if (u < v) edges.push_back({u, v});
+    }
+  }
+  return edges;
+}
+
+Graph MutableGraph::snapshot() const {
+  return Graph::from_edges(num_nodes(), edges());
+}
+
+}  // namespace kcore::graph

@@ -88,6 +88,12 @@ std::optional<CheckpointData> decode(const std::string& bytes,
     reason = "truncated payload header";
     return std::nullopt;
   }
+  // Counts the payload cannot hold are corruption under a valid CRC:
+  // reject them before allocating for them.
+  if (num_edges > body.remaining() / 8) {
+    reason = "edge count exceeds the payload";
+    return std::nullopt;
+  }
   data.edges.reserve(num_edges);
   for (std::uint64_t i = 0; i < num_edges; ++i) {
     graph::Edge e;
@@ -100,6 +106,10 @@ std::optional<CheckpointData> decode(const std::string& bytes,
       return std::nullopt;
     }
     data.edges.push_back(e);
+  }
+  if (data.num_nodes > body.remaining() / 4) {
+    reason = "node count exceeds the payload";
+    return std::nullopt;
   }
   data.coreness.resize(data.num_nodes);
   for (graph::NodeId u = 0; u < data.num_nodes; ++u) {

@@ -23,54 +23,34 @@ WalOptions wal_options_of(const DurabilityOptions& durability) {
   return WalOptions{durability.fsync, durability.fsync_every};
 }
 
-}  // namespace
-
-Service::Service(const graph::Graph& initial, const ServiceOptions& options)
-    : options_(options),
-      graph_(initial),
-      engine_(graph_, RepairOptions{options.threads, options.sched,
-                                    options.targeted_send}) {
-  setup_metrics();
-  initial_stats_ = engine_.initialize();
-  if (registry_) {
-    registry_->add(c_repairs_, kWriterSlot, 1);
-    registry_->add(c_relaxations_, kWriterSlot, initial_stats_.relaxations);
-    registry_->add(c_seeded_, kWriterSlot, initial_stats_.seeded);
-  }
-  publish();  // epoch 0: the initial converged table
-}
-
-Service::Service(const graph::Graph& initial, const ServiceOptions& options,
-                 const DurabilityOptions& durability)
-    : options_(options),
-      durability_(durability),
-      graph_(initial),
-      engine_(graph_, RepairOptions{options.threads, options.sched,
-                                    options.targeted_send}) {
+/// Create the state directory of a fresh durable service, refusing one
+/// that already holds service state: silently re-initializing would
+/// orphan a recoverable history. The operator either recovers
+/// (Service::open / --recover) or points at an empty directory.
+const DurabilityOptions& fresh_state_dir(const DurabilityOptions& durability) {
   KCORE_CHECK_MSG(!durability.dir.empty(),
                   "DurabilityOptions::dir must be set for a durable Service");
-  storage_ = &resolve_storage(durability);
-  storage_->make_dir(durability_.dir);
-  // Refuse to start fresh over existing state: silently re-initializing
-  // would orphan a recoverable history. The operator either recovers
-  // (Service::open / --recover) or points at an empty directory.
-  for (const std::string& name : storage_->list_dir(durability_.dir)) {
+  util::Storage& storage = resolve_storage(durability);
+  storage.make_dir(durability.dir);
+  for (const std::string& name : storage.list_dir(durability.dir)) {
     if (name == "wal.log" || name.find("checkpoint") == 0) {
-      throw util::IoError(durability_.dir + ": already contains service state (" +
-                          name +
+      throw util::IoError(durability.dir +
+                          ": already contains service state (" + name +
                           ") — recover it with --recover, or use an empty "
                           "directory for a fresh service");
     }
   }
+  return durability;
+}
 
-  setup_metrics();
-  initial_stats_ = engine_.initialize();
-  if (registry_) {
-    registry_->add(c_repairs_, kWriterSlot, 1);
-    registry_->add(c_relaxations_, kWriterSlot, initial_stats_.relaxations);
-    registry_->add(c_seeded_, kWriterSlot, initial_stats_.seeded);
-  }
-  publish();  // epoch 0
+}  // namespace
+
+Service::Service(const graph::Graph& initial, const ServiceOptions& options)
+    : Service(initial, options, DurabilityOptions{}, nullptr, 0) {}
+
+Service::Service(const graph::Graph& initial, const ServiceOptions& options,
+                 const DurabilityOptions& durability)
+    : Service(initial, options, fresh_state_dir(durability), nullptr, 0) {
   // WAL first (its epoch mark pins the base), then the initial
   // checkpoint pointing at the WAL's durable end. A crash between the
   // two leaves wal.log without a checkpoint, which open() reports as
@@ -80,23 +60,31 @@ Service::Service(const graph::Graph& initial, const ServiceOptions& options,
   write_checkpoint_now();
 }
 
-Service::Service(RecoveryTag, CheckpointData&& ckpt,
-                 const ServiceOptions& options,
-                 const DurabilityOptions& durability)
+Service::Service(const graph::Graph& initial, const ServiceOptions& options,
+                 const DurabilityOptions& durability,
+                 const std::vector<NodeId>* warm, std::uint64_t epoch)
     : options_(options),
       durability_(durability),
-      graph_(graph::Graph::from_edges(ckpt.num_nodes, ckpt.edges)),
+      graph_(initial),
       engine_(graph_, RepairOptions{options.threads, options.sched,
-                                    options.targeted_send}) {
-  storage_ = &resolve_storage(durability);
+                                    options.targeted_send}),
+      epoch_(epoch) {
+  if (!durability.dir.empty()) storage_ = &resolve_storage(durability);
   setup_metrics();
-  // The checkpointed table is exact for the checkpointed topology, so
-  // recovery pays ZERO up-front relaxations (vs initialize()'s full
-  // convergence) — the paper's warm-restart argument, in one call.
-  engine_.warm_start(ckpt.coreness);
-  initial_stats_ = RepairStats{};
-  epoch_ = ckpt.epoch;
-  publish();  // re-publish the checkpointed epoch verbatim
+  if (warm != nullptr) {
+    // The checkpointed table is exact for the checkpointed topology, so
+    // recovery pays ZERO up-front relaxations (vs initialize()'s full
+    // convergence) — the paper's warm-restart argument, in one call.
+    engine_.warm_start(*warm);
+  } else {
+    initial_stats_ = engine_.initialize();
+    if (registry_) {
+      registry_->add(c_repairs_, kWriterSlot, 1);
+      registry_->add(c_relaxations_, kWriterSlot, initial_stats_.relaxations);
+      registry_->add(c_seeded_, kWriterSlot, initial_stats_.seeded);
+    }
+  }
+  publish();  // the initial converged table, or the checkpointed epoch
 }
 
 Service::~Service() = default;
@@ -164,7 +152,8 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
   }
 
   std::unique_ptr<Service> service(
-      new Service(RecoveryTag{}, std::move(ckpt), options, durability));
+      new Service(graph::Graph::from_edges(ckpt.num_nodes, ckpt.edges),
+                  options, durability, &ckpt.coreness, ckpt.epoch));
 
   if (have_wal) {
     service->wal_.emplace(Wal::open(storage, wal_path,
@@ -231,37 +220,22 @@ std::shared_ptr<const Snapshot> Service::query() const {
 
 std::uint64_t Service::epoch() const { return query()->epoch; }
 
-void Service::publish() {
+void Service::install_snapshot(bool provisional) {
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->epoch = epoch_;
   snapshot->topology_version = graph_.version();
   snapshot->num_nodes = graph_.num_nodes();
   snapshot->num_edges = graph_.num_edges();
+  snapshot->provisional = provisional;
   engine_.copy_coreness(snapshot->coreness);
-  {
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_ = std::move(snapshot);
-  }
-  ++epoch_;
-  if (registry_) registry_->add(c_epochs_, kWriterSlot, 1);
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  snapshot_ = std::move(snapshot);
 }
 
-void Service::publish_provisional() {
-  // Mid-repair: the estimate table is a sound upper bound (raises are
-  // done before workers start; relaxation only moves estimates DOWN), so
-  // handing it out keeps readers fresh without breaking Theorem 1.
-  auto snapshot = std::make_shared<Snapshot>();
-  snapshot->epoch = epoch_;  // the PENDING epoch; finalized by publish()
-  snapshot->topology_version = graph_.version();
-  snapshot->num_nodes = graph_.num_nodes();
-  snapshot->num_edges = graph_.num_edges();
-  snapshot->provisional = true;
-  engine_.copy_coreness(snapshot->coreness);
-  {
-    const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    snapshot_ = std::move(snapshot);
-  }
-  if (registry_) registry_->add(c_provisional_, kWatchdogSlot, 1);
+void Service::publish() {
+  install_snapshot(/*provisional=*/false);
+  ++epoch_;
+  if (registry_) registry_->add(c_epochs_, kWriterSlot, 1);
 }
 
 RepairStats Service::repair_with_watchdog(
@@ -280,12 +254,16 @@ RepairStats Service::repair_with_watchdog(
                                 [this] { return repair_done_; })) {
         break;
       }
-      // Still repairing past the deadline: push a provisional snapshot.
-      // Holding watchdog_mutex_ here means the writer cannot set
-      // repair_done_ (let alone publish the final epoch) while a
-      // provisional publish is in flight — the final publish always
-      // lands last.
-      publish_provisional();
+      // Still repairing past the deadline: push a provisional snapshot
+      // of the PENDING epoch, finalized by publish(). The estimate table
+      // is a sound upper bound mid-repair (raises are done before the
+      // workers start; relaxation only moves estimates DOWN), so handing
+      // it out keeps readers fresh without breaking Theorem 1. Holding
+      // watchdog_mutex_ here means the writer cannot set repair_done_
+      // (let alone publish the final epoch) while a provisional publish
+      // is in flight — the final publish always lands last.
+      install_snapshot(/*provisional=*/true);
+      if (registry_) registry_->add(c_provisional_, kWatchdogSlot, 1);
       ++published;
     }
   });
@@ -372,25 +350,14 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
   return result;
 }
 
-std::vector<ApplyResult> Service::replay(const UpdateLog& log) {
+std::vector<ApplyResult> Service::replay(
+    std::span<const graph::EdgeUpdateBatch> batches) {
   std::vector<ApplyResult> results;
-  results.reserve(log.num_batches());
-  for (std::size_t i = 0; i < log.num_batches(); ++i) {
-    results.push_back(apply(log.batch(i)));
+  results.reserve(batches.size());
+  for (const graph::EdgeUpdateBatch& batch : batches) {
+    results.push_back(apply(batch.updates));
   }
   return results;
-}
-
-std::vector<graph::Edge> Service::collect_edges() const {
-  std::vector<graph::Edge> edges;
-  edges.reserve(graph_.num_edges());
-  const NodeId n = graph_.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : graph_.neighbors(u)) {
-      if (u < v) edges.push_back({u, v});
-    }
-  }
-  return edges;
 }
 
 void Service::write_checkpoint_now() {
@@ -402,7 +369,7 @@ void Service::write_checkpoint_now() {
   data.epoch = epoch_ - 1;  // last PUBLISHED epoch
   data.wal_offset = wal_->end_offset();
   data.num_nodes = graph_.num_nodes();
-  data.edges = collect_edges();
+  data.edges = graph_.edges();
   engine_.copy_coreness(data.coreness);
   write_checkpoint(*storage_, durability_.dir, data,
                    durability_.keep_checkpoints);

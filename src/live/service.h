@@ -83,7 +83,6 @@
 #include "live/checkpoint.h"
 #include "live/live_graph.h"
 #include "live/repair.h"
-#include "live/update_log.h"
 #include "live/wal.h"
 #include "obs/metrics.h"
 #include "util/storage.h"
@@ -183,8 +182,9 @@ class Service {
   /// incrementally, publish a new epoch. Single-writer.
   ApplyResult apply(std::span<const graph::EdgeUpdate> batch);
 
-  /// Apply every batch of a log in order; returns one result per batch.
-  std::vector<ApplyResult> replay(const UpdateLog& log);
+  /// Apply every batch in order; returns one result per batch.
+  std::vector<ApplyResult> replay(
+      std::span<const graph::EdgeUpdateBatch> batches);
 
   /// Force a checkpoint now (also syncs the WAL). Durable mode only.
   void checkpoint();
@@ -220,9 +220,12 @@ class Service {
   }
 
  private:
-  struct RecoveryTag {};
-  Service(RecoveryTag, CheckpointData&& ckpt, const ServiceOptions& options,
-          const DurabilityOptions& durability);
+  /// The one start-up body behind every constructor: metrics, then a
+  /// full convergence (warm == nullptr) or a warm start from the exact
+  /// table `*warm` (recovery), then the publish of `epoch`.
+  Service(const graph::Graph& initial, const ServiceOptions& options,
+          const DurabilityOptions& durability,
+          const std::vector<graph::NodeId>* warm, std::uint64_t epoch);
 
   // Registry lanes: every slot is single-writer (obs::Registry::add is a
   // plain load+store). Writer thread owns 0; the (one-at-a-time,
@@ -233,15 +236,14 @@ class Service {
   static constexpr unsigned kIngressSlot = 2;
 
   void setup_metrics();
+  /// Hand readers a snapshot of the current estimate table, stamped with
+  /// the pending epoch.
+  void install_snapshot(bool provisional);
+  /// Install the final snapshot of the pending epoch and advance it.
   void publish();
-  /// Watchdog body: publish the current (mid-repair) estimate table as a
-  /// provisional snapshot for the pending epoch.
-  void publish_provisional();
   /// Run engine_.repair() under the provisional watchdog; returns the
   /// stats and fills `provisional_publishes`.
   RepairStats repair_with_watchdog(std::uint64_t& provisional_publishes);
-  /// Current topology as a canonical sorted edge list (u < v).
-  [[nodiscard]] std::vector<graph::Edge> collect_edges() const;
   /// Sync the WAL and write a checkpoint for the last published epoch.
   void write_checkpoint_now();
 

@@ -16,6 +16,10 @@ constexpr std::uint8_t kTypeEpochMark = 2;
 // batch — refuse to allocate for it.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
+// A batch record's update: op byte + two u32 node ids.
+constexpr std::size_t kUpdateBytes = 9;
+constexpr auto kMaxOp = static_cast<std::uint8_t>(graph::EdgeOp::kRemove);
+
 std::string encode_frame(const std::string& payload) {
   std::string frame;
   frame.reserve(8 + payload.size());
@@ -27,7 +31,7 @@ std::string encode_frame(const std::string& payload) {
 
 std::string encode_batch(const WalBatch& batch) {
   std::string payload;
-  payload.reserve(1 + 8 + 4 + batch.updates.size() * 9);
+  payload.reserve(1 + 8 + 4 + batch.updates.size() * kUpdateBytes);
   wire::put_u8(payload, kTypeBatch);
   wire::put_u64(payload, batch.epoch);
   wire::put_u32(payload, static_cast<std::uint32_t>(batch.updates.size()));
@@ -124,13 +128,19 @@ WalReadResult Wal::read(util::Storage& storage, const std::string& path,
     } else if (type == kTypeBatch) {
       WalBatch batch;
       std::uint32_t count = 0;
-      if (!body.get_u64(batch.epoch) || !body.get_u32(count)) break;
+      // A count the payload cannot hold is corruption under a valid
+      // CRC: stop here (torn tail) before allocating for it.
+      if (!body.get_u64(batch.epoch) || !body.get_u32(count) ||
+          count > body.remaining() / kUpdateBytes) {
+        break;
+      }
       batch.updates.reserve(count);
       bool ok = true;
       for (std::uint32_t i = 0; i < count; ++i) {
         std::uint8_t op = 0;
         graph::EdgeUpdate u;
-        if (!body.get_u8(op) || !body.get_u32(u.u) || !body.get_u32(u.v)) {
+        if (!body.get_u8(op) || op > kMaxOp || !body.get_u32(u.u) ||
+            !body.get_u32(u.v)) {
           ok = false;
           break;
         }

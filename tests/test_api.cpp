@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -28,6 +29,25 @@ namespace {
 using graph::Graph;
 using graph::NodeId;
 namespace gen = graph::gen;
+
+/// A registrable preparer for test-only protocols: every run reports
+/// `value` as every node's coreness.
+api::ProtocolRegistry::Preparer constant_preparer(NodeId value) {
+  struct Constant final : api::PreparedProtocol {
+    explicit Constant(NodeId v) : value(v) {}
+    api::DecomposeReport run(const api::DecomposeRequest& request,
+                             const api::ProgressObserver&) const override {
+      api::DecomposeReport report;
+      report.coreness.assign(request.graph->num_nodes(), value);
+      report.traffic.converged = true;
+      return report;
+    }
+    NodeId value;
+  };
+  return [value](const api::DecomposeRequest&) {
+    return std::make_unique<Constant>(value);
+  };
+}
 
 void expect_traffic_eq(const sim::TrafficStats& a, const sim::TrafficStats& b,
                        const std::string& label) {
@@ -206,37 +226,24 @@ TEST(ApiRegistry, UnknownProtocolErrorListsRegisteredKeys) {
 TEST(ApiRegistry, DuplicateRegistrationThrows) {
   EXPECT_THROW(api::ProtocolRegistry::instance().add(
                    {"bz", "x", "duplicate", api::Capabilities{},
-                    [](const api::DecomposeRequest&,
-                       const api::ProgressObserver&) {
-                      return api::DecomposeReport{};
-                    },
-                    nullptr}),
+                    constant_preparer(0)}),
                util::CheckError);
 }
 
-TEST(ApiRegistry, RegistrationNeedsRunnerOrPreparer) {
+TEST(ApiRegistry, RegistrationNeedsPreparer) {
   EXPECT_THROW(api::ProtocolRegistry::instance().add(
-                   {"test-inert", "n/a", "neither runner nor preparer",
-                    api::Capabilities{}, nullptr, nullptr}),
+                   {"test-inert", "n/a", "no preparer", api::Capabilities{},
+                    nullptr}),
                util::CheckError);
 }
 
 TEST(ApiRegistry, CustomProtocolIsDispatchable) {
   auto& registry = api::ProtocolRegistry::instance();
   if (!registry.contains("test-constant")) {
-    // Runner-only registration: no preparer, default (consume-nothing)
-    // capabilities — the facade must still dispatch it, via the Session
-    // fallback that re-runs the runner each time.
+    // External registration with default (consume-nothing) capabilities:
+    // the facade must dispatch it by name like a built-in.
     registry.add({"test-constant", "n/a", "returns all-zero coreness",
-                  api::Capabilities{},
-                  [](const api::DecomposeRequest& request,
-                     const api::ProgressObserver&) {
-                    api::DecomposeReport report;
-                    report.coreness.assign(request.graph->num_nodes(), 0);
-                    report.traffic.converged = true;
-                    return report;
-                  },
-                  nullptr});
+                  api::Capabilities{}, constant_preparer(0)});
   }
   const Graph g = gen::clique(5);
   const auto report = api::decompose(g, "test-constant");
@@ -625,16 +632,9 @@ TEST(ApiValidate, CustomProtocolRulesDeriveFromItsCapabilities) {
   // descriptor rejects all three exclusive knobs at once; a descriptor
   // that claims them accepts the same request.
   auto& registry = api::ProtocolRegistry::instance();
-  const auto noop_runner = [](const api::DecomposeRequest& request,
-                              const api::ProgressObserver&) {
-    api::DecomposeReport report;
-    report.coreness.assign(request.graph->num_nodes(), 0);
-    report.traffic.converged = true;
-    return report;
-  };
   if (!registry.contains("test-consumes-nothing")) {
     registry.add({"test-consumes-nothing", "n/a", "capability negative",
-                  api::Capabilities{}, noop_runner, nullptr});
+                  api::Capabilities{}, constant_preparer(0)});
   }
   if (!registry.contains("test-consumes-all")) {
     api::Capabilities caps;
@@ -642,7 +642,7 @@ TEST(ApiValidate, CustomProtocolRulesDeriveFromItsCapabilities) {
     caps.consumes_comm_policy = true;
     caps.consumes_threads = true;
     registry.add({"test-consumes-all", "n/a", "capability positive", caps,
-                  noop_runner, nullptr});
+                  constant_preparer(0)});
   }
   const Graph g = gen::clique(4);
   api::DecomposeRequest request;

@@ -14,7 +14,7 @@ using graph::Graph;
 using graph::NodeId;
 
 void expect_exact(const DynamicKCore& dyn, const char* context) {
-  const auto truth = seq::coreness_bz(dyn.snapshot());
+  const auto truth = seq::coreness_bz(dyn.graph().snapshot());
   ASSERT_EQ(dyn.coreness(), truth) << context;
 }
 
@@ -22,8 +22,8 @@ TEST(DynamicKCore, InitialConvergenceMatchesBaseline) {
   const Graph g = gen::barabasi_albert(200, 3, 5);
   DynamicKCore dyn(g);
   expect_exact(dyn, "initial");
-  EXPECT_EQ(dyn.num_nodes(), g.num_nodes());
-  EXPECT_EQ(dyn.num_edges(), g.num_edges());
+  EXPECT_EQ(dyn.graph().num_nodes(), g.num_nodes());
+  EXPECT_EQ(dyn.graph().num_edges(), g.num_edges());
 }
 
 TEST(DynamicKCore, SingleInsertionRaisesCoreness) {
@@ -113,7 +113,8 @@ TEST(DynamicKCoreBatch, MatchesPerEdgeApplication) {
       }
     }
     ASSERT_EQ(batched.coreness(), single.coreness()) << "round " << round;
-    ASSERT_EQ(batched.num_edges(), single.num_edges()) << "round " << round;
+    ASSERT_EQ(batched.graph().num_edges(), single.graph().num_edges())
+        << "round " << round;
     expect_exact(batched, "batched round");
   }
 }
@@ -139,7 +140,7 @@ TEST(DynamicKCoreBatch, LastOpPerEdgeWins) {
                                       {EdgeOp::kInsert, 0, 1},
                                       {EdgeOp::kRemove, 0, 1}};
   dyn.apply_batch(batch);
-  EXPECT_EQ(dyn.num_edges(), 9U);
+  EXPECT_EQ(dyn.graph().num_edges(), 9U);
   expect_exact(dyn, "last op wins");
   EXPECT_EQ(dyn.coreness(), (std::vector<NodeId>(5, 3)));
 }
@@ -165,7 +166,7 @@ TEST(DynamicKCoreBatch, IgnoresSelfLoopsAndDuplicates) {
                                       {EdgeOp::kInsert, 1, 0}};
   const auto stats = dyn.apply_batch(batch);
   EXPECT_EQ(stats.rounds, 0U);
-  EXPECT_EQ(dyn.num_edges(), 6U);
+  EXPECT_EQ(dyn.graph().num_edges(), 6U);
   expect_exact(dyn, "degenerate batch");
   EXPECT_THROW(dyn.apply_batch(std::vector<EdgeUpdate>{
                    {EdgeOp::kInsert, 0, 99}}),
@@ -223,15 +224,15 @@ TEST_P(DynamicChurn, StaysExactUnderRandomUpdates) {
     DynamicKCore dyn(g);
     util::Xoshiro256 rng(seed * 101);
     for (int step = 0; step < 60; ++step) {
-      const auto u = static_cast<NodeId>(rng.next_below(dyn.num_nodes()));
-      const auto v = static_cast<NodeId>(rng.next_below(dyn.num_nodes()));
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
       if (u == v) continue;
       if (rng.next_bool(0.55)) {
         dyn.add_edge(u, v);
       } else {
         dyn.remove_edge(u, v);
       }
-      const auto truth = seq::coreness_bz(dyn.snapshot());
+      const auto truth = seq::coreness_bz(dyn.graph().snapshot());
       ASSERT_EQ(dyn.coreness(), truth)
           << GetParam().name << " seed " << seed << " step " << step;
     }
@@ -282,8 +283,8 @@ TEST(DynamicKCoreCost, MaintenanceBeatsRestartOnChurn) {
   util::Xoshiro256 rng(17);
   std::uint64_t update_messages = 0;
   for (int step = 0; step < 20; ++step) {
-    const auto u = static_cast<NodeId>(rng.next_below(dyn.num_nodes()));
-    const auto v = static_cast<NodeId>(rng.next_below(dyn.num_nodes()));
+    const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
     if (u == v) continue;
     const auto stats =
         rng.next_bool(0.5) ? dyn.add_edge(u, v) : dyn.remove_edge(u, v);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -150,6 +151,37 @@ TEST(EdgeStream, WindowsAnchorAtFirstEvent) {
   ASSERT_EQ(batches.size(), 1U);
   EXPECT_EQ(batches[0].t_begin, 1000U);
   EXPECT_EQ(batches[0].updates.size(), 2U);
+}
+
+TEST(EdgeStream, BatchByWindowTerminatesAtTheLastTimestamp) {
+  // Near UINT64_MAX, t + 1 and t_begin + window wrap; batching must still
+  // take every event exactly once and stop.
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  EdgeStream stream;
+  stream.events = {{kMax - 1, {EdgeOp::kInsert, 0, 1}},
+                   {kMax, {EdgeOp::kInsert, 1, 2}},
+                   {kMax, {EdgeOp::kRemove, 0, 1}}};
+  const auto per_tick = batch_by_window(stream, 0);
+  ASSERT_EQ(per_tick.size(), 2U);
+  EXPECT_EQ(per_tick[0].updates.size(), 1U);
+  EXPECT_EQ(per_tick[0].t_end, kMax);
+  EXPECT_EQ(per_tick[1].t_begin, kMax);
+  EXPECT_EQ(per_tick[1].t_end, kMax);  // saturated
+  EXPECT_EQ(per_tick[1].updates.size(), 2U);
+
+  const auto windowed = batch_by_window(stream, 10);
+  ASSERT_EQ(windowed.size(), 1U);
+  EXPECT_EQ(windowed[0].t_begin, kMax - 1);
+  EXPECT_EQ(windowed[0].t_end, kMax);
+  EXPECT_EQ(windowed[0].updates.size(), 3U);
+
+  EdgeStream single;
+  single.events = {{kMax, {EdgeOp::kInsert, 0, 1}}};
+  for (const std::uint64_t window : {0U, 10U}) {
+    const auto batches = batch_by_window(single, window);
+    ASSERT_EQ(batches.size(), 1U) << window;
+    EXPECT_EQ(batches[0].updates.size(), 1U) << window;
+  }
 }
 
 TEST(Coalesce, KeepsOnlyTheNetEffectAndCountsEveryUpdate) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "graph/generators.h"
+#include "graph/mutable_graph.h"
 #include "util/check.h"
 
 namespace kcore::graph {
@@ -125,6 +128,42 @@ TEST(GraphBuilder, LargeStarDegrees) {
   EXPECT_EQ(g.num_edges(), kLeaves);
   EXPECT_EQ(g.max_degree(), kLeaves);
   EXPECT_EQ(g.min_degree(), 1U);
+}
+
+TEST(MutableGraph, AppliesUpdatesAndTracksVersion) {
+  MutableGraph mg(gen::cycle(4));
+  EXPECT_EQ(mg.num_edges(), 4U);
+  EXPECT_TRUE(mg.apply({EdgeOp::kInsert, 0, 2}));
+  EXPECT_FALSE(mg.apply({EdgeOp::kInsert, 0, 2}));  // duplicate
+  EXPECT_FALSE(mg.apply({EdgeOp::kInsert, 1, 1}));  // self-loop
+  EXPECT_TRUE(mg.apply({EdgeOp::kRemove, 0, 1}));
+  EXPECT_FALSE(mg.apply({EdgeOp::kRemove, 0, 1}));  // already gone
+  EXPECT_EQ(mg.num_edges(), 4U);
+  EXPECT_EQ(mg.version(), 2U);
+  EXPECT_TRUE(mg.has_edge(0, 2));
+  EXPECT_TRUE(mg.has_edge(2, 0));
+  EXPECT_FALSE(mg.has_edge(0, 1));
+
+  // A fresh node starts isolated and counts as a topology change.
+  const NodeId fresh = mg.add_node();
+  EXPECT_EQ(fresh, 4U);
+  EXPECT_EQ(mg.num_nodes(), 5U);
+  EXPECT_EQ(mg.degree(fresh), 0U);
+  EXPECT_EQ(mg.version(), 3U);
+  EXPECT_TRUE(mg.apply({EdgeOp::kInsert, fresh, 1}));
+
+  // edges() is canonical: u < v, sorted by (u, v).
+  const std::vector<Edge> expected{{0, 2}, {0, 3}, {1, 2}, {1, 4}, {2, 3}};
+  EXPECT_EQ(mg.edges(), expected);
+  for (NodeId u = 0; u < mg.num_nodes(); ++u) {
+    const auto nbrs = mg.neighbors(u);
+    EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << u;
+  }
+
+  // snapshot() round-trips against the immutable builder.
+  const Graph snap = mg.snapshot();
+  EXPECT_EQ(snap, Graph::from_edges(5, expected));
+  EXPECT_EQ(MutableGraph(snap).edges(), expected);
 }
 
 }  // namespace

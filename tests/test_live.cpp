@@ -3,7 +3,7 @@
 //    bit-identical to a from-scratch bz decomposition of the current
 //    topology, pinned across graph families × seeds × thread counts ×
 //    scheduling policies (100+ churn sequences);
-//  * stream parity — replaying one UpdateLog through live::Service and
+//  * stream parity — replaying one batch log through live::Service and
 //    through core::DynamicKCore::apply_batch yields identical tables at
 //    every batch boundary (the shared EdgeUpdate type's whole point);
 //  * snapshot consistency — concurrent readers only ever observe
@@ -27,7 +27,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -39,7 +38,6 @@
 #include "live/ingest.h"
 #include "live/live_graph.h"
 #include "live/repair.h"
-#include "live/update_log.h"
 #include "obs/options.h"
 #include "par/async_engine.h"
 #include "seq/kcore_seq.h"
@@ -55,50 +53,6 @@ using graph::EdgeOp;
 using graph::EdgeUpdate;
 using graph::Graph;
 using graph::NodeId;
-
-// --- building blocks --------------------------------------------------------
-
-TEST(LiveGraph, AppliesUpdatesAndTracksVersion) {
-  LiveGraph lg(gen::cycle(4));
-  EXPECT_EQ(lg.num_edges(), 4U);
-  EXPECT_TRUE(lg.apply({EdgeOp::kInsert, 0, 2}));
-  EXPECT_FALSE(lg.apply({EdgeOp::kInsert, 0, 2}));  // duplicate
-  EXPECT_FALSE(lg.apply({EdgeOp::kInsert, 1, 1}));  // self-loop
-  EXPECT_TRUE(lg.apply({EdgeOp::kRemove, 0, 1}));
-  EXPECT_FALSE(lg.apply({EdgeOp::kRemove, 0, 1}));  // already gone
-  EXPECT_EQ(lg.num_edges(), 4U);
-  EXPECT_EQ(lg.version(), 2U);
-  EXPECT_TRUE(lg.has_edge(0, 2));
-  EXPECT_FALSE(lg.has_edge(0, 1));
-  const Graph snap = lg.snapshot();
-  EXPECT_EQ(snap.num_edges(), 4U);
-  EXPECT_TRUE(snap.has_edge(0, 2));
-}
-
-TEST(UpdateLog, BatchesAndSealing) {
-  UpdateLog log;
-  log.append({EdgeOp::kInsert, 0, 1});
-  log.append({EdgeOp::kInsert, 1, 2});
-  log.seal();
-  log.seal();  // idempotent on empty
-  log.append_batch({{EdgeOp::kRemove, 0, 1}});
-  EXPECT_EQ(log.num_batches(), 2U);
-  EXPECT_EQ(log.num_updates(), 3U);
-  EXPECT_EQ(log.batch(0).size(), 2U);
-  EXPECT_EQ(log.batch(1)[0], (EdgeUpdate{EdgeOp::kRemove, 0, 1}));
-}
-
-TEST(UpdateLog, FromStreamMatchesBatchByWindow) {
-  std::istringstream in(
-      "0 + 0 1\n"
-      "1 + 1 2\n"
-      "9 - 0 1\n");
-  const graph::EdgeStream stream = graph::read_edge_stream(in);
-  const UpdateLog log = UpdateLog::from_stream(stream, 5);
-  ASSERT_EQ(log.num_batches(), 2U);
-  EXPECT_EQ(log.batch(0).size(), 2U);
-  EXPECT_EQ(log.batch(1).size(), 1U);
-}
 
 // --- service basics ---------------------------------------------------------
 
@@ -233,7 +187,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LiveService, ReplayMatchesDynamicKCoreOnTheSameLog) {
   const Graph g = gen::erdos_renyi_gnm(150, 380, 3);
   util::Xoshiro256 rng(41);
-  UpdateLog log;
+  std::vector<graph::EdgeUpdateBatch> log;
   for (int b = 0; b < 12; ++b) {
     std::vector<EdgeUpdate> batch;
     for (int i = 0; i < 10; ++i) {
@@ -242,19 +196,19 @@ TEST(LiveService, ReplayMatchesDynamicKCoreOnTheSameLog) {
       batch.push_back(
           {rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
     }
-    log.append_batch(std::move(batch));
+    log.push_back({.updates = std::move(batch)});
   }
 
   ServiceOptions options;
   options.threads = 2;
   Service service(g, options);
   core::DynamicKCore simulator(g);
-  for (std::size_t b = 0; b < log.num_batches(); ++b) {
-    service.apply(log.batch(b));
-    simulator.apply_batch(log.batch(b));
+  for (std::size_t b = 0; b < log.size(); ++b) {
+    service.apply(log[b].updates);
+    simulator.apply_batch(log[b].updates);
     ASSERT_EQ(service.query()->coreness, simulator.coreness())
         << "batch " << b;
-    ASSERT_EQ(service.graph().num_edges(), simulator.num_edges())
+    ASSERT_EQ(service.graph().edges(), simulator.graph().edges())
         << "batch " << b;
   }
 }
@@ -269,7 +223,7 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
   // log offline — the readers then validate any snapshot they catch
   // against the table its epoch promises.
   util::Xoshiro256 rng(77);
-  UpdateLog log;
+  std::vector<graph::EdgeUpdateBatch> log;
   for (int b = 0; b < kBatches; ++b) {
     std::vector<EdgeUpdate> batch;
     for (int i = 0; i < 6; ++i) {
@@ -278,14 +232,14 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
       batch.push_back(
           {rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
     }
-    log.append_batch(std::move(batch));
+    log.push_back({.updates = std::move(batch)});
   }
   std::vector<std::vector<NodeId>> expected;
   {
     core::DynamicKCore replica(g);
     expected.push_back(replica.coreness());  // epoch 0
-    for (std::size_t b = 0; b < log.num_batches(); ++b) {
-      replica.apply_batch(log.batch(b));
+    for (std::size_t b = 0; b < log.size(); ++b) {
+      replica.apply_batch(log[b].updates);
       expected.push_back(replica.coreness());
     }
   }
@@ -316,8 +270,8 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
       }
     });
   }
-  for (std::size_t b = 0; b < log.num_batches(); ++b) {
-    service.apply(log.batch(b));
+  for (std::size_t b = 0; b < log.size(); ++b) {
+    service.apply(log[b].updates);
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
@@ -503,7 +457,7 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
   const graph::Graph g = gen::barabasi_albert(600, 5, 13);
   constexpr int kBatches = 12;
   util::Xoshiro256 rng(83);
-  UpdateLog log;
+  std::vector<graph::EdgeUpdateBatch> log;
   for (int b = 0; b < kBatches; ++b) {
     std::vector<EdgeUpdate> batch;
     for (int i = 0; i < 10; ++i) {
@@ -512,15 +466,15 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
       batch.push_back(
           {rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
     }
-    log.append_batch(std::move(batch));
+    log.push_back({.updates = std::move(batch)});
   }
   // The exact table every epoch promises, computed offline.
   std::vector<std::vector<NodeId>> expected;
   {
     core::DynamicKCore replica(g);
     expected.push_back(replica.coreness());
-    for (std::size_t b = 0; b < log.num_batches(); ++b) {
-      replica.apply_batch(log.batch(b));
+    for (std::size_t b = 0; b < log.size(); ++b) {
+      replica.apply_batch(log[b].updates);
       expected.push_back(replica.coreness());
     }
   }
@@ -558,8 +512,8 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
   });
 
   std::uint64_t provisional_published = 0;
-  for (std::size_t b = 0; b < log.num_batches(); ++b) {
-    const ApplyResult result = service.apply(log.batch(b));
+  for (std::size_t b = 0; b < log.size(); ++b) {
+    const ApplyResult result = service.apply(log[b].updates);
     provisional_published += result.provisional_publishes;
     // The final publish always lands last: after apply() returns, the
     // visible snapshot is the finalized exact epoch, never provisional.

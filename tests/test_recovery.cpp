@@ -21,15 +21,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "live/service.h"
-#include "live/update_log.h"
 #include "live/wal.h"
+#include "live/wire.h"
 #include "seq/kcore_seq.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/storage.h"
 
@@ -48,7 +50,7 @@ constexpr char kDir[] = "state";
 struct Trace {
   const char* name;
   Graph base;
-  UpdateLog log;
+  std::vector<graph::EdgeUpdateBatch> log;
 };
 
 Trace make_trace(int kind, std::uint64_t seed) {
@@ -77,15 +79,15 @@ Trace make_trace(int kind, std::uint64_t seed) {
       batch.push_back(
           {rng.next_bool(0.55) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
     }
-    trace.log.append_batch(std::move(batch));
+    trace.log.push_back({.updates = std::move(batch)});
   }
   return trace;
 }
 
 std::vector<NodeId> expected_final_coreness(const Trace& trace) {
   core::DynamicKCore replica(trace.base);
-  for (std::size_t b = 0; b < trace.log.num_batches(); ++b) {
-    replica.apply_batch(trace.log.batch(b));
+  for (std::size_t b = 0; b < trace.log.size(); ++b) {
+    replica.apply_batch(trace.log[b].updates);
   }
   return replica.coreness();
 }
@@ -112,8 +114,8 @@ bool run_trace(util::MemStorage& fs, const Trace& trace,
   try {
     Service service(trace.base, fast_options(), mem_durability(fs));
     if (ctor_ops != nullptr) *ctor_ops = fs.op_count();
-    for (std::size_t b = 0; b < trace.log.num_batches(); ++b) {
-      service.apply(trace.log.batch(b));
+    for (std::size_t b = 0; b < trace.log.size(); ++b) {
+      service.apply(trace.log[b].updates);
     }
     return true;
   } catch (const util::CrashPoint&) {
@@ -179,11 +181,11 @@ TEST(Recovery, CrashMatrixEveryFaultSiteRecoversExactly) {
           ASSERT_EQ(recovered->initial_stats().relaxations, 0U);
           // ... and finishing the trace from where recovery left off
           // lands on the undisturbed final state bit-for-bit.
-          ASSERT_LE(info.recovered_epoch, trace.log.num_batches());
+          ASSERT_LE(info.recovered_epoch, trace.log.size());
           for (std::size_t b =
                    static_cast<std::size_t>(info.recovered_epoch);
-               b < trace.log.num_batches(); ++b) {
-            recovered->apply(trace.log.batch(b));
+               b < trace.log.size(); ++b) {
+            recovered->apply(trace.log[b].updates);
           }
           ASSERT_EQ(recovered->query()->coreness, expected)
               << trace.name << " seed " << seed << " fault "
@@ -225,10 +227,10 @@ TEST(Recovery, TransientIoFailureDegradesGracefully) {
       ASSERT_FALSE(std::string(e.what()).empty());
       continue;
     }
-    for (std::size_t b = 0; b < trace.log.num_batches(); ++b) {
+    for (std::size_t b = 0; b < trace.log.size(); ++b) {
       ApplyResult result;
       try {
-        result = service->apply(trace.log.batch(b));
+        result = service->apply(trace.log[b].updates);
       } catch (const util::IoError&) {
         ++apply_failures;
         // The WAL append failed BEFORE any mutation: still consistent
@@ -236,7 +238,7 @@ TEST(Recovery, TransientIoFailureDegradesGracefully) {
         ASSERT_EQ(service->query()->coreness,
                   seq::coreness_bz(service->graph().snapshot()))
             << "op " << at << " batch " << b;
-        result = service->apply(trace.log.batch(b));  // fault disarmed
+        result = service->apply(trace.log[b].updates);  // fault disarmed
       }
       if (result.checkpoint_failed) ++checkpoint_failures;
     }
@@ -249,8 +251,8 @@ TEST(Recovery, TransientIoFailureDegradesGracefully) {
     const auto recovered =
         Service::open(fast_options(), mem_durability(fs), &info);
     for (std::size_t b = static_cast<std::size_t>(info.recovered_epoch);
-         b < trace.log.num_batches(); ++b) {
-      recovered->apply(trace.log.batch(b));
+         b < trace.log.size(); ++b) {
+      recovered->apply(trace.log[b].updates);
     }
     ASSERT_EQ(recovered->query()->coreness, expected) << "op " << at;
   }
@@ -297,7 +299,7 @@ class RecoveryDegenerate : public ::testing::Test {
 TEST_F(RecoveryDegenerate, FullStateRecoversToTheFinalEpoch) {
   RecoveryInfo info;
   const auto service = Service::open(fast_options(), mem_durability(fs_), &info);
-  EXPECT_EQ(info.recovered_epoch, trace_.log.num_batches());
+  EXPECT_EQ(info.recovered_epoch, trace_.log.size());
   EXPECT_EQ(service->query()->coreness, expected_);
 }
 
@@ -337,7 +339,7 @@ TEST_F(RecoveryDegenerate, CheckpointOnlyDirectoryRecoversAndStartsANewWal) {
             seq::coreness_bz(service->graph().snapshot()));
   // And the service is durable again: a fresh WAL accepts new batches.
   EXPECT_TRUE(fs_.exists(std::string(kDir) + "/wal.log"));
-  service->apply(trace_.log.batch(0));
+  service->apply(trace_.log[0].updates);
   EXPECT_EQ(service->query()->coreness,
             seq::coreness_bz(service->graph().snapshot()));
 }
@@ -370,8 +372,41 @@ TEST_F(RecoveryDegenerate, CorruptNewestCheckpointFallsBackToOlderPlusWal) {
   EXPECT_NE(info.rejected_checkpoints[0].find(names.back()),
             std::string::npos);
   EXPECT_GT(info.replayed_batches, 0U);
-  EXPECT_EQ(info.recovered_epoch, trace_.log.num_batches());
+  EXPECT_EQ(info.recovered_epoch, trace_.log.size());
   EXPECT_EQ(service->query()->coreness, expected_);
+}
+
+TEST_F(RecoveryDegenerate, CheckpointCountsBeyondThePayloadFallBackToOlder) {
+  // A checkpoint whose CRC is valid but whose edge or node count claims
+  // more than the payload holds is rejected with a reason (not an
+  // allocation failure), and recovery falls back to the older one.
+  const auto names = checkpoint_files();
+  ASSERT_GE(names.size(), 2U);
+  const std::string newest = std::string(kDir) + "/" + names.back();
+  for (const auto& [num_nodes, num_edges] :
+       {std::pair<std::uint32_t, std::uint64_t>{4, UINT64_MAX / 2},
+        std::pair<std::uint32_t, std::uint64_t>{UINT32_MAX, 0}}) {
+    std::string payload;
+    wire::put_u64(payload, /*epoch=*/trace_.log.size());
+    wire::put_u64(payload, /*wal_offset=*/0);
+    wire::put_u32(payload, num_nodes);
+    wire::put_u64(payload, num_edges);
+    std::string file;
+    wire::put_u32(file, 0x6B636B70);  // checkpoint magic
+    wire::put_u32(file, util::crc32(payload));
+    fs_.write_file(newest, file + payload);
+    fs_.sync_file(newest);
+
+    RecoveryInfo info;
+    const auto service =
+        Service::open(fast_options(), mem_durability(fs_), &info);
+    ASSERT_EQ(info.rejected_checkpoints.size(), 1U) << num_nodes;
+    EXPECT_NE(info.rejected_checkpoints[0].find("exceeds the payload"),
+              std::string::npos)
+        << info.rejected_checkpoints[0];
+    EXPECT_EQ(info.recovered_epoch, trace_.log.size());
+    EXPECT_EQ(service->query()->coreness, expected_);
+  }
 }
 
 TEST_F(RecoveryDegenerate, AllCheckpointsCorruptRefusesListingEachReason) {
@@ -408,8 +443,8 @@ TEST_F(RecoveryDegenerate, DuplicateWalRecordsAreSkippedOnReplay) {
   const std::string wal_path = std::string(kDir) + "/wal.log";
   Wal wal = Wal::open(fs_, wal_path, {});
   WalBatch next;
-  next.epoch = trace_.log.num_batches() + 1;
-  next.updates = {trace_.log.batch(1).begin(), trace_.log.batch(1).end()};
+  next.epoch = trace_.log.size() + 1;
+  next.updates = trace_.log[1].updates;
   wal.append(next);
   wal.append(next);  // the retry's second copy
 
@@ -418,7 +453,7 @@ TEST_F(RecoveryDegenerate, DuplicateWalRecordsAreSkippedOnReplay) {
       Service::open(fast_options(), mem_durability(fs_), &info);
   EXPECT_EQ(info.skipped_duplicate_batches, 1U);
   EXPECT_EQ(info.replayed_batches, 1U);
-  EXPECT_EQ(info.recovered_epoch, trace_.log.num_batches() + 1);
+  EXPECT_EQ(info.recovered_epoch, trace_.log.size() + 1);
   EXPECT_EQ(service->query()->coreness,
             seq::coreness_bz(service->graph().snapshot()));
 }
@@ -454,7 +489,7 @@ TEST_F(RecoveryDegenerate, FreshDurableServiceRefusesADirtyDirectory) {
 TEST(Recovery, WarmRestartPaysFarFewerRelaxationsThanFromScratch) {
   const Graph g = gen::barabasi_albert(400, 4, 9);
   util::Xoshiro256 rng(21);
-  UpdateLog log;
+  std::vector<graph::EdgeUpdateBatch> log;
   for (int b = 0; b < 4; ++b) {
     std::vector<EdgeUpdate> batch;
     for (int i = 0; i < 5; ++i) {
@@ -463,7 +498,7 @@ TEST(Recovery, WarmRestartPaysFarFewerRelaxationsThanFromScratch) {
       batch.push_back(
           {rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove, u, v});
     }
-    log.append_batch(std::move(batch));
+    log.push_back({.updates = std::move(batch)});
   }
 
   util::MemStorage fs;
@@ -483,7 +518,7 @@ TEST(Recovery, WarmRestartPaysFarFewerRelaxationsThanFromScratch) {
   fs.crash();
   RecoveryInfo info;
   const auto recovered = Service::open(fast_options(), durability, &info);
-  EXPECT_EQ(info.replayed_batches, log.num_batches());
+  EXPECT_EQ(info.replayed_batches, log.size());
   // The headline number: recovery re-relaxes only the WAL tail's
   // neighborhoods, not the whole graph.
   EXPECT_LT(info.replay_relaxations, cold_relaxations / 4);
@@ -497,8 +532,8 @@ TEST(Recovery, CurrentCheckpointMeansZeroReplay) {
   util::MemStorage fs;
   {
     Service service(trace.base, fast_options(), mem_durability(fs));
-    for (std::size_t b = 0; b < trace.log.num_batches(); ++b) {
-      service.apply(trace.log.batch(b));
+    for (std::size_t b = 0; b < trace.log.size(); ++b) {
+      service.apply(trace.log[b].updates);
     }
     service.checkpoint();  // pin the final epoch
   }
@@ -508,7 +543,7 @@ TEST(Recovery, CurrentCheckpointMeansZeroReplay) {
       Service::open(fast_options(), mem_durability(fs), &info);
   EXPECT_EQ(info.replayed_batches, 0U);
   EXPECT_EQ(info.replay_relaxations, 0U);
-  EXPECT_EQ(info.recovered_epoch, trace.log.num_batches());
+  EXPECT_EQ(info.recovered_epoch, trace.log.size());
   EXPECT_EQ(service->query()->coreness, expected_final_coreness(trace));
 }
 

@@ -7,8 +7,7 @@
 //    Capabilities::deterministic_extras (this is the acceptance pin of
 //    the Session redesign).
 //  * Session mechanics — eager validation, idempotent prepare(),
-//    the elapsed_ms == setup+run invariant on warm runs, the
-//    runner-only registration fallback.
+//    the elapsed_ms == setup+run invariant on warm runs.
 //  * Plan — cell expansion (including the capability-driven collapse of
 //    the threads axis), per-cell aggregation, per-report hooks, and
 //    validation pre-flight.
@@ -235,29 +234,6 @@ TEST(SessionMechanics, UseAfterMoveThrowsInsteadOfCrashing) {
   EXPECT_THROW((void)original.run(), util::CheckError);
   EXPECT_THROW(original.prepare(), util::CheckError);
   EXPECT_EQ(moved.run().coreness, seq::coreness_bz(g));
-}
-
-TEST(SessionMechanics, RunnerOnlyProtocolsFallBackToReexecution) {
-  auto& registry = api::ProtocolRegistry::instance();
-  if (!registry.contains("test-session-runner")) {
-    registry.add({"test-session-runner", "n/a", "runner-only fallback",
-                  api::Capabilities{},
-                  [](const api::DecomposeRequest& request,
-                     const api::ProgressObserver&) {
-                    api::DecomposeReport report;
-                    report.coreness.assign(request.graph->num_nodes(), 1);
-                    report.traffic.converged = true;
-                    return report;
-                  },
-                  nullptr});
-  }
-  const Graph g = gen::cycle(6);
-  api::Session session(g, "test-session-runner");
-  const auto a = session.run();
-  const auto b = session.run();
-  EXPECT_EQ(a.coreness, b.coreness);
-  EXPECT_EQ(a.coreness, std::vector<NodeId>(6, 1));
-  EXPECT_EQ(session.runs_completed(), 2U);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "live/wire.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/storage.h"
 
 namespace kcore::live {
@@ -124,6 +128,58 @@ TEST(Wal, CorruptedByteFailsTheCrc) {
   EXPECT_EQ(scan.valid_end, good_end);
   EXPECT_TRUE(scan.batches.empty());
   EXPECT_GT(scan.torn_bytes, 0U);
+}
+
+/// A batch record framed with a VALID length and CRC around a body that
+/// claims `count` updates but carries one, whose op byte is `op`.
+std::string forged_batch_frame(std::uint32_t count, std::uint8_t op) {
+  std::string payload;
+  wire::put_u8(payload, 1);  // batch record
+  wire::put_u64(payload, /*epoch=*/1);
+  wire::put_u32(payload, count);
+  wire::put_u8(payload, op);
+  wire::put_u32(payload, 1);
+  wire::put_u32(payload, 2);
+  std::string frame;
+  wire::put_u32(frame, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u32(frame, util::crc32(payload));
+  return frame + payload;
+}
+
+TEST(Wal, ForgedRecordsWithValidCrcAreATornTail) {
+  // The CRC only proves the bytes are the ones written; a count the
+  // payload cannot hold or an op byte outside EdgeOp is still corruption.
+  // The scan must stop at such a record, not allocate for it.
+  for (const auto& [count, op] :
+       {std::pair<std::uint32_t, std::uint8_t>{UINT32_MAX, 0},
+        std::pair<std::uint32_t, std::uint8_t>{2, 0},
+        std::pair<std::uint32_t, std::uint8_t>{1, 2},
+        std::pair<std::uint32_t, std::uint8_t>{1, 0xFF}}) {
+    util::MemStorage fs;
+    Wal wal = Wal::create(fs, "wal.log", 0, {});
+    wal.append(make_batch(1));
+    const std::uint64_t good_end = wal.end_offset();
+    const std::string forged = forged_batch_frame(count, op);
+    fs.append_file("wal.log", forged);
+    fs.sync_file("wal.log");
+
+    const WalReadResult scan = Wal::read(fs, "wal.log", 0);
+    ASSERT_EQ(scan.batches.size(), 1U) << count << "/" << int{op};
+    EXPECT_EQ(scan.valid_end, good_end);
+    EXPECT_EQ(scan.torn_bytes, forged.size());
+    std::uint64_t torn = 0;
+    (void)Wal::open(fs, "wal.log", {}, &torn);
+    EXPECT_EQ(torn, forged.size());
+    EXPECT_EQ(fs.file_size("wal.log"), good_end);
+  }
+  // The same frame with an honest count and op decodes.
+  util::MemStorage fs;
+  (void)Wal::create(fs, "wal.log", 0, {});
+  fs.append_file("wal.log", forged_batch_frame(1, 1));
+  const WalReadResult scan = Wal::read(fs, "wal.log", 0);
+  ASSERT_EQ(scan.batches.size(), 1U);
+  EXPECT_EQ(scan.batches[0].updates,
+            (std::vector<EdgeUpdate>{{EdgeOp::kRemove, 1, 2}}));
 }
 
 // --- fsync policies against the durability model ----------------------------

@@ -576,7 +576,8 @@ int cmd_stream(const util::Args& args) {
       graph::read_edge_stream_file(*updates_path);
   const auto window =
       static_cast<std::uint64_t>(args.get_int("window", 0));
-  const live::UpdateLog log = live::UpdateLog::from_stream(stream, window);
+  const std::vector<graph::EdgeUpdateBatch> batches =
+      graph::batch_by_window(stream, window);
   const bool verify = args.has("verify");
   const bool json = args.has("json");
   const bool recover = args.has("recover");
@@ -638,7 +639,7 @@ int cmd_stream(const util::Args& args) {
     const auto snapshot = service->query();
     std::cout << "graph: " << snapshot->num_nodes << " nodes, "
               << snapshot->num_edges << " edges; stream: "
-              << stream.events.size() << " events in " << log.num_batches()
+              << stream.events.size() << " events in " << batches.size()
               << " batches (window "
               << (window == 0 ? std::string("per-timestamp")
                               : std::to_string(window))
@@ -677,8 +678,8 @@ int cmd_stream(const util::Args& args) {
                 << " ms";
     }
     std::cout << "\n\n";
-    if (first_batch >= log.num_batches() && log.num_batches() > 0) {
-      std::cout << "stream already fully applied (" << log.num_batches()
+    if (first_batch >= batches.size() && !batches.empty()) {
+      std::cout << "stream already fully applied (" << batches.size()
                 << " batches <= recovered epoch); nothing to do\n";
     }
   }
@@ -696,8 +697,8 @@ int cmd_stream(const util::Args& args) {
   std::uint64_t total_wal_bytes = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t checkpoint_failures = 0;
-  for (std::size_t i = first_batch; i < log.num_batches(); ++i) {
-    const auto batch = log.batch(i);
+  for (std::size_t i = first_batch; i < batches.size(); ++i) {
+    const auto& batch = batches[i].updates;
     const live::ApplyResult result = service->apply(batch);
     total_relax += result.repair.relaxations;
     total_wal_bytes += result.wal_bytes;
