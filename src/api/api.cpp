@@ -19,8 +19,7 @@ namespace kcore::api {
 namespace {
 
 // --- result -> report adapters ---------------------------------------------
-// One mapping per protocol family, shared by every execution path so the
-// one-shot and prepared routes cannot drift apart.
+// One mapping per protocol family.
 
 DecomposeReport report_of(core::OneToOneResult result) {
   DecomposeReport report;
@@ -116,13 +115,13 @@ DecomposeReport report_of(par::AsyncResult result, core::SchedPolicy sched) {
 
 // --- prepared implementations ----------------------------------------------
 // One PreparedProtocol per built-in. The constructor is the amortizable
-// phase (what the one-shot runners used to re-derive per call); run() is
-// const and replays from immutable shared state, so any number of
-// threads can execute one prepared instance concurrently. Per-run
-// mutable state (estimate tables, worklists) comes from a ContextPool:
-// each run leases a private context (allocating only when every pooled
-// one is in use), so sequential warm runs stay allocation-free and
-// concurrent runs never share a table.
+// phase (the protocol layer's build step); run() is const and replays
+// from immutable shared state, so any number of threads can execute one
+// prepared instance concurrently. Per-run mutable state (estimate
+// tables, worklists) comes from a ContextPool: each run leases a private
+// context (allocating only when every pooled one is in use), so
+// sequential warm runs stay allocation-free and concurrent runs never
+// share a table.
 
 /// A free-list of per-run contexts. acquire() hands out a pooled context
 /// or mints a new one via the factory; the lease returns it on
@@ -205,13 +204,8 @@ class PreparedOneToOne final : public PreparedProtocol {
 class PreparedOneToMany final : public PreparedProtocol {
  public:
   explicit PreparedOneToMany(const DecomposeRequest& request)
-      : hosts_(core::make_one_to_many_hosts(
-            *request.graph,
-            core::assign_nodes(request.graph->num_nodes(),
-                               request.options.num_hosts,
-                               request.options.assignment,
-                               request.options.seed),
-            request.options.num_hosts, request.options.comm)) {}
+      : hosts_(core::make_one_to_many_hosts(*request.graph,
+                                            request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
                       const ProgressObserver& observer) const override {
@@ -246,21 +240,20 @@ class PreparedBsp final : public PreparedProtocol {
 class PreparedOneToManyPar final : public PreparedProtocol {
  public:
   explicit PreparedOneToManyPar(const DecomposeRequest& request)
-      : prepared_(par::prepare_one_to_many_par(*request.graph,
-                                               request.options)) {}
+      : hosts_(core::make_one_to_many_hosts(*request.graph,
+                                            request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
                       const ProgressObserver& observer) const override {
     // The runner copies the pristine hosts into a private engine; the
-    // prepared struct is only read.
-    return report_of(
-        par::run_one_to_many_par_prepared(*request.graph, prepared_,
-                                          request.options, observer),
-        request.options.num_hosts);
+    // prepared hosts are only read.
+    return report_of(par::run_one_to_many_prepared(*request.graph, hosts_,
+                                                   request.options, observer),
+                     request.options.num_hosts);
   }
 
  private:
-  const par::OneToManyParPrepared prepared_;
+  const std::vector<core::OneToManyHost> hosts_;
 };
 
 class PreparedBspPar final : public PreparedProtocol {
@@ -292,13 +285,12 @@ class PreparedBspAsync final : public PreparedProtocol {
         prepared_(par::prepare_bsp_async(*request.graph, request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
+                      const ProgressObserver& /*observer*/) const override {
     const auto lease = contexts_.acquire([this] {
       return std::make_unique<par::AsyncRunContext>(prepared_, num_nodes_);
     });
     return report_of(par::run_bsp_async_prepared(*request.graph, prepared_,
-                                                 *lease, request.options,
-                                                 observer),
+                                                 *lease, request.options),
                      request.options.sched);
   }
 

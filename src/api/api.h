@@ -23,9 +23,10 @@
 //   messages) from every round/superstep-based runtime.
 //
 // Everything outside src/core/ — tools, benches, examples, eval — goes
-// through this header instead of including the protocol headers directly;
-// the legacy run_* entry points remain for code that needs the raw
-// protocol state machines.
+// through this header instead of including the protocol headers directly.
+// decompose() and api::Session are the only routes that run a protocol;
+// beneath them each protocol layer exposes one build step and one
+// run_*_prepared.
 #pragma once
 
 #include <cstdint>
@@ -174,7 +175,7 @@ using ProtocolExtras =
 /// The unified result of a decomposition run.
 ///
 /// `traffic` is the protocol's native TrafficStats where one exists
-/// (one-to-one, one-to-many — bit-identical to the legacy run_*
+/// (one-to-one, one-to-many — bit-identical to their run_*_prepared
 /// results). The other runtimes map onto it: sequential baselines report
 /// zero messages/rounds with converged=true; bsp reports supersteps as
 /// rounds and delivered messages as total_messages (the full BspStats sit

@@ -90,7 +90,7 @@ class Session {
   [[nodiscard]] const Capabilities& capabilities() const noexcept;
 
   /// Build the amortizable state (assignment, host/shard construction,
-  /// seed orders — the one-shot runner's setup phase). Idempotent and
+  /// seed orders — the protocol layer's build step). Idempotent and
   /// race-safe: concurrent callers (including runs preparing on demand)
   /// serialize, one performs the derivation, the rest observe it.
   void prepare();

@@ -232,12 +232,16 @@ void OneToManyHost::snapshot_into(std::span<graph::NodeId> out) const {
 }
 
 std::vector<OneToManyHost> make_one_to_many_hosts(
-    const graph::Graph& g, const std::vector<sim::HostId>& owner,
-    sim::HostId num_hosts, CommPolicy policy) {
+    const graph::Graph& g, const OneToManyConfig& config) {
+  KCORE_CHECK_MSG(g.num_nodes() > 0, "graph must be non-empty");
+  KCORE_CHECK_MSG(config.num_hosts >= 1, "need at least one host");
+  // The hosts read the assignment only while they are being built.
+  const auto owner = assign_nodes(g.num_nodes(), config.num_hosts,
+                                  config.assignment, config.seed);
   std::vector<OneToManyHost> hosts;
-  hosts.reserve(num_hosts);
-  for (sim::HostId h = 0; h < num_hosts; ++h) {
-    hosts.emplace_back(&g, &owner, h, policy);
+  hosts.reserve(config.num_hosts);
+  for (sim::HostId h = 0; h < config.num_hosts; ++h) {
+    hosts.emplace_back(&g, &owner, h, config.comm);
   }
   return hosts;
 }
@@ -258,33 +262,6 @@ OneToManyResult harvest_one_to_many_result(
       static_cast<double>(result.estimates_shipped_total) /
       static_cast<double>(num_nodes);
   return result;
-}
-
-OneToManyResult run_one_to_many(const graph::Graph& g,
-                                const OneToManyConfig& config) {
-  return run_one_to_many(g, config, ProgressObserver{});
-}
-
-OneToManyResult run_one_to_many(const graph::Graph& g,
-                                const OneToManyConfig& config,
-                                const EstimateObserver& observer) {
-  if (!observer) return run_one_to_many(g, config);
-  return run_one_to_many(g, config,
-                         ProgressObserver([&](const ProgressEvent& event) {
-                           observer(event.round, event.estimates);
-                         }));
-}
-
-OneToManyResult run_one_to_many(const graph::Graph& g,
-                                const OneToManyConfig& config,
-                                const ProgressObserver& observer) {
-  KCORE_CHECK_MSG(g.num_nodes() > 0, "graph must be non-empty");
-  KCORE_CHECK_MSG(config.num_hosts >= 1, "need at least one host");
-  const auto owner = assign_nodes(g.num_nodes(), config.num_hosts,
-                                  config.assignment, config.seed);
-  auto hosts =
-      make_one_to_many_hosts(g, owner, config.num_hosts, config.comm);
-  return run_one_to_many_prepared(g, std::move(hosts), config, observer);
 }
 
 OneToManyResult run_one_to_many_prepared(const graph::Graph& g,

@@ -47,8 +47,9 @@ class OneToManyHost {
   /// A batch of estimate updates (the paper's set S).
   using Message = std::vector<NodeEstimate>;
 
-  /// `graph` and `owner` must outlive the host; owner[u] gives the host
-  /// responsible for node u and must be consistent across all hosts.
+  /// `graph` must outlive the host; `owner` is read only here. owner[u]
+  /// gives the host responsible for node u and must be consistent across
+  /// all hosts.
   OneToManyHost(const graph::Graph* graph,
                 const std::vector<sim::HostId>* owner, sim::HostId self,
                 CommPolicy policy);
@@ -133,12 +134,14 @@ struct OneToManyResult {
   std::vector<std::uint64_t> last_send_round_by_host;
 };
 
-/// Build the host state machines for a run: one OneToManyHost per host id
-/// in [0, num_hosts). Shared by the simulated runner and par's real-thread
-/// runner so both drive identical protocol state.
+/// Build the host state machines for a run — the amortizable setup: the
+/// §3.2.2 assignment of config.num_hosts hosts (config.assignment under
+/// config.seed), then one OneToManyHost per host id under config.comm.
+/// Shared by the simulated runner and par's real-thread runner, so both
+/// drive identical protocol state. A built vector is pristine: copy it
+/// into run_one_to_many_prepared to execute the same request repeatedly.
 [[nodiscard]] std::vector<OneToManyHost> make_one_to_many_hosts(
-    const graph::Graph& g, const std::vector<sim::HostId>& owner,
-    sim::HostId num_hosts, CommPolicy policy);
+    const graph::Graph& g, const OneToManyConfig& config);
 
 /// Harvest everything except `traffic` out of finished hosts (coreness,
 /// shipped-estimate profile, overhead metric, last-send rounds). One
@@ -151,22 +154,9 @@ struct OneToManyResult {
 /// mutates it in place); callers that want to run the same request again
 /// keep a pristine vector from make_one_to_many_hosts and pass a copy
 /// each time. config.num_hosts/assignment/comm are ignored here — they
-/// were baked into the hosts. run_one_to_many is exactly assignment +
-/// make_one_to_many_hosts + this, bit for bit.
+/// were baked into the hosts.
 [[nodiscard]] OneToManyResult run_one_to_many_prepared(
     const graph::Graph& g, std::vector<OneToManyHost> hosts,
     const OneToManyConfig& config, const ProgressObserver& observer = {});
-
-/// Run Algorithms 3–5 with `config.num_hosts` hosts over `g`. Observer
-/// overloads as in run_one_to_one: (round, span) lambdas bind to the
-/// EstimateObserver form, (const ProgressEvent&) to the unified form.
-[[nodiscard]] OneToManyResult run_one_to_many(const graph::Graph& g,
-                                              const OneToManyConfig& config);
-[[nodiscard]] OneToManyResult run_one_to_many(
-    const graph::Graph& g, const OneToManyConfig& config,
-    const EstimateObserver& observer);
-[[nodiscard]] OneToManyResult run_one_to_many(
-    const graph::Graph& g, const OneToManyConfig& config,
-    const ProgressObserver& observer);
 
 }  // namespace kcore::core

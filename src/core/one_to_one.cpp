@@ -53,21 +53,6 @@ void OneToOneNode::on_round(sim::Context<Message>& ctx) {
   }
 }
 
-OneToOneResult run_one_to_one(const graph::Graph& g,
-                              const OneToOneConfig& config) {
-  return run_one_to_one(g, config, ProgressObserver{});
-}
-
-OneToOneResult run_one_to_one(const graph::Graph& g,
-                              const OneToOneConfig& config,
-                              const EstimateObserver& observer) {
-  if (!observer) return run_one_to_one(g, config);
-  return run_one_to_one(g, config,
-                        ProgressObserver([&](const ProgressEvent& event) {
-                          observer(event.round, event.estimates);
-                        }));
-}
-
 std::vector<OneToOneNode> make_one_to_one_nodes(const graph::Graph& g,
                                                 bool targeted_send) {
   KCORE_CHECK_MSG(g.num_nodes() > 0, "graph must be non-empty");
@@ -77,13 +62,6 @@ std::vector<OneToOneNode> make_one_to_one_nodes(const graph::Graph& g,
     nodes.emplace_back(&g, u, targeted_send);
   }
   return nodes;
-}
-
-OneToOneResult run_one_to_one(const graph::Graph& g,
-                              const OneToOneConfig& config,
-                              const ProgressObserver& observer) {
-  return run_one_to_one_prepared(
-      g, make_one_to_one_nodes(g, config.targeted_send), config, observer);
 }
 
 OneToOneResult run_one_to_one_prepared(const graph::Graph& g,

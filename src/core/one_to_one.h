@@ -24,8 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "core/compute_index.h"
@@ -99,14 +97,6 @@ class OneToOneNode {
 /// every node is its own host here.
 using OneToOneConfig = RunOptions;
 
-/// Legacy per-round observer: round index plus the current estimate of
-/// every node. Estimates are monotone non-increasing over rounds.
-/// Subsumed by core::ProgressObserver (which adds message counts); kept
-/// for call sites that only need the estimate stream.
-using EstimateObserver =
-    std::function<void(std::uint64_t round,
-                       std::span<const graph::NodeId> estimates)>;
-
 struct OneToOneResult {
   std::vector<graph::NodeId> coreness;  // final estimates
   sim::TrafficStats traffic;
@@ -127,25 +117,11 @@ struct OneToOneResult {
 
 /// Drive pre-built nodes to quiescence. `nodes` is consumed (the engine
 /// mutates it in place); config.targeted_send is ignored here — it was
-/// baked into the nodes by make_one_to_one_nodes. run_one_to_one is
-/// exactly make_one_to_one_nodes + this, bit for bit.
+/// baked into the nodes by make_one_to_one_nodes. The result's coreness
+/// equals the true decomposition whenever traffic.converged is true
+/// (Theorems 2+3).
 [[nodiscard]] OneToOneResult run_one_to_one_prepared(
     const graph::Graph& g, std::vector<OneToOneNode> nodes,
     const OneToOneConfig& config, const ProgressObserver& observer = {});
-
-/// Run Algorithm 1 on every node of `g` until quiescence (or the round
-/// cap). The result's coreness equals the true decomposition whenever
-/// traffic.converged is true (Theorems 2+3). The observer overloads
-/// stream per-round progress; a lambda taking (round, span) binds to the
-/// EstimateObserver form, one taking (const ProgressEvent&) to the
-/// unified form.
-[[nodiscard]] OneToOneResult run_one_to_one(const graph::Graph& g,
-                                            const OneToOneConfig& config);
-[[nodiscard]] OneToOneResult run_one_to_one(const graph::Graph& g,
-                                            const OneToOneConfig& config,
-                                            const EstimateObserver& observer);
-[[nodiscard]] OneToOneResult run_one_to_one(const graph::Graph& g,
-                                            const OneToOneConfig& config,
-                                            const ProgressObserver& observer);
 
 }  // namespace kcore::core

@@ -7,18 +7,6 @@
 
 namespace kcore::core {
 
-PregelKCoreResult run_pregel_kcore(const graph::Graph& g,
-                                   bsp::WorkerId num_workers,
-                                   bool targeted_send,
-                                   AssignmentPolicy assignment,
-                                   std::uint64_t seed,
-                                   const ProgressObserver& observer,
-                                   std::uint64_t max_supersteps) {
-  auto owner = assign_nodes(g.num_nodes(), num_workers, assignment, seed);
-  return run_pregel_kcore_prepared(g, std::move(owner), num_workers,
-                                   targeted_send, observer, max_supersteps);
-}
-
 PregelKCoreResult run_pregel_kcore_prepared(const graph::Graph& g,
                                             std::vector<bsp::WorkerId> owner,
                                             bsp::WorkerId num_workers,

@@ -75,30 +75,19 @@ struct PregelKCoreProgram {
   }
 };
 
-/// Convenience driver: run the Pregel port over `g` with `num_workers`
-/// workers, returning the coreness and BSP statistics.
+/// Coreness plus the BSP framework statistics of one run of the port.
 struct PregelKCoreResult {
   std::vector<graph::NodeId> coreness;
   bsp::BspStats stats;
 };
 
-/// `assignment` partitions vertices over workers (the paper's default is
-/// modulo); `seed` only matters for AssignmentPolicy::kRandom. The
-/// observer streams one ProgressEvent per superstep (round = 1-based
-/// superstep, messages = deliveries so far). `max_supersteps` caps the
-/// run (0 = the engine's generous default); a capped run reports
-/// stats.converged == false.
-[[nodiscard]] PregelKCoreResult run_pregel_kcore(
-    const graph::Graph& g, bsp::WorkerId num_workers,
-    bool targeted_send = true,
-    AssignmentPolicy assignment = AssignmentPolicy::kModulo,
-    std::uint64_t seed = 0, const ProgressObserver& observer = {},
-    std::uint64_t max_supersteps = 0);
-
-/// Prepared variant: the caller computed the vertex→worker assignment
-/// once (core::assign_nodes) and replays it across runs. `owner` is
-/// consumed by the engine; pass a copy per run. run_pregel_kcore is
-/// exactly assign_nodes + this, bit for bit.
+/// Run the port with `num_workers` workers. The caller computed the
+/// vertex→worker assignment once (core::assign_nodes; the paper's default
+/// policy is modulo) and replays it across runs. `owner` is consumed by
+/// the engine; pass a copy per run. The observer streams one
+/// ProgressEvent per superstep (round = 1-based superstep, messages =
+/// deliveries so far). `max_supersteps` caps the run (0 = the engine's
+/// generous default); a capped run reports stats.converged == false.
 [[nodiscard]] PregelKCoreResult run_pregel_kcore_prepared(
     const graph::Graph& g, std::vector<bsp::WorkerId> owner,
     bsp::WorkerId num_workers, bool targeted_send,

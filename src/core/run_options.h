@@ -15,8 +15,8 @@
 //  * to_string / parse round-trips for every enum knob, so CLIs, benches
 //    and config files can select policies by name;
 //  * ProgressEvent / ProgressObserver — the unified streaming observer
-//    (round, estimate span, cumulative messages) that subsumes the older
-//    EstimateObserver and works across all round-based runtimes.
+//    (round, estimate span, cumulative messages) shared by every
+//    round-based runtime.
 #pragma once
 
 #include <cstdint>

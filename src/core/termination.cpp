@@ -15,7 +15,8 @@ ApproximateResult approximate_coreness(const graph::Graph& g,
   KCORE_CHECK_MSG(rounds >= 1, "need at least one round");
   OneToOneConfig capped = config;
   capped.max_rounds = rounds;
-  const auto run = run_one_to_one(g, capped);
+  const auto run = run_one_to_one_prepared(
+      g, make_one_to_one_nodes(g, capped.targeted_send), capped);
 
   ApproximateResult result;
   result.estimates = run.coreness;

@@ -13,22 +13,12 @@ using core::SchedPolicy;
 using graph::NodeId;
 using Clock = util::SteadyClock;
 
-namespace {
-
-// The resolved thread count, capped at one worker per node.
-unsigned worker_count(unsigned threads, NodeId n) {
-  const unsigned workers = par::resolve_threads(threads);
-  return n > 0 ? std::min<unsigned>(workers, n) : workers;
-}
-
-}  // namespace
-
 RepairEngine::RepairEngine(const LiveGraph& graph,
                            const RepairOptions& options)
     : graph_(graph),
       options_(options),
-      tables_(par::AsyncPrepared{worker_count(options.threads,
-                                              graph.num_nodes()),
+      tables_(par::AsyncPrepared{par::resolve_workers(options.threads,
+                                                      graph.num_nodes()),
                                  options.sched,
                                  {}},
               graph.num_nodes()) {

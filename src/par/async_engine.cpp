@@ -1,17 +1,16 @@
 #include "par/async_engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "core/assignment.h"
 #include "par/engine.h"
 #include "par/relax.h"
+#include "par/runtime.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/rng.h"
 
 namespace kcore::par {
 
@@ -27,7 +26,7 @@ AsyncStats AsyncStats::from_metrics(const obs::MetricsSnapshot& m,
   return s;
 }
 
-// --- run_bsp_async ----------------------------------------------------------
+// --- bsp-async ---------------------------------------------------------------
 // The worker loop is par::relax (par/relax.h), shared with live repair;
 // this runner owns what is static-only: the degree reset, the prepared
 // per-worker seed order, the convergence sampler and the AsyncStats fold.
@@ -41,52 +40,17 @@ using core::SchedPolicy;
 
 AsyncPrepared prepare_bsp_async(const graph::Graph& g,
                                 const core::RunOptions& options) {
-  const graph::NodeId n = g.num_nodes();
-  KCORE_CHECK_MSG(n > 0, "graph must be non-empty");
-  AsyncPrepared prepared;
-  prepared.workers = resolve_threads(options.threads);
-  if (prepared.workers > n) prepared.workers = n;
-  prepared.sched = options.sched;
   // Initial distribution of the all-dirty vertex set over the worker
-  // lanes via the §3.2.2 policies — a pure function of the options (the
-  // kRandom policy splits the root seed), never of the schedule. Only
-  // the materialized per-worker seed ORDER is kept; warm runs replay it
-  // without re-walking an owner array.
-  const auto owner = core::assign_nodes(n, prepared.workers,
-                                        options.assignment,
-                                        util::split_stream(options.seed, 0));
-  prepared.seeds.assign(prepared.workers, {});
-  for (graph::NodeId u = 0; u < n; ++u) {
-    prepared.seeds[owner[u]].push_back(u);
-  }
-  return prepared;
-}
-
-AsyncResult run_bsp_async(const graph::Graph& g,
-                          const core::RunOptions& options,
-                          const core::ProgressObserver& observer) {
-  const graph::NodeId n = g.num_nodes();
-  if (n == 0) {
-    AsyncResult result;
-    result.threads_used = resolve_threads(options.threads);
-    return result;
-  }
-  const auto setup_start = Clock::now();
-  const auto prepared = prepare_bsp_async(g, options);
-  AsyncRunContext context(prepared, n);
-  const auto setup_stop = Clock::now();
-  auto result =
-      run_bsp_async_prepared(g, prepared, context, options, observer);
-  result.setup_ms +=
-      util::ms_between(setup_start, setup_stop);
-  return result;
+  // lanes. Only the materialized per-worker seed ORDER is kept; warm runs
+  // replay it without re-walking an owner array.
+  WorkerShards shards = shard_vertices(g, options);
+  return AsyncPrepared{shards.workers, options.sched, std::move(shards.owned)};
 }
 
 AsyncResult run_bsp_async_prepared(const graph::Graph& g,
                                    const AsyncPrepared& prepared,
                                    AsyncRunContext& context,
-                                   const core::RunOptions& options,
-                                   const core::ProgressObserver& /*observer*/) {
+                                   const core::RunOptions& options) {
   AsyncResult result;
   const graph::NodeId n = g.num_nodes();
   KCORE_CHECK_MSG(context.est.size() == n,
@@ -97,8 +61,7 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
                       << ", this run asks for "
                       << core::to_string(options.sched));
   KCORE_CHECK_MSG(
-      prepared.workers == std::min<unsigned>(resolve_threads(options.threads),
-                                             n),
+      prepared.workers == resolve_workers(options.threads, n),
       "prepared state was built for " << prepared.workers
                                       << " workers, this run asks for "
                                       << options.threads << " threads");

@@ -8,9 +8,10 @@
 // and (b) re-examines a vertex whenever a neighbor's estimate drops,
 // converges to the exact decomposition — that is chaotic relaxation, and
 // it is exactly the asynchrony tolerance the paper claims for deployed
-// (non-lockstep) hosts. run_bsp_async executes it on shared memory: it
-// resets the estimate table to the degrees, seeds every vertex and runs
-// par::relax (par/relax.h), whose comment describes the worker protocol.
+// (non-lockstep) hosts. run_bsp_async_prepared executes it on shared
+// memory: it resets the estimate table to the degrees, seeds every vertex
+// and runs par::relax (par/relax.h), whose comment describes the worker
+// protocol.
 //
 // AsyncWorklist is the scheduling core (flags + priority pool + detector)
 // factored out of the engine — into par/async_worklist.h, as a template
@@ -74,21 +75,6 @@ struct AsyncResult {
   std::shared_ptr<const obs::RunTelemetry> telemetry;
 };
 
-/// Run the async chaotic-relaxation decomposition. Consumed options:
-/// threads (0 = hardware concurrency), sched (pop-order policy — pure
-/// performance, coreness is policy-invariant), assignment + seed (initial
-/// distribution of vertices over worker lanes — a pure function of the
-/// options, never of the schedule), targeted_send (§3.1.2 wake filter,
-/// safe under asynchrony because estimates only decrease). mode,
-/// max_rounds, num_hosts and comm are round-/simulator-shaped and are
-/// ignored (api::validate polices the ones that would silently lie).
-///
-/// The observer is accepted for signature parity but never invoked: the
-/// ProgressObserver contract is per-round, and this runtime has no rounds.
-[[nodiscard]] AsyncResult run_bsp_async(
-    const graph::Graph& g, const core::RunOptions& options,
-    const core::ProgressObserver& observer = {});
-
 /// Amortizable, SHAREABLE state of an async run, for api::Session's
 /// prepare-once / run-many (and serve-many-concurrently) contract —
 /// everything that is a pure function of (graph, options) and is
@@ -130,15 +116,25 @@ struct AsyncRunContext {
 [[nodiscard]] AsyncPrepared prepare_bsp_async(const graph::Graph& g,
                                               const core::RunOptions& options);
 
-/// Execute one run from shared prepared state and a private context.
-/// Coreness is bit-identical to the one-shot runner (and to the
-/// sequential baseline); the schedule profile in stats is
-/// interleaving-dependent as always. result.setup_ms covers only this
-/// run's residual setup (table + worklist reset + seeding).
-/// `options.sched` and `options.threads` must match the prepared state.
+/// Run the async chaotic-relaxation decomposition from shared prepared
+/// state and a private context. prepare_bsp_async consumes threads
+/// (0 = hardware concurrency), sched (pop-order policy — pure
+/// performance, coreness is policy-invariant), assignment + seed (initial
+/// distribution of vertices over worker lanes — a pure function of the
+/// options, never of the schedule); the run consumes targeted_send
+/// (§3.1.2 wake filter, safe under asynchrony because estimates only
+/// decrease) and obs. mode, max_rounds, num_hosts and comm are round-/
+/// simulator-shaped and are ignored (api::validate polices the ones that
+/// would silently lie). There is no progress observer: the
+/// ProgressObserver contract is per-round, and this runtime has no rounds.
+///
+/// Coreness is bit-identical to the sequential baseline; the schedule
+/// profile in stats is interleaving-dependent as always. result.setup_ms
+/// covers only this run's residual setup (table + worklist reset +
+/// seeding). `options.sched` and `options.threads` must match the
+/// prepared state.
 [[nodiscard]] AsyncResult run_bsp_async_prepared(
     const graph::Graph& g, const AsyncPrepared& prepared,
-    AsyncRunContext& context, const core::RunOptions& options,
-    const core::ProgressObserver& observer = {});
+    AsyncRunContext& context, const core::RunOptions& options);
 
 }  // namespace kcore::par

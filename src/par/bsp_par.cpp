@@ -1,4 +1,4 @@
-// run_bsp_par — the Pregel port on shared memory (see par/runtime.h).
+// bsp-par — the Pregel port on shared memory (see par/runtime.h).
 //
 // Instead of materializing messages, workers communicate through a shared
 // atomic coreness-estimate table with two epochs: every superstep reads
@@ -21,14 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/assignment.h"
 #include "core/compute_index.h"
-#include "par/engine.h"
 #include "par/round_loop.h"
 #include "par/runtime.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/rng.h"
 
 namespace kcore::par {
 
@@ -44,41 +41,7 @@ struct alignas(64) WorkerTally {
 
 BspParPrepared prepare_bsp_par(const graph::Graph& g,
                                const core::RunOptions& options) {
-  const graph::NodeId n = g.num_nodes();
-  KCORE_CHECK_MSG(n > 0, "graph must be non-empty");
-  BspParPrepared prepared;
-  prepared.workers = resolve_threads(options.threads);
-  if (prepared.workers > n) prepared.workers = n;
-
-  // Vertex -> worker shard via the §3.2.2 policies; the kRandom policy's
-  // seed is a pure stream split of the root seed, so re-running with a
-  // different thread count never silently reshuffles unrelated streams.
-  prepared.owner = core::assign_nodes(n, prepared.workers, options.assignment,
-                                      util::split_stream(options.seed, 0));
-  prepared.owned.assign(prepared.workers, {});
-  for (graph::NodeId u = 0; u < n; ++u) {
-    prepared.owned[prepared.owner[u]].push_back(u);
-  }
-  return prepared;
-}
-
-BspParResult run_bsp_par(const graph::Graph& g,
-                         const core::RunOptions& options,
-                         const core::ProgressObserver& observer) {
-  const graph::NodeId n = g.num_nodes();
-  if (n == 0) {
-    BspParResult result;
-    result.stats.converged = true;
-    result.threads_used = resolve_threads(options.threads);
-    return result;
-  }
-  const auto setup_start = util::SteadyClock::now();
-  const auto prepared = prepare_bsp_par(g, options);
-  BspParRunContext context(n);
-  const auto setup_stop = util::SteadyClock::now();
-  auto result = run_bsp_par_prepared(g, prepared, context, options, observer);
-  result.setup_ms += util::ms_between(setup_start, setup_stop);
-  return result;
+  return shard_vertices(g, options);
 }
 
 BspParResult run_bsp_par_prepared(const graph::Graph& g,

@@ -35,6 +35,7 @@
 // happens-before edge between consecutive events.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -55,6 +56,16 @@ namespace kcore::par {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
+}
+
+/// resolve_threads(requested), capped at one worker per unit of work
+/// (host or vertex): a worker with nothing to run would only burn a core
+/// on the barrier. Uncapped when there are no units.
+[[nodiscard]] inline unsigned resolve_workers(unsigned requested,
+                                              std::size_t units) {
+  const unsigned workers = resolve_threads(requested);
+  return units > 0 && units < workers ? static_cast<unsigned>(units)
+                                      : workers;
 }
 
 struct EngineConfig {
@@ -81,10 +92,7 @@ class Engine {
   Engine(std::vector<Host> hosts, const EngineConfig& config)
       : hosts_(std::move(hosts)), config_(config) {
     KCORE_CHECK_MSG(!hosts_.empty(), "engine needs at least one host");
-    workers_ = resolve_threads(config.threads);
-    if (workers_ > hosts_.size()) {
-      workers_ = static_cast<unsigned>(hosts_.size());
-    }
+    workers_ = resolve_workers(config.threads, hosts_.size());
     stats_.sent_by_host.assign(hosts_.size(), 0);
     worker_of_.resize(hosts_.size());
     host_begin_.resize(workers_ + 1);

@@ -1,6 +1,5 @@
 #include "par/runtime.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -21,42 +20,23 @@ using util::ms_between;
 
 }  // namespace
 
-OneToManyParPrepared prepare_one_to_many_par(const graph::Graph& g,
-                                             const core::RunOptions& options) {
-  KCORE_CHECK_MSG(g.num_nodes() > 0, "graph must be non-empty");
-  KCORE_CHECK_MSG(options.num_hosts >= 1, "need at least one host");
-  OneToManyParPrepared prepared;
-  // Same assignment call and host construction as the simulator runner
-  // (core/one_to_many.cpp) — this is what makes the par run's traffic
-  // bit-identical to sim::Engine in synchronous mode.
-  prepared.owner = core::assign_nodes(g.num_nodes(), options.num_hosts,
-                                      options.assignment, options.seed);
-  prepared.hosts = core::make_one_to_many_hosts(
-      g, prepared.owner, options.num_hosts, options.comm);
-  return prepared;
-}
-
-OneToManyParResult run_one_to_many_par(const graph::Graph& g,
-                                       const core::RunOptions& options,
-                                       const core::ProgressObserver& observer) {
-  if (g.num_nodes() == 0) {
-    // The facade rejects empty graphs, but direct callers (and the
-    // edge-case tests) get the sensible answer instead of a crash.
-    OneToManyParResult result;
-    result.traffic.converged = true;
-    result.threads_used = resolve_threads(options.threads);
-    return result;
+WorkerShards shard_vertices(const graph::Graph& g,
+                            const core::RunOptions& options) {
+  const graph::NodeId n = g.num_nodes();
+  KCORE_CHECK_MSG(n > 0, "graph must be non-empty");
+  WorkerShards shards;
+  shards.workers = resolve_workers(options.threads, n);
+  shards.owner = core::assign_nodes(n, shards.workers, options.assignment,
+                                    util::split_stream(options.seed, 0));
+  shards.owned.assign(shards.workers, {});
+  for (graph::NodeId u = 0; u < n; ++u) {
+    shards.owned[shards.owner[u]].push_back(u);
   }
-  const auto setup_start = Clock::now();
-  const auto prepared = prepare_one_to_many_par(g, options);
-  const auto setup_stop = Clock::now();
-  auto result = run_one_to_many_par_prepared(g, prepared, options, observer);
-  result.setup_ms += ms_between(setup_start, setup_stop);
-  return result;
+  return shards;
 }
 
-OneToManyParResult run_one_to_many_par_prepared(
-    const graph::Graph& g, const OneToManyParPrepared& prepared,
+OneToManyParResult run_one_to_many_prepared(
+    const graph::Graph& g, const std::vector<core::OneToManyHost>& hosts,
     const core::RunOptions& options, const core::ProgressObserver& observer) {
   OneToManyParResult result;
   const auto setup_start = Clock::now();
@@ -71,15 +51,13 @@ OneToManyParResult run_one_to_many_par_prepared(
   // Telemetry: sized to the engine's CLAMPED worker count (the recorder
   // hands out one context per worker). No sampler for this runtime —
   // host state machines expose no concurrency-safe estimate table.
-  const unsigned clamped_workers = std::min<unsigned>(
-      resolve_threads(options.threads),
-      static_cast<unsigned>(prepared.hosts.size()));
-  auto recorder = obs::Recorder::make(clamped_workers, options.obs);
+  auto recorder = obs::Recorder::make(
+      resolve_workers(options.threads, hosts.size()), options.obs);
   engine_config.recorder = recorder.get();
 
   // Copy the pristine hosts: each run starts from the exact post-prepare
   // protocol state, so repeated runs are bit-identical.
-  Engine<core::OneToManyHost> engine(prepared.hosts, engine_config);
+  Engine<core::OneToManyHost> engine(hosts, engine_config);
 
   std::vector<graph::NodeId> snapshot(g.num_nodes(), 0);
   auto engine_observer = [&](std::uint64_t round,

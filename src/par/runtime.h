@@ -6,14 +6,15 @@
 // decomposition parallelizes cleanly under the one-to-many host model,
 // and these runners execute that model with actual worker threads.
 //
-//  * run_one_to_many_par — Algorithms 3–5 verbatim: the node set is
-//    sharded into `num_hosts` OneToManyHost state machines by the
-//    core::assignment policies, and par::Engine drives them with
-//    `threads` workers, double-buffered SPSC mailboxes and barrier
-//    rounds. Coreness AND traffic are bit-identical to the simulator in
-//    synchronous mode — the same protocol, now on real cores.
+//  * one-to-many-par — Algorithms 3–5 verbatim: the node set is sharded
+//    into `num_hosts` OneToManyHost state machines by the core::assignment
+//    policies (core::make_one_to_many_hosts, the simulator's own build
+//    step), and par::Engine drives them with `threads` workers,
+//    double-buffered SPSC mailboxes and barrier rounds. Coreness AND
+//    traffic are bit-identical to the simulator in synchronous mode — the
+//    same protocol, now on real cores.
 //
-//  * run_bsp_par — the Pregel-style port on shared memory: vertices are
+//  * bsp-par — the Pregel-style port on shared memory: vertices are
 //    sharded across workers, every superstep recomputes dirty vertices
 //    with computeIndex against a SHARED ATOMIC estimate table (two
 //    epochs, prev/next, swapped at the barrier), and changed vertices
@@ -27,8 +28,9 @@
 // and a LOGICAL stream index (shard id, not thread id), so results never
 // depend on how many threads happened to run the shards.
 //
-// Both runners handle the degenerate graphs the facade never forwards
-// (empty graph, single node) so they can also be driven directly.
+// Each runtime has one build step (amortizable, immutable afterwards) and
+// one run_*_prepared; api::decompose and api::Session are the routes that
+// call them. Like the facade, the build steps reject the empty graph.
 #pragma once
 
 #include <atomic>
@@ -72,64 +74,55 @@ struct BspParResult {
   std::shared_ptr<const obs::RunTelemetry> telemetry;
 };
 
-/// Run the §3.2 one-to-many protocol on real threads. Consumed options:
-/// threads (0 = hardware concurrency), num_hosts, assignment, comm, seed,
-/// max_rounds (0 = automatic). mode is ignored — real barrier rounds ARE
-/// the synchronous model; faults are rejected by api::validate upstream.
-[[nodiscard]] OneToManyParResult run_one_to_many_par(
-    const graph::Graph& g, const core::RunOptions& options,
-    const core::ProgressObserver& observer = {});
+// --- prepared execution -----------------------------------------------------
+// The prepared split serves api::Session's prepare-once / run-many
+// contract, and its CONCURRENT serving contract: the build step performs
+// the graph-dependent derivation (assignment, host construction, shards)
+// once into state that is IMMUTABLE afterwards, and run_*_prepared
+// executes repeatably from it, every run bit-identical under the same
+// options. All per-run mutable state (estimate tables, activation flags,
+// worklists) lives in a separate *RunContext that each run owns
+// privately, so N threads may execute run_*_prepared over ONE shared
+// prepared state concurrently, each with its own context. A context is
+// reset in place at the start of every run (O(N) stores, zero
+// reallocation), so reusing one across sequential runs is both safe and
+// allocation-free.
 
-/// Run the Pregel-style shared-memory port. Consumed options: threads,
-/// assignment, targeted_send (skip notifying neighbors the new estimate
-/// cannot affect), seed, max_rounds. num_hosts is ignored — workers own
-/// vertex shards directly.
-[[nodiscard]] BspParResult run_bsp_par(
-    const graph::Graph& g, const core::RunOptions& options,
-    const core::ProgressObserver& observer = {});
-
-// --- prepared (amortized) execution ----------------------------------------
-// The one-shot runners above re-derive everything per call. The prepared
-// split serves api::Session's prepare-once / run-many contract, and —
-// since the serving redesign — its CONCURRENT serving contract: prepare_*
-// performs the graph-dependent derivation (assignment, host construction,
-// seed orders) once into a struct that is IMMUTABLE after prepare, and
-// run_*_prepared executes repeatably from it — every run bit-identical to
-// the one-shot runner under the same options. All per-run mutable state
-// (estimate tables, activation flags, worklists) lives in a separate
-// *RunContext that each run owns privately, so N threads may execute
-// run_*_prepared over ONE shared prepared struct concurrently, each with
-// its own context. A context is reset in place at the start of every run
-// (O(N) stores, zero reallocation), so reusing one across sequential runs
-// is both safe and allocation-free.
-
-/// one-to-many-par: the §3.2.2 assignment plus pristine host state
-/// machines. Immutable after prepare; each run copies the hosts into a
-/// fresh engine — copying CSR state is much cheaper than re-deriving it
-/// from the graph — so this runtime needs no separate run context.
-struct OneToManyParPrepared {
-  std::vector<sim::HostId> owner;
-  std::vector<core::OneToManyHost> hosts;
-};
-
-[[nodiscard]] OneToManyParPrepared prepare_one_to_many_par(
-    const graph::Graph& g, const core::RunOptions& options);
-
-/// Execute one run from prepared state. result.setup_ms covers only this
-/// run's residual setup (host copy + engine construction); the caller
-/// accounts the prepare cost separately.
-[[nodiscard]] OneToManyParResult run_one_to_many_par_prepared(
-    const graph::Graph& g, const OneToManyParPrepared& prepared,
+/// Run the §3.2 one-to-many protocol on real threads from pristine hosts
+/// (core::make_one_to_many_hosts, which consumed num_hosts, assignment,
+/// comm and seed) — the threaded twin of core::run_one_to_many_prepared;
+/// call it qualified, since ADL on the host vector finds both. Each run
+/// copies the hosts into a fresh engine — copying CSR state is much
+/// cheaper than re-deriving it from the graph — so this runtime needs no
+/// separate run context. Consumed options: threads (0 = hardware
+/// concurrency), max_rounds (0 = automatic), obs. mode is ignored — real
+/// barrier rounds ARE the synchronous model; faults are rejected by
+/// api::validate upstream. result.setup_ms covers only this run's
+/// residual setup (host copy + engine construction); the caller accounts
+/// the build cost separately.
+[[nodiscard]] OneToManyParResult run_one_to_many_prepared(
+    const graph::Graph& g, const std::vector<core::OneToManyHost>& hosts,
     const core::RunOptions& options,
     const core::ProgressObserver& observer = {});
 
-/// bsp-par, shareable half: the vertex→worker shards. Immutable after
-/// prepare — safe to read from any number of concurrent runs.
-struct BspParPrepared {
+/// The vertex→worker shards of the vertex-centric runtimes (bsp-par,
+/// bsp-async): the thread count resolved and capped at n, the §3.2.2
+/// assignment under a stream split of the root seed (so a different
+/// thread count never silently reshuffles unrelated streams), and each
+/// worker's vertices in ascending id order. Consumed options: threads,
+/// assignment, seed.
+struct WorkerShards {
   unsigned workers = 0;
   std::vector<sim::HostId> owner;
   std::vector<std::vector<graph::NodeId>> owned;
 };
+
+[[nodiscard]] WorkerShards shard_vertices(const graph::Graph& g,
+                                          const core::RunOptions& options);
+
+/// bsp-par, shareable half: the shards. Immutable after prepare — safe to
+/// read from any number of concurrent runs.
+using BspParPrepared = WorkerShards;
 
 /// bsp-par, per-run half: the two shared atomic tables (estimate epochs,
 /// activation flags). Each concurrent run needs its own context; a
@@ -146,6 +139,11 @@ struct BspParRunContext {
 [[nodiscard]] BspParPrepared prepare_bsp_par(const graph::Graph& g,
                                              const core::RunOptions& options);
 
+/// Run the Pregel-style shared-memory port. Consumed options:
+/// targeted_send (skip notifying neighbors the new estimate cannot
+/// affect), max_rounds, obs; threads, assignment and seed were consumed
+/// by prepare_bsp_par. num_hosts is ignored — workers own vertex shards
+/// directly.
 [[nodiscard]] BspParResult run_bsp_par_prepared(
     const graph::Graph& g, const BspParPrepared& prepared,
     BspParRunContext& context, const core::RunOptions& options,

@@ -48,6 +48,8 @@ std::optional<std::string> Args::get(const std::string& name) const {
   queried_[name] = true;
   const auto it = options_.find(name);
   if (it == options_.end()) return std::nullopt;
+  KCORE_CHECK_MSG(it->second.has_value(),
+                  "option --" << name << " needs a value");
   return it->second;
 }
 

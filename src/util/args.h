@@ -26,14 +26,18 @@ class Args {
     return positional_;
   }
 
-  /// True if --name was given (with or without a value).
+  /// True if --name was given (with or without a value) — the accessor
+  /// for bare flags.
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Value of --name; nullopt if absent or valueless.
+  /// Value of --name; nullopt if absent. Throws CheckError when --name was
+  /// given without a value: an option that needs one must not silently
+  /// fall back to its default.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
 
   /// Typed getters with defaults; throw CheckError when present but
-  /// unparsable (silently ignoring a typo would corrupt an experiment).
+  /// valueless or unparsable (silently ignoring a typo would corrupt an
+  /// experiment).
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name,

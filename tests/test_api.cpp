@@ -1,11 +1,8 @@
 // The facade contract: api::decompose must be a zero-cost veneer over the
-// legacy entry points — bit-identical coreness and traffic at fixed seeds
-// for every registry protocol — plus the registry/options machinery
+// protocol layers' build + run_*_prepared steps — bit-identical coreness,
+// traffic and extras at fixed seeds — plus the registry/options machinery
 // itself: string round-trips for every enum, unknown-protocol and
 // invalid-options error paths, and the unified ProgressObserver stream.
-//
-// These are the only tests allowed to include the core protocol headers
-// alongside api/api.h: the whole point is comparing the two layers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,7 +56,7 @@ void expect_traffic_eq(const sim::TrafficStats& a, const sim::TrafficStats& b,
 }
 
 // ---------------------------------------------------------------------------
-// Parity with the legacy entry points
+// Parity with the protocol layers (freshly built state, run_*_prepared)
 // ---------------------------------------------------------------------------
 
 TEST(ApiParity, OneToOneMatchesLegacyRunner) {
@@ -72,15 +69,16 @@ TEST(ApiParity, OneToOneMatchesLegacyRunner) {
       options.seed = seed;
       const auto facade =
           api::decompose(g, api::kProtocolOneToOne, options);
-      const auto legacy = core::run_one_to_one(g, options);
+      const auto direct = core::run_one_to_one_prepared(
+          g, core::make_one_to_one_nodes(g, options.targeted_send), options);
       const std::string label =
           std::string("mode=") + api::to_string(mode) + " seed=" +
           std::to_string(seed);
-      EXPECT_EQ(facade.coreness, legacy.coreness) << label;
-      expect_traffic_eq(facade.traffic, legacy.traffic, label);
+      EXPECT_EQ(facade.coreness, direct.coreness) << label;
+      expect_traffic_eq(facade.traffic, direct.traffic, label);
       const auto& extras = std::get<api::OneToOneExtras>(facade.extras);
-      EXPECT_EQ(extras.last_send_round, legacy.last_send_round) << label;
-      EXPECT_EQ(extras.activity_transitions, legacy.activity_transitions)
+      EXPECT_EQ(extras.last_send_round, direct.last_send_round) << label;
+      EXPECT_EQ(extras.activity_transitions, direct.activity_transitions)
           << label;
     }
   }
@@ -93,9 +91,10 @@ TEST(ApiParity, OneToOneMatchesLegacyUnderFaults) {
   options.faults.max_extra_delay = 2;
   options.faults.duplicate_probability = 0.2;
   const auto facade = api::decompose(g, api::kProtocolOneToOne, options);
-  const auto legacy = core::run_one_to_one(g, options);
-  EXPECT_EQ(facade.coreness, legacy.coreness);
-  expect_traffic_eq(facade.traffic, legacy.traffic, "faulty");
+  const auto direct = core::run_one_to_one_prepared(
+      g, core::make_one_to_one_nodes(g, options.targeted_send), options);
+  EXPECT_EQ(facade.coreness, direct.coreness);
+  expect_traffic_eq(facade.traffic, direct.traffic, "faulty");
 }
 
 TEST(ApiParity, OneToManyMatchesLegacyRunner) {
@@ -110,23 +109,24 @@ TEST(ApiParity, OneToManyMatchesLegacyRunner) {
       options.seed = 17;
       const auto facade =
           api::decompose(g, api::kProtocolOneToMany, options);
-      const auto legacy = core::run_one_to_many(g, options);
+      const auto direct = core::run_one_to_many_prepared(
+          g, core::make_one_to_many_hosts(g, options), options);
       const std::string label = std::string("hosts=") +
                                 std::to_string(hosts) + " comm=" +
                                 api::to_string(comm);
-      EXPECT_EQ(facade.coreness, legacy.coreness) << label;
-      expect_traffic_eq(facade.traffic, legacy.traffic, label);
+      EXPECT_EQ(facade.coreness, direct.coreness) << label;
+      expect_traffic_eq(facade.traffic, direct.traffic, label);
       const auto& extras = std::get<api::OneToManyExtras>(facade.extras);
       EXPECT_EQ(extras.estimates_shipped_total,
-                legacy.estimates_shipped_total)
+                direct.estimates_shipped_total)
           << label;
-      EXPECT_DOUBLE_EQ(extras.overhead_per_node, legacy.overhead_per_node)
+      EXPECT_DOUBLE_EQ(extras.overhead_per_node, direct.overhead_per_node)
           << label;
       EXPECT_EQ(extras.estimates_shipped_by_host,
-                legacy.estimates_shipped_by_host)
+                direct.estimates_shipped_by_host)
           << label;
       EXPECT_EQ(extras.last_send_round_by_host,
-                legacy.last_send_round_by_host)
+                direct.last_send_round_by_host)
           << label;
     }
   }
@@ -137,14 +137,16 @@ TEST(ApiParity, BspMatchesLegacyRunner) {
   api::RunOptions options;
   options.num_hosts = 8;
   const auto facade = api::decompose(g, api::kProtocolBsp, options);
-  const auto legacy = core::run_pregel_kcore(g, 8);
-  EXPECT_EQ(facade.coreness, legacy.coreness);
+  const auto direct = core::run_pregel_kcore_prepared(
+      g, core::assign_nodes(g.num_nodes(), 8, options.assignment, options.seed),
+      8, options.targeted_send);
+  EXPECT_EQ(facade.coreness, direct.coreness);
   const auto& stats = std::get<api::BspExtras>(facade.extras).stats;
-  EXPECT_EQ(stats.supersteps, legacy.stats.supersteps);
-  EXPECT_EQ(stats.messages_emitted, legacy.stats.messages_emitted);
-  EXPECT_EQ(stats.messages_delivered, legacy.stats.messages_delivered);
-  EXPECT_EQ(stats.messages_cross_worker, legacy.stats.messages_cross_worker);
-  EXPECT_EQ(stats.converged, legacy.stats.converged);
+  EXPECT_EQ(stats.supersteps, direct.stats.supersteps);
+  EXPECT_EQ(stats.messages_emitted, direct.stats.messages_emitted);
+  EXPECT_EQ(stats.messages_delivered, direct.stats.messages_delivered);
+  EXPECT_EQ(stats.messages_cross_worker, direct.stats.messages_cross_worker);
+  EXPECT_EQ(stats.converged, direct.stats.converged);
   // The traffic mapping documented in api.h.
   EXPECT_EQ(facade.traffic.total_messages, stats.messages_delivered);
   EXPECT_EQ(facade.traffic.rounds_executed, stats.supersteps);
@@ -469,6 +471,19 @@ TEST(ApiValidate, ReportsEveryProblem) {
   EXPECT_NE(problems[1].find("quantum"), std::string::npos);
   EXPECT_NE(problems[2].find("num_hosts"), std::string::npos);
   EXPECT_NE(problems[3].find("duplicate_probability"), std::string::npos);
+}
+
+TEST(ApiValidate, ZeroNodeGraphIsRejectedByEveryProtocol) {
+  const Graph g;
+  for (const auto& name : api::ProtocolRegistry::instance().names()) {
+    api::DecomposeRequest request;
+    request.graph = &g;
+    request.protocol = name;
+    const auto problems = api::validate(request);
+    ASSERT_EQ(problems.size(), 1U) << name;
+    EXPECT_EQ(problems[0], "graph must have at least one node") << name;
+    EXPECT_THROW((void)api::decompose(request), util::CheckError) << name;
+  }
 }
 
 TEST(ApiValidate, FaultPlanRejectedForFaultFreeRuntimes) {

@@ -36,7 +36,7 @@ TEST(Args, BareFlags) {
   const auto args = make({"--summary", "--exact-diameter"});
   EXPECT_TRUE(args.has("summary"));
   EXPECT_TRUE(args.has("exact-diameter"));
-  EXPECT_FALSE(args.get("summary").has_value());
+  EXPECT_THROW((void)args.get("summary"), CheckError);
   EXPECT_FALSE(args.has("missing"));
 }
 
@@ -44,8 +44,32 @@ TEST(Args, FlagFollowedByOption) {
   // "--summary --algo bz": summary must remain a bare flag.
   const auto args = make({"--summary", "--algo", "bz"});
   EXPECT_TRUE(args.has("summary"));
-  EXPECT_FALSE(args.get("summary").has_value());
+  EXPECT_THROW((void)args.get("summary"), CheckError);
   EXPECT_EQ(args.get("algo").value(), "bz");
+}
+
+TEST(Args, ValuelessOptionIsRejectedByEveryValueGetter) {
+  // "--wal --threads": both options need a value, neither got one. Each
+  // read must fail loudly instead of running with the default.
+  const auto args = make({"--wal", "--threads", "--trace"});
+  EXPECT_THROW((void)args.get("wal"), CheckError);
+  EXPECT_THROW((void)args.get_string("wal", "state"), CheckError);
+  EXPECT_THROW((void)args.get_int("threads", 4), CheckError);
+  EXPECT_THROW((void)args.get_double("trace", 1.0), CheckError);
+  EXPECT_TRUE(args.has("wal"));
+  EXPECT_TRUE(args.unused().empty());
+}
+
+TEST(Args, ValuelessOptionErrorNamesTheOption) {
+  const auto args = make({"--threads"});
+  try {
+    (void)args.get_int("threads", 0);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("option --threads needs a value"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, TypedGettersWithDefaults) {

@@ -16,7 +16,6 @@
 #include "api/api.h"
 #include "eval/datasets.h"
 #include "graph/generators.h"
-#include "par/async_engine.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
 
@@ -286,24 +285,13 @@ TEST(AsyncProperty, TargetedWakeFilterOffStillConverges) {
 }
 
 TEST(AsyncProperty, DegenerateGraphsDirectCall) {
-  // The facade rejects the empty graph; the runner must still behave.
-  {
-    const Graph g;
-    core::RunOptions options;
-    options.threads = 4;
-    const auto result = par::run_bsp_async(g, options);
-    EXPECT_TRUE(result.coreness.empty());
-    EXPECT_GE(result.threads_used, 1u);
-  }
-  {
-    const Graph g = Graph::from_edges(1, {});
-    api::RunOptions options;
-    options.threads = 8;
-    const auto report = api::decompose(g, api::kProtocolBspAsync, options);
-    ASSERT_EQ(report.coreness, std::vector<NodeId>{0});
-    // Never more workers than vertices.
-    EXPECT_EQ(std::get<api::AsyncExtras>(report.extras).threads_used, 1u);
-  }
+  const Graph g = Graph::from_edges(1, {});
+  api::RunOptions options;
+  options.threads = 8;
+  const auto report = api::decompose(g, api::kProtocolBspAsync, options);
+  ASSERT_EQ(report.coreness, std::vector<NodeId>{0});
+  // Never more workers than vertices.
+  EXPECT_EQ(std::get<api::AsyncExtras>(report.extras).threads_used, 1u);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/one_to_one.h"
+#include "api/api.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "seq/kcore_seq.h"
@@ -15,12 +15,12 @@ namespace gen = kcore::graph::gen;
 using graph::Graph;
 using graph::NodeId;
 
-OneToOneResult run_analysis_model(const Graph& g) {
+api::DecomposeReport run_analysis_model(const Graph& g) {
   // The §4 analysis model: synchronous rounds, no optimizations.
-  OneToOneConfig config;
+  RunOptions config;
   config.mode = sim::DeliveryMode::kSynchronous;
   config.targeted_send = false;
-  auto result = run_one_to_one(g, config);
+  auto result = api::decompose(g, api::kProtocolOneToOne, config);
   EXPECT_TRUE(result.traffic.converged);
   return result;
 }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
+#include "api/api.h"
 #include "bsp/programs.h"
 #include "core/assignment.h"
-#include "core/pregel_kcore.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "seq/kcore_seq.h"
@@ -105,16 +107,28 @@ TEST(Pregel, RejectsMismatchedOwnerVector) {
 }
 
 // ---------------------------------------------------------------------------
-// The k-core port
+// The k-core port, through the facade ("bsp": num_hosts = workers)
 // ---------------------------------------------------------------------------
+
+api::DecomposeReport decompose_bsp(const Graph& g, WorkerId workers,
+                                   bool targeted_send = true) {
+  api::RunOptions options;
+  options.num_hosts = workers;
+  options.targeted_send = targeted_send;
+  return api::decompose(g, api::kProtocolBsp, options);
+}
+
+const BspStats& stats_of(const api::DecomposeReport& report) {
+  return std::get<api::BspExtras>(report.extras).stats;
+}
 
 class PregelKCore : public ::testing::TestWithParam<WorkerId> {};
 
 TEST_P(PregelKCore, MatchesSequentialBaseline) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g = gen::erdos_renyi_gnm(250, 600, seed);
-    const auto result = core::run_pregel_kcore(g, GetParam());
-    EXPECT_TRUE(result.stats.converged);
+    const auto result = decompose_bsp(g, GetParam());
+    EXPECT_TRUE(stats_of(result).converged);
     EXPECT_EQ(result.coreness, seq::coreness_bz(g)) << "seed " << seed;
   }
 }
@@ -123,8 +137,8 @@ TEST_P(PregelKCore, DeterministicFamilies) {
   for (const Graph& g :
        {gen::chain(30), gen::clique(10), gen::grid(7, 8),
         gen::montresor_worst_case(20), gen::star(25)}) {
-    const auto result = core::run_pregel_kcore(g, GetParam());
-    EXPECT_TRUE(result.stats.converged);
+    const auto result = decompose_bsp(g, GetParam());
+    EXPECT_TRUE(stats_of(result).converged);
     EXPECT_EQ(result.coreness, seq::coreness_bz(g));
   }
 }
@@ -134,29 +148,29 @@ INSTANTIATE_TEST_SUITE_P(Workers, PregelKCore,
 
 TEST(PregelKCoreTraffic, TargetedSendSavesEmissions) {
   const Graph g = gen::barabasi_albert(400, 4, 9);
-  const auto plain = core::run_pregel_kcore(g, 8, /*targeted_send=*/false);
-  const auto opt = core::run_pregel_kcore(g, 8, /*targeted_send=*/true);
+  const auto plain = decompose_bsp(g, 8, /*targeted_send=*/false);
+  const auto opt = decompose_bsp(g, 8, /*targeted_send=*/true);
   EXPECT_EQ(plain.coreness, opt.coreness);
-  EXPECT_LT(opt.stats.messages_emitted, plain.stats.messages_emitted);
+  EXPECT_LT(stats_of(opt).messages_emitted, stats_of(plain).messages_emitted);
 }
 
 TEST(PregelKCoreTraffic, SuperstepsMatchSynchronousProtocol) {
   // BSP supersteps correspond to synchronous protocol rounds: the Figure 3
   // worst case must exhibit the same linear behaviour.
   const NodeId n = 24;
-  const auto result = core::run_pregel_kcore(gen::montresor_worst_case(n), 4,
-                                             /*targeted_send=*/false);
-  EXPECT_TRUE(result.stats.converged);
-  EXPECT_GE(result.stats.supersteps, n - 2);
-  EXPECT_LE(result.stats.supersteps, n + 1);
+  const auto result = decompose_bsp(gen::montresor_worst_case(n), 4,
+                                    /*targeted_send=*/false);
+  EXPECT_TRUE(stats_of(result).converged);
+  EXPECT_GE(stats_of(result).supersteps, n - 2);
+  EXPECT_LE(stats_of(result).supersteps, n + 1);
 }
 
 TEST(PregelKCoreTraffic, CrossWorkerTrafficShrinksWithFewerWorkers) {
   const Graph g = gen::erdos_renyi_gnm(300, 900, 11);
-  const auto one = core::run_pregel_kcore(g, 1);
-  const auto many = core::run_pregel_kcore(g, 64);
-  EXPECT_EQ(one.stats.messages_cross_worker, 0U);
-  EXPECT_GT(many.stats.messages_cross_worker, 0U);
+  const auto one = decompose_bsp(g, 1);
+  const auto many = decompose_bsp(g, 64);
+  EXPECT_EQ(stats_of(one).messages_cross_worker, 0U);
+  EXPECT_GT(stats_of(many).messages_cross_worker, 0U);
   EXPECT_EQ(one.coreness, many.coreness);
 }
 

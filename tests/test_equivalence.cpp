@@ -6,10 +6,8 @@
 // family. This is the repo's strongest end-to-end safety net.
 #include <gtest/gtest.h>
 
+#include "api/api.h"
 #include "core/dynamic.h"
-#include "core/one_to_many.h"
-#include "core/one_to_one.h"
-#include "core/pregel_kcore.h"
 #include "eval/datasets.h"
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
@@ -26,28 +24,30 @@ void expect_all_algorithms_agree(const Graph& g, const std::string& label) {
   ASSERT_TRUE(seq::satisfies_locality(g, truth)) << label << ": locality";
 
   {
-    core::OneToOneConfig config;
-    config.mode = sim::DeliveryMode::kSynchronous;
-    const auto result = core::run_one_to_one(g, config);
+    api::RunOptions options;
+    options.mode = sim::DeliveryMode::kSynchronous;
+    const auto result = api::decompose(g, api::kProtocolOneToOne, options);
     ASSERT_TRUE(result.traffic.converged) << label;
     ASSERT_EQ(result.coreness, truth) << label << ": one-to-one sync";
   }
   {
-    core::OneToOneConfig config;
-    config.mode = sim::DeliveryMode::kCycleRandomOrder;
-    config.seed = 99;
-    const auto result = core::run_one_to_one(g, config);
+    api::RunOptions options;
+    options.mode = sim::DeliveryMode::kCycleRandomOrder;
+    options.seed = 99;
+    const auto result = api::decompose(g, api::kProtocolOneToOne, options);
     ASSERT_EQ(result.coreness, truth) << label << ": one-to-one cycle";
   }
   for (const sim::HostId hosts : {1U, 5U, 32U}) {
-    core::OneToManyConfig config;
-    config.num_hosts = hosts;
-    const auto result = core::run_one_to_many(g, config);
+    api::RunOptions options;
+    options.num_hosts = hosts;
+    const auto result = api::decompose(g, api::kProtocolOneToMany, options);
     ASSERT_EQ(result.coreness, truth)
         << label << ": one-to-many h=" << hosts;
   }
   {
-    const auto result = core::run_pregel_kcore(g, 8);
+    api::RunOptions options;
+    options.num_hosts = 8;
+    const auto result = api::decompose(g, api::kProtocolBsp, options);
     ASSERT_EQ(result.coreness, truth) << label << ": bsp";
   }
   {

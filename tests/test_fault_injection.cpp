@@ -4,8 +4,7 @@
 // both faults and assert full convergence to the exact decomposition.
 #include <gtest/gtest.h>
 
-#include "core/one_to_many.h"
-#include "core/one_to_one.h"
+#include "api/api.h"
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
 
@@ -14,6 +13,12 @@ namespace {
 
 namespace gen = kcore::graph::gen;
 using graph::Graph;
+
+api::DecomposeReport decompose_one_to_one(
+    const Graph& g, const RunOptions& config,
+    const ProgressObserver& observer = {}) {
+  return api::decompose(g, api::kProtocolOneToOne, config, observer);
+}
 
 struct FaultCase {
   const char* name;
@@ -34,10 +39,10 @@ class FaultInjection : public ::testing::TestWithParam<FaultCase> {
 TEST_P(FaultInjection, OneToOneStillExact) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g = gen::erdos_renyi_gnm(200, 500, seed);
-    OneToOneConfig config;
+    RunOptions config;
     config.seed = seed;
     config.faults = plan();
-    const auto result = run_one_to_one(g, config);
+    const auto result = decompose_one_to_one(g, config);
     ASSERT_TRUE(result.traffic.converged) << "seed " << seed;
     EXPECT_EQ(result.coreness, seq::coreness_bz(g)) << "seed " << seed;
   }
@@ -45,22 +50,22 @@ TEST_P(FaultInjection, OneToOneStillExact) {
 
 TEST_P(FaultInjection, OneToOneSynchronousStillExact) {
   const Graph g = gen::montresor_worst_case(30);
-  OneToOneConfig config;
+  RunOptions config;
   config.mode = sim::DeliveryMode::kSynchronous;
   config.faults = plan();
   config.seed = 9;
-  const auto result = run_one_to_one(g, config);
+  const auto result = decompose_one_to_one(g, config);
   ASSERT_TRUE(result.traffic.converged);
   EXPECT_EQ(result.coreness, seq::coreness_bz(g));
 }
 
 TEST_P(FaultInjection, OneToManyStillExact) {
   const Graph g = gen::barabasi_albert(200, 3, 5);
-  OneToManyConfig config;
+  RunOptions config;
   config.num_hosts = 8;
   config.faults = plan();
   config.seed = 11;
-  const auto result = run_one_to_many(g, config);
+  const auto result = api::decompose(g, api::kProtocolOneToMany, config);
   ASSERT_TRUE(result.traffic.converged);
   EXPECT_EQ(result.coreness, seq::coreness_bz(g));
 }
@@ -68,13 +73,13 @@ TEST_P(FaultInjection, OneToManyStillExact) {
 TEST_P(FaultInjection, SafetyHoldsUnderFaultsEveryRound) {
   const Graph g = gen::erdos_renyi_gnm(120, 300, 7);
   const auto truth = seq::coreness_bz(g);
-  OneToOneConfig config;
+  RunOptions config;
   config.faults = plan();
   config.seed = 13;
-  const auto result = run_one_to_one(
-      g, config, [&](std::uint64_t round, std::span<const graph::NodeId> est) {
+  const auto result =
+      decompose_one_to_one(g, config, [&](const ProgressEvent& event) {
         for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-          ASSERT_GE(est[u], truth[u]) << "round " << round;
+          ASSERT_GE(event.estimates[u], truth[u]) << "round " << event.round;
         }
       });
   ASSERT_TRUE(result.traffic.converged);
@@ -90,13 +95,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FaultInjection, DelaysCanOnlySlowConvergence) {
   const Graph g = gen::grid(20, 20);
-  OneToOneConfig clean;
+  RunOptions clean;
   clean.mode = sim::DeliveryMode::kSynchronous;
   clean.seed = 17;
-  const auto baseline = run_one_to_one(g, clean);
-  OneToOneConfig delayed = clean;
+  const auto baseline = decompose_one_to_one(g, clean);
+  RunOptions delayed = clean;
   delayed.faults.max_extra_delay = 4;
-  const auto slow = run_one_to_one(g, delayed);
+  const auto slow = decompose_one_to_one(g, delayed);
   ASSERT_TRUE(baseline.traffic.converged);
   ASSERT_TRUE(slow.traffic.converged);
   EXPECT_GE(slow.traffic.rounds_executed, baseline.traffic.rounds_executed);

@@ -30,8 +30,10 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <variant>
 #include <vector>
 
+#include "api/api.h"
 #include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
@@ -39,7 +41,6 @@
 #include "live/live_graph.h"
 #include "live/repair.h"
 #include "obs/options.h"
-#include "par/async_engine.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
 #include "util/storage.h"
@@ -551,11 +552,12 @@ TEST(RepairEngine, InitializeDoesTheSameWorkAsBspAsync) {
   const auto truth = seq::coreness_bz(g);
   for (const SchedPolicy sched :
        {SchedPolicy::kLifo, SchedPolicy::kBound, SchedPolicy::kDelta}) {
-    core::RunOptions options;
+    api::RunOptions options;
     options.threads = 1;
     options.sched = sched;
     options.targeted_send = true;
-    const par::AsyncResult batch = par::run_bsp_async(g, options);
+    const auto batch = api::decompose(g, api::kProtocolBspAsync, options);
+    const auto& batch_stats = std::get<api::AsyncExtras>(batch.extras);
 
     const LiveGraph live(g);
     RepairEngine engine(live, RepairOptions{1, sched, true});
@@ -564,10 +566,10 @@ TEST(RepairEngine, InitializeDoesTheSameWorkAsBspAsync) {
     engine.copy_coreness(coreness);
 
     const std::string policy(core::to_string(sched));
-    EXPECT_EQ(stats.relaxations, batch.stats.relaxations) << policy;
-    EXPECT_EQ(stats.skipped_recomputes, batch.stats.skipped_recomputes)
+    EXPECT_EQ(stats.relaxations, batch_stats.relaxations) << policy;
+    EXPECT_EQ(stats.skipped_recomputes, batch_stats.skipped_recomputes)
         << policy;
-    EXPECT_EQ(stats.pop_scans, batch.stats.pop_scans) << policy;
+    EXPECT_EQ(stats.pop_scans, batch_stats.pop_scans) << policy;
     EXPECT_EQ(batch.coreness, truth) << policy;
     EXPECT_EQ(coreness, truth) << policy;
   }

@@ -1,9 +1,14 @@
+// The one-to-many protocol (§3.2) through the facade route users get:
+// api::decompose(g, "one-to-many", ...), protocol fields read from the
+// report's OneToManyExtras. The host-state test builds hosts directly.
 #include "core/one_to_many.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <variant>
 
+#include "api/api.h"
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
 
@@ -13,6 +18,16 @@ namespace {
 namespace gen = kcore::graph::gen;
 using graph::Graph;
 using graph::NodeId;
+
+api::DecomposeReport decompose_one_to_many(
+    const Graph& g, const OneToManyConfig& config,
+    const ProgressObserver& observer = {}) {
+  return api::decompose(g, api::kProtocolOneToMany, config, observer);
+}
+
+const api::OneToManyExtras& extras_of(const api::DecomposeReport& report) {
+  return std::get<api::OneToManyExtras>(report.extras);
+}
 
 // ---------------------------------------------------------------------------
 // Correctness across host counts, policies, and assignments
@@ -34,7 +49,7 @@ class OneToManyCorrectness
     config.comm = GetParam().comm;
     config.assignment = GetParam().assignment;
     config.seed = seed;
-    const auto result = run_one_to_many(g, config);
+    const auto result = decompose_one_to_many(g, config);
     ASSERT_TRUE(result.traffic.converged);
     EXPECT_EQ(result.coreness, seq::coreness_bz(g)) << GetParam().name;
   }
@@ -90,7 +105,7 @@ TEST(OneToManySpecialCases, OneHostPerNodeMatchesOneToOne) {
   OneToManyConfig config;
   config.num_hosts = g.num_nodes();
   config.comm = CommPolicy::kPointToPoint;
-  const auto many = run_one_to_many(g, config);
+  const auto many = decompose_one_to_many(g, config);
   ASSERT_TRUE(many.traffic.converged);
   EXPECT_EQ(many.coreness, seq::coreness_bz(g));
 }
@@ -99,14 +114,14 @@ TEST(OneToManySpecialCases, SingleHostComputesLocallyWithZeroTraffic) {
   const Graph g = gen::barabasi_albert(200, 3, 11);
   OneToManyConfig config;
   config.num_hosts = 1;
-  const auto result = run_one_to_many(g, config);
+  const auto result = decompose_one_to_many(g, config);
   ASSERT_TRUE(result.traffic.converged);
   EXPECT_EQ(result.coreness, seq::coreness_bz(g));
   // improveEstimate reaches the global fixed point in the constructor;
   // there is nobody to talk to.
   EXPECT_EQ(result.traffic.total_messages, 0U);
-  EXPECT_EQ(result.estimates_shipped_total, 0U);
-  EXPECT_EQ(result.overhead_per_node, 0.0);
+  EXPECT_EQ(extras_of(result).estimates_shipped_total, 0U);
+  EXPECT_EQ(extras_of(result).overhead_per_node, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -121,9 +136,10 @@ TEST(OneToManyOverhead, BroadcastShipsFewerEstimatesThanP2P) {
     bcast.comm = CommPolicy::kBroadcast;
     OneToManyConfig p2p = bcast;
     p2p.comm = CommPolicy::kPointToPoint;
-    const auto rb = run_one_to_many(g, bcast);
-    const auto rp = run_one_to_many(g, p2p);
-    EXPECT_LE(rb.estimates_shipped_total, rp.estimates_shipped_total)
+    const auto rb = decompose_one_to_many(g, bcast);
+    const auto rp = decompose_one_to_many(g, p2p);
+    EXPECT_LE(extras_of(rb).estimates_shipped_total,
+              extras_of(rp).estimates_shipped_total)
         << hosts << " hosts";
   }
 }
@@ -137,9 +153,9 @@ TEST(OneToManyOverhead, P2POverheadGrowsWithHosts) {
     OneToManyConfig config;
     config.num_hosts = hosts;
     config.comm = CommPolicy::kPointToPoint;
-    const auto r = run_one_to_many(g, config);
-    EXPECT_GE(r.overhead_per_node, prev) << hosts << " hosts";
-    prev = r.overhead_per_node;
+    const auto r = decompose_one_to_many(g, config);
+    EXPECT_GE(extras_of(r).overhead_per_node, prev) << hosts << " hosts";
+    prev = extras_of(r).overhead_per_node;
   }
 }
 
@@ -147,7 +163,8 @@ TEST(OneToManyOverhead, PerHostCountsSumToTotal) {
   const Graph g = gen::barabasi_albert(150, 3, 17);
   OneToManyConfig config;
   config.num_hosts = 8;
-  const auto r = run_one_to_many(g, config);
+  const auto report = decompose_one_to_many(g, config);
+  const auto& r = extras_of(report);
   std::uint64_t sum = 0;
   for (const auto v : r.estimates_shipped_by_host) sum += v;
   EXPECT_EQ(sum, r.estimates_shipped_total);
@@ -166,11 +183,12 @@ TEST(OneToManyObserver, SnapshotsAreSafeAndMonotone) {
   OneToManyConfig config;
   config.num_hosts = 8;
   std::vector<NodeId> previous(g.num_nodes(), kEstimateInfinity);
-  const auto result = run_one_to_many(
-      g, config, [&](std::uint64_t round, std::span<const NodeId> est) {
+  const auto result =
+      decompose_one_to_many(g, config, [&](const ProgressEvent& event) {
+        const auto est = event.estimates;
         for (NodeId u = 0; u < g.num_nodes(); ++u) {
-          ASSERT_GE(est[u], truth[u]) << "round " << round;
-          ASSERT_LE(est[u], previous[u]) << "round " << round;
+          ASSERT_GE(est[u], truth[u]) << "round " << event.round;
+          ASSERT_LE(est[u], previous[u]) << "round " << event.round;
           previous[u] = est[u];
         }
       });
@@ -179,12 +197,11 @@ TEST(OneToManyObserver, SnapshotsAreSafeAndMonotone) {
 
 TEST(OneToManyHostState, OwnedNodesPartitionTheGraph) {
   const Graph g = gen::erdos_renyi_gnm(100, 250, 21);
-  const auto owner = assign_nodes(g.num_nodes(), 4,
-                                  AssignmentPolicy::kModulo);
-  std::vector<OneToManyHost> hosts;
-  for (sim::HostId h = 0; h < 4; ++h) {
-    hosts.emplace_back(&g, &owner, h, CommPolicy::kBroadcast);
-  }
+  OneToManyConfig config;
+  config.num_hosts = 4;
+  config.comm = CommPolicy::kBroadcast;
+  const auto hosts = make_one_to_many_hosts(g, config);
+  ASSERT_EQ(hosts.size(), 4U);
   std::vector<int> seen(g.num_nodes(), 0);
   for (const auto& h : hosts) {
     for (const auto u : h.owned_nodes()) ++seen[u];
@@ -199,11 +216,12 @@ TEST(OneToManyDeterminism, SameSeedSameResult) {
   OneToManyConfig config;
   config.num_hosts = 8;
   config.seed = 5;
-  const auto a = run_one_to_many(g, config);
-  const auto b = run_one_to_many(g, config);
+  const auto a = decompose_one_to_many(g, config);
+  const auto b = decompose_one_to_many(g, config);
   EXPECT_EQ(a.coreness, b.coreness);
   EXPECT_EQ(a.traffic.total_messages, b.traffic.total_messages);
-  EXPECT_EQ(a.estimates_shipped_total, b.estimates_shipped_total);
+  EXPECT_EQ(extras_of(a).estimates_shipped_total,
+            extras_of(b).estimates_shipped_total);
 }
 
 TEST(OneToManyRounds, ComparableToOneToOne) {
@@ -214,11 +232,11 @@ TEST(OneToManyRounds, ComparableToOneToOne) {
   OneToOneConfig one_config;
   one_config.mode = sim::DeliveryMode::kSynchronous;
   one_config.targeted_send = false;
-  const auto one = run_one_to_one(g, one_config);
+  const auto one = api::decompose(g, api::kProtocolOneToOne, one_config);
   OneToManyConfig many_config;
   many_config.num_hosts = 16;
   many_config.mode = sim::DeliveryMode::kSynchronous;
-  const auto many = run_one_to_many(g, many_config);
+  const auto many = decompose_one_to_many(g, many_config);
   EXPECT_LE(many.traffic.execution_time, one.traffic.execution_time);
 }
 

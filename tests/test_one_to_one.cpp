@@ -1,9 +1,13 @@
-#include "core/one_to_one.h"
-
+// The one-to-one protocol (§3.1) through the facade route users get:
+// api::decompose(g, "one-to-one", ...), protocol fields read from the
+// report's OneToOneExtras.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <variant>
 
+#include "api/api.h"
+#include "core/one_to_one.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "seq/kcore_seq.h"
@@ -14,6 +18,16 @@ namespace {
 namespace gen = kcore::graph::gen;
 using graph::Graph;
 using graph::NodeId;
+
+api::DecomposeReport decompose_one_to_one(
+    const Graph& g, const OneToOneConfig& config,
+    const ProgressObserver& observer = {}) {
+  return api::decompose(g, api::kProtocolOneToOne, config, observer);
+}
+
+const api::OneToOneExtras& extras_of(const api::DecomposeReport& report) {
+  return std::get<api::OneToOneExtras>(report.extras);
+}
 
 Graph paper_figure2_graph() {
   graph::GraphBuilder b(6);
@@ -44,7 +58,7 @@ class OneToOneCorrectness : public ::testing::TestWithParam<ProtocolCase> {
     config.mode = GetParam().mode;
     config.targeted_send = GetParam().targeted_send;
     config.seed = seed;
-    const auto result = run_one_to_one(g, config);
+    const auto result = decompose_one_to_one(g, config);
     ASSERT_TRUE(result.traffic.converged);
     EXPECT_EQ(result.coreness, seq::coreness_bz(g));
   }
@@ -117,9 +131,9 @@ TEST(OneToOneTrace, PaperWalkthroughRounds) {
   config.mode = sim::DeliveryMode::kSynchronous;
   config.targeted_send = false;
   std::vector<std::vector<NodeId>> trace;
-  const auto result = run_one_to_one(
-      g, config, [&](std::uint64_t, std::span<const NodeId> est) {
-        trace.emplace_back(est.begin(), est.end());
+  const auto result =
+      decompose_one_to_one(g, config, [&](const ProgressEvent& event) {
+        trace.emplace_back(event.estimates.begin(), event.estimates.end());
       });
   ASSERT_TRUE(result.traffic.converged);
   // Round 1: everyone still holds its degree.
@@ -146,15 +160,16 @@ TEST(OneToOneInvariants, EstimatesAreSafeAndMonotone) {
     OneToOneConfig config;
     config.seed = seed;
     std::vector<NodeId> previous(g.num_nodes(), kEstimateInfinity);
-    const auto result = run_one_to_one(
-        g, config, [&](std::uint64_t round, std::span<const NodeId> est) {
+    const auto result =
+        decompose_one_to_one(g, config, [&](const ProgressEvent& event) {
+          const auto est = event.estimates;
           for (NodeId u = 0; u < g.num_nodes(); ++u) {
             // Theorem 2: estimate never below true coreness.
             ASSERT_GE(est[u], truth[u])
-                << "round " << round << " node " << u;
+                << "round " << event.round << " node " << u;
             // By construction: estimates never increase.
             ASSERT_LE(est[u], previous[u])
-                << "round " << round << " node " << u;
+                << "round " << event.round << " node " << u;
             previous[u] = est[u];
           }
         });
@@ -171,7 +186,7 @@ TEST(OneToOneTraffic, FirstRoundBroadcastsDegreeToAll) {
   OneToOneConfig config;
   config.mode = sim::DeliveryMode::kSynchronous;
   config.targeted_send = false;
-  const auto result = run_one_to_one(g, config);
+  const auto result = decompose_one_to_one(g, config);
   // A clique is immediately stable: the only traffic is the initial
   // broadcast (each node to its 7 neighbors), counted as 1 round.
   EXPECT_EQ(result.traffic.execution_time, 1U);
@@ -187,13 +202,13 @@ TEST(OneToOneTraffic, TargetedSendReducesMessages) {
     OneToOneConfig config;
     config.mode = sim::DeliveryMode::kSynchronous;
     config.targeted_send = false;
-    plain = run_one_to_one(g, config).traffic.total_messages;
+    plain = decompose_one_to_one(g, config).traffic.total_messages;
   }
   {
     OneToOneConfig config;
     config.mode = sim::DeliveryMode::kSynchronous;
     config.targeted_send = true;
-    optimized = run_one_to_one(g, config).traffic.total_messages;
+    optimized = decompose_one_to_one(g, config).traffic.total_messages;
   }
   EXPECT_LT(optimized, plain);
   EXPECT_LT(static_cast<double>(optimized), 0.8 * static_cast<double>(plain));
@@ -202,7 +217,7 @@ TEST(OneToOneTraffic, TargetedSendReducesMessages) {
 TEST(OneToOneTraffic, PerNodeCountsSumToTotal) {
   const Graph g = gen::erdos_renyi_gnm(100, 250, 3);
   OneToOneConfig config;
-  const auto result = run_one_to_one(g, config);
+  const auto result = decompose_one_to_one(g, config);
   std::uint64_t sum = 0;
   for (const auto s : result.traffic.sent_by_host) sum += s;
   EXPECT_EQ(sum, result.traffic.total_messages);
@@ -217,7 +232,7 @@ TEST(OneToOneTraffic, CycleModeVariesAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     OneToOneConfig config;
     config.seed = seed;
-    const auto t = run_one_to_one(g, config).traffic.execution_time;
+    const auto t = decompose_one_to_one(g, config).traffic.execution_time;
     min_t = std::min(min_t, t);
     max_t = std::max(max_t, t);
   }
@@ -228,8 +243,8 @@ TEST(OneToOneTraffic, DeterministicForSeed) {
   const Graph g = gen::barabasi_albert(200, 3, 5);
   OneToOneConfig config;
   config.seed = 77;
-  const auto a = run_one_to_one(g, config);
-  const auto b = run_one_to_one(g, config);
+  const auto a = decompose_one_to_one(g, config);
+  const auto b = decompose_one_to_one(g, config);
   EXPECT_EQ(a.coreness, b.coreness);
   EXPECT_EQ(a.traffic.execution_time, b.traffic.execution_time);
   EXPECT_EQ(a.traffic.total_messages, b.traffic.total_messages);
@@ -238,9 +253,11 @@ TEST(OneToOneTraffic, DeterministicForSeed) {
 TEST(OneToOneTraffic, LastSendRoundsAreConsistent) {
   const Graph g = gen::erdos_renyi_gnm(150, 400, 8);
   OneToOneConfig config;
-  const auto result = run_one_to_one(g, config);
+  const auto result = decompose_one_to_one(g, config);
   std::uint64_t max_last = 0;
-  for (const auto r : result.last_send_round) max_last = std::max(max_last, r);
+  for (const auto r : extras_of(result).last_send_round) {
+    max_last = std::max(max_last, r);
+  }
   EXPECT_EQ(max_last, result.traffic.execution_time);
 }
 
@@ -253,7 +270,7 @@ TEST(OneToOneCap, UnconvergedRunStillSafe) {
   const auto truth = seq::coreness_bz(g);
   OneToOneConfig config;
   config.max_rounds = 3;
-  const auto result = run_one_to_one(g, config);
+  const auto result = decompose_one_to_one(g, config);
   EXPECT_FALSE(result.traffic.converged);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_GE(result.coreness[u], truth[u]);

@@ -11,7 +11,6 @@
 #include "api/api.h"
 #include "eval/datasets.h"
 #include "graph/generators.h"
-#include "par/runtime.h"
 #include "seq/kcore_seq.h"
 
 namespace kcore {
@@ -112,20 +111,6 @@ TEST(ParParity, BspParSuperstepsAreThreadCountInvariant) {
 }
 
 // --- degenerate graphs ------------------------------------------------------
-
-TEST(ParEdgeCases, EmptyGraphDirectCall) {
-  // The facade rejects empty graphs; the runners themselves must not.
-  const graph::Graph g;
-  core::RunOptions options;
-  options.threads = 4;
-  const auto o2m = par::run_one_to_many_par(g, options);
-  EXPECT_TRUE(o2m.traffic.converged);
-  EXPECT_TRUE(o2m.coreness.empty());
-  EXPECT_EQ(o2m.traffic.total_messages, 0u);
-  const auto bsp = par::run_bsp_par(g, options);
-  EXPECT_TRUE(bsp.stats.converged);
-  EXPECT_TRUE(bsp.coreness.empty());
-}
 
 TEST(ParEdgeCases, SingleNode) {
   const graph::Graph g = graph::Graph::from_edges(1, {});

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/assignment.h"
 #include "core/one_to_many.h"
 #include "graph/generators.h"
 #include "par/engine.h"
@@ -102,16 +101,15 @@ TEST(Mailbox, WriteSideBecomesNextRoundsReadSide) {
 
 // --- par::Engine vs sim::Engine ---------------------------------------------
 
-/// Build the one-to-many hosts for `g` exactly as the runners do.
-std::vector<core::OneToManyHost> make_hosts(
-    const graph::Graph& g, const std::vector<sim::HostId>& owner,
-    sim::HostId num_hosts, core::CommPolicy policy) {
-  std::vector<core::OneToManyHost> hosts;
-  hosts.reserve(num_hosts);
-  for (sim::HostId h = 0; h < num_hosts; ++h) {
-    hosts.emplace_back(&g, &owner, h, policy);
-  }
-  return hosts;
+/// The one-to-many hosts for `g` under modulo assignment, built by the
+/// runners' own build step.
+std::vector<core::OneToManyHost> make_hosts(const graph::Graph& g,
+                                            sim::HostId num_hosts,
+                                            core::CommPolicy policy) {
+  core::RunOptions options;
+  options.num_hosts = num_hosts;
+  options.comm = policy;
+  return core::make_one_to_many_hosts(g, options);
 }
 
 TEST(ParEngine, TrafficBitIdenticalToSynchronousSimulator) {
@@ -120,21 +118,19 @@ TEST(ParEngine, TrafficBitIdenticalToSynchronousSimulator) {
   // the "same model, now on real cores" guarantee of par/engine.h.
   const graph::Graph g = graph::gen::barabasi_albert(1200, 3, 17);
   constexpr sim::HostId kHosts = 12;
-  const auto owner = core::assign_nodes(g.num_nodes(), kHosts,
-                                        core::AssignmentPolicy::kModulo);
   for (const auto policy :
        {core::CommPolicy::kPointToPoint, core::CommPolicy::kBroadcast}) {
     sim::EngineConfig sim_config;
     sim_config.mode = sim::DeliveryMode::kSynchronous;
     sim::Engine<core::OneToManyHost> reference(
-        make_hosts(g, owner, kHosts, policy), sim_config);
+        make_hosts(g, kHosts, policy), sim_config);
     const auto expected = reference.run();
 
     for (const unsigned threads : {1u, 3u}) {
       par::EngineConfig par_config;
       par_config.threads = threads;
       par::Engine<core::OneToManyHost> engine(
-          make_hosts(g, owner, kHosts, policy), par_config);
+          make_hosts(g, kHosts, policy), par_config);
       const auto actual = engine.run();
 
       EXPECT_EQ(actual.total_messages, expected.total_messages);
@@ -154,13 +150,11 @@ TEST(ParEngine, TrafficBitIdenticalToSynchronousSimulator) {
 
 TEST(ParEngine, RespectsRoundCap) {
   const graph::Graph g = graph::gen::montresor_worst_case(256);
-  const auto owner = core::assign_nodes(g.num_nodes(), 8,
-                                        core::AssignmentPolicy::kModulo);
   par::EngineConfig config;
   config.threads = 2;
   config.max_rounds = 3;  // far too few for the worst-case family
   par::Engine<core::OneToManyHost> engine(
-      make_hosts(g, owner, 8, core::CommPolicy::kPointToPoint), config);
+      make_hosts(g, 8, core::CommPolicy::kPointToPoint), config);
   const auto stats = engine.run();
   EXPECT_FALSE(stats.converged);
   EXPECT_EQ(stats.rounds_executed, 3u);
@@ -168,12 +162,10 @@ TEST(ParEngine, RespectsRoundCap) {
 
 TEST(ParEngine, ClampsWorkersToHostCount) {
   const graph::Graph g = graph::gen::cycle(6);
-  const auto owner = core::assign_nodes(g.num_nodes(), 2,
-                                        core::AssignmentPolicy::kModulo);
   par::EngineConfig config;
   config.threads = 16;
   par::Engine<core::OneToManyHost> engine(
-      make_hosts(g, owner, 2, core::CommPolicy::kPointToPoint), config);
+      make_hosts(g, 2, core::CommPolicy::kPointToPoint), config);
   EXPECT_EQ(engine.threads_used(), 2u);
   EXPECT_TRUE(engine.run().converged);
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
+#include "api/api.h"
 #include "core/one_to_one.h"
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
@@ -12,6 +15,12 @@ namespace {
 namespace gen = kcore::graph::gen;
 using graph::Graph;
 using graph::NodeId;
+
+/// Per-node active<->quiet flips of a one-to-one run.
+std::vector<std::uint64_t> activity_transitions(
+    const api::DecomposeReport& run) {
+  return std::get<api::OneToOneExtras>(run.extras).activity_transitions;
+}
 
 TEST(ApproximateCoreness, ErrorIsMonotoneInRounds) {
   const Graph g = gen::grid(30, 30);
@@ -54,10 +63,10 @@ TEST(ApproximateCoreness, RejectsZeroRounds) {
 TEST(CentralizedDetector, DetectsRightAfterLastTraffic) {
   const Graph g = gen::erdos_renyi_gnm(150, 400, 9);
   OneToOneConfig config;
-  const auto run = run_one_to_one(g, config);
+  const auto run = api::decompose(g, api::kProtocolOneToOne, config);
   ASSERT_TRUE(run.traffic.converged);
   const auto detection = centralized_termination(
-      run.traffic.execution_time, run.activity_transitions);
+      run.traffic.execution_time, activity_transitions(run));
   EXPECT_EQ(detection.detection_round, run.traffic.execution_time + 1);
   // Every node that ever sent generated at least 2 transitions
   // (quiet -> active -> quiet), and none more than 2 per active burst.
@@ -71,10 +80,11 @@ TEST(CentralizedDetector, TransitionsAreEven) {
   // must be even (each active burst opens and closes).
   const Graph g = gen::barabasi_albert(100, 2, 11);
   OneToOneConfig config;
-  const auto run = run_one_to_one(g, config);
+  const auto run = api::decompose(g, api::kProtocolOneToOne, config);
   ASSERT_TRUE(run.traffic.converged);
+  const auto transitions = activity_transitions(run);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(run.activity_transitions[u] % 2, 0U) << "node " << u;
+    EXPECT_EQ(transitions[u] % 2, 0U) << "node " << u;
   }
 }
 
@@ -82,9 +92,10 @@ TEST(CentralizedDetector, QuietNodesCostNothing) {
   // Isolated nodes never send and never flip status.
   const Graph g = Graph::from_edges(5, std::vector<graph::Edge>{{0, 1}});
   OneToOneConfig config;
-  const auto run = run_one_to_one(g, config);
+  const auto run = api::decompose(g, api::kProtocolOneToOne, config);
+  const auto transitions = activity_transitions(run);
   for (NodeId u = 2; u < 5; ++u) {
-    EXPECT_EQ(run.activity_transitions[u], 0U);
+    EXPECT_EQ(transitions[u], 0U);
   }
 }
 

@@ -12,7 +12,7 @@
 //    inside it (otherwise the core would not be maximal).
 #include <gtest/gtest.h>
 
-#include "core/one_to_one.h"
+#include "api/api.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "seq/kcore_seq.h"
@@ -42,12 +42,13 @@ TEST_P(TheoremTrace, MinimalDegreeNodesCorrectFromRoundOne) {
   const auto truth = seq::coreness_bz(g);
   const auto min_degree = graph::degree_summary(g).min;
   bool checked_round_one = false;
-  OneToOneConfig config;
+  RunOptions config;
   config.mode = sim::DeliveryMode::kSynchronous;
   config.targeted_send = false;
-  const auto result = run_one_to_one(
-      g, config, [&](std::uint64_t round, std::span<const NodeId> est) {
-        if (round != 1) return;
+  const auto result = api::decompose(
+      g, api::kProtocolOneToOne, config, [&](const ProgressEvent& event) {
+        if (event.round != 1) return;
+        const auto est = event.estimates;
         checked_round_one = true;
         for (NodeId u = 0; u < g.num_nodes(); ++u) {
           if (g.degree(u) == min_degree) {
@@ -64,17 +65,17 @@ TEST_P(TheoremTrace, CorrectSetOnlyGrows) {
   const Graph g = GetParam().make(11);
   const auto truth = seq::coreness_bz(g);
   std::vector<bool> was_correct(g.num_nodes(), false);
-  OneToOneConfig config;
+  RunOptions config;
   config.seed = 5;
-  const auto result = run_one_to_one(
-      g, config, [&](std::uint64_t round, std::span<const NodeId> est) {
+  const auto result = api::decompose(
+      g, api::kProtocolOneToOne, config, [&](const ProgressEvent& event) {
         for (NodeId u = 0; u < g.num_nodes(); ++u) {
-          const bool correct = est[u] == truth[u];
+          const bool correct = event.estimates[u] == truth[u];
           // Observation (iii): A(r) ⊆ A(r+1).
           if (was_correct[u]) {
             ASSERT_TRUE(correct)
                 << GetParam().name << " node " << u << " regressed at round "
-                << round;
+                << event.round;
           }
           was_correct[u] = correct;
         }
@@ -97,11 +98,12 @@ TEST(WorstCaseSchedule, AtMostOneChangePerRoundExceptFinale) {
   const Graph g = gen::montresor_worst_case(n);
   std::vector<NodeId> previous;
   std::vector<std::size_t> changes_per_round;
-  OneToOneConfig config;
+  RunOptions config;
   config.mode = sim::DeliveryMode::kSynchronous;
   config.targeted_send = false;
-  const auto result = run_one_to_one(
-      g, config, [&](std::uint64_t, std::span<const NodeId> est) {
+  const auto result = api::decompose(
+      g, api::kProtocolOneToOne, config, [&](const ProgressEvent& event) {
+        const auto est = event.estimates;
         if (!previous.empty()) {
           std::size_t changed = 0;
           for (NodeId u = 0; u < n; ++u) {
