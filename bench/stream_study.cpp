@@ -91,9 +91,9 @@ struct Record {
   std::uint64_t incremental_relaxations = 0;
   std::uint64_t full_relaxations = 0;
   double relaxation_ratio = 0.0;  // full / incremental (higher = better)
-  double seeded_mean = 0.0;       // candidate region incl. endpoints
+  double seeded_mean = 0.0;       // rising sets incl. endpoints
   std::uint64_t seeded_max = 0;
-  double raised_mean = 0.0;  // K-subcore nodes raised by insertions
+  double raised_mean = 0.0;  // rising-set nodes raised by insertions
   std::uint64_t raised_max = 0;
   double incremental_ms = 0.0;
   double full_ms = 0.0;

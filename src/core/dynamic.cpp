@@ -14,7 +14,6 @@ using graph::NodeId;
 
 DynamicKCore::DynamicKCore(const graph::Graph& initial)
     : graph_(initial), estimate_(initial.num_nodes()) {
-  region_.in_region.assign(initial.num_nodes(), 0);
   for (NodeId u = 0; u < initial.num_nodes(); ++u) {
     estimate_[u] = initial.degree(u);
   }
@@ -23,12 +22,14 @@ DynamicKCore::DynamicKCore(const graph::Graph& initial)
   std::vector<NodeId> all(initial.num_nodes());
   for (NodeId u = 0; u < initial.num_nodes(); ++u) all[u] = u;
   reconverge(std::move(all), 0);
+  order_.build();
 }
 
 NodeId DynamicKCore::add_node() {
   estimate_.push_back(0);
-  region_.in_region.push_back(0);
-  return graph_.add_node();
+  const NodeId u = graph_.add_node();
+  order_.add_node();
+  return u;
 }
 
 MaintenanceStats DynamicKCore::add_edge(NodeId u, NodeId v) {
@@ -52,9 +53,9 @@ MaintenanceStats DynamicKCore::apply_batch(
   if (net.inserts.empty() && net.removes.empty()) return {};
 
   // Distributed cost accounting: the endpoints exchange the edge event
-  // (2 messages); the candidate traversal visits each region node once
-  // (probe + its reply per incident edge, ~2·degree); each raised node
-  // re-broadcasts its raised estimate (degree messages).
+  // (2 messages); each rising node is probed and replies once per
+  // incident edge (~2·degree) and re-broadcasts its raised estimate
+  // (degree messages).
   std::vector<NodeId> frontier;
   std::uint64_t extra_messages = 0;
   // Insertions first, one raise at a time: each raise runs against exact
@@ -62,19 +63,16 @@ MaintenanceStats DynamicKCore::apply_batch(
   // stays exact through the whole insertion pass.
   for (const auto& [u, v] : net.inserts) {
     graph_.apply({graph::EdgeOp::kInsert, u, v});
-    const NodeId K = std::min(estimate_[u], estimate_[v]);
-    const auto& region = subcore_region(
-        u, v, K, [this](NodeId w) { return estimate_[w]; },
-        [this](NodeId w) { return graph_.neighbors(w); }, region_);
+    const auto& rising = order_.insert(u, v);
     extra_messages += 2;
-    // Raise candidates to the provable upper bound min(K+1, degree); this
-    // restores Theorem 2 safety, after which plain downward convergence
-    // recomputes the exact values.
-    for (const NodeId w : region) {
-      estimate_[w] = std::min<NodeId>(K + 1, graph_.degree(w));
+    // Raise the rising set to its new coreness K+1; the table stays a
+    // safe upper bound (exact, until the deletions below), so plain
+    // downward convergence keeps the exact values.
+    for (const NodeId w : rising) {
+      estimate_[w] = order_.level(w);
       extra_messages += 3 * graph_.degree(w);
     }
-    frontier.insert(frontier.end(), region.begin(), region.end());
+    frontier.insert(frontier.end(), rising.begin(), rising.end());
     // Endpoints always re-examine (their degree changed even if their
     // estimates did not).
     frontier.push_back(u);
@@ -86,6 +84,7 @@ MaintenanceStats DynamicKCore::apply_batch(
   // drop with one message each.
   for (const auto& [u, v] : net.removes) {
     graph_.apply({graph::EdgeOp::kRemove, u, v});
+    order_.note_remove(u, v);
     extra_messages += 2;
     frontier.push_back(u);
     frontier.push_back(v);
@@ -109,8 +108,7 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
   // as Algorithm 1, with a broadcast costing degree() point-to-point
   // messages. `estimate_` doubles as the published value because in the
   // synchronous schedule every change is published in the same round.
-  std::vector<NodeId> gather;
-  std::vector<NodeId> scratch;
+  IndexScratch index;
   std::vector<bool> queued(graph_.num_nodes(), false);
   std::vector<NodeId> next;
   for (const NodeId u : frontier) queued[u] = true;
@@ -125,9 +123,10 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
       queued[w] = false;
       const NodeId current = estimate_[w];
       if (current == 0) continue;
-      gather.clear();
-      for (const NodeId x : graph_.neighbors(w)) gather.push_back(estimate_[x]);
-      const NodeId t = compute_index(gather, current, scratch);
+      const auto neighbors = graph_.neighbors(w);
+      const NodeId t = index.compute_index_stream(
+          neighbors.size(), current,
+          [&](std::size_t i) { return estimate_[neighbors[i]]; });
       if (t < current) updates.emplace_back(w, t);
     }
     for (const auto& [w, value] : updates) {
@@ -142,6 +141,7 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
     }
     frontier.swap(next);
   }
+  order_.settle([this](NodeId x) { return estimate_[x]; });
   lifetime_.rounds += stats.rounds;
   lifetime_.messages += stats.messages;
   lifetime_.nodes_activated += stats.nodes_activated;

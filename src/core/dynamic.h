@@ -17,9 +17,12 @@
 //    with just the two endpoints re-activated — Theorems 2/3 apply
 //    verbatim and convergence is local and fast;
 //  * after an INSERTION old values may under-estimate, so safety is
-//    restored by raising the estimate of every candidate (the K-subcore
-//    region) to min(K+1, degree) before re-activating them. Everything
-//    outside the region is provably unaffected.
+//    restored by raising every node whose coreness rises to K+1 before
+//    re-activating it. The rising set comes from the maintained k-order
+//    (core::CoreOrder, core/core_order.h, shared with live::RepairEngine),
+//    which visits only the nodes of level K after the earlier endpoint
+//    that gained a candidate neighbor. Everything else is provably
+//    unaffected.
 //
 // The maintenance protocol is simulated in synchronous rounds over the
 // graph layer's mutable adjacency (graph::MutableGraph, the one the live
@@ -32,7 +35,7 @@
 #include <span>
 #include <vector>
 
-#include "core/subcore_region.h"
+#include "core/core_order.h"
 #include "graph/edge_list.h"
 #include "graph/graph.h"
 #include "graph/mutable_graph.h"
@@ -43,7 +46,7 @@ namespace kcore::core {
 struct MaintenanceStats {
   std::uint64_t rounds = 0;
   std::uint64_t messages = 0;
-  /// Nodes whose estimate was re-activated (the candidate region).
+  /// Nodes re-activated: the rising sets and the updates' endpoints.
   std::uint64_t nodes_activated = 0;
 };
 
@@ -54,8 +57,12 @@ struct MaintenanceStats {
 /// tests/test_dynamic.cpp against the sequential baseline.
 class DynamicKCore {
  public:
-  /// Start from an initial graph; runs the protocol to convergence.
+  /// Start from an initial graph; runs the protocol to convergence, then
+  /// builds the k-order.
   explicit DynamicKCore(const graph::Graph& initial);
+  // The k-order holds a reference to graph_.
+  DynamicKCore(const DynamicKCore&) = delete;
+  DynamicKCore& operator=(const DynamicKCore&) = delete;
 
   /// Insert edge {u,v} (no-op if present; self-loops rejected): a
   /// one-update apply_batch, so it charges the same messages and rounds.
@@ -71,13 +78,12 @@ class DynamicKCore {
   /// node id throws util::CheckError before anything is applied.
   ///
   /// Soundness of the single reconvergence: net insertions are applied
-  /// one at a time, each raising its K-subcore candidate region to
-  /// min(K+1, degree). Because a raise computed from EXACT estimates is
-  /// itself exact (the peeled region is precisely the rising set), the
-  /// estimates remain exact after every insertion step by induction. Net
-  /// deletions then only lower coreness, so the table is a safe upper
-  /// bound and one downward reconvergence from all touched nodes restores
-  /// exactness (Theorem 2).
+  /// one at a time, each raising its rising set (CoreOrder::insert) to
+  /// K+1. The k-order is exact while the estimates are, so the estimates
+  /// remain exact after every insertion step by induction. Net deletions
+  /// then only lower coreness, so the table is a safe upper bound and one
+  /// downward reconvergence from all touched nodes restores exactness
+  /// (Theorem 2); the k-order then settles the nodes that dropped.
   MaintenanceStats apply_batch(std::span<const graph::EdgeUpdate> updates);
 
   /// Append a fresh isolated node; returns its id.
@@ -101,16 +107,17 @@ class DynamicKCore {
 
  private:
   /// Synchronous reconvergence from the current (safe) estimates with the
-  /// given initially-active frontier. `extra_messages` (the update events
-  /// and raises that led here) is charged on top of the rounds'
-  /// broadcasts; the total is added to lifetime_stats().
+  /// given initially-active frontier, then CoreOrder::settle.
+  /// `extra_messages` (the update events and raises that led here) is
+  /// charged on top of the rounds' broadcasts; the total is added to
+  /// lifetime_stats().
   MaintenanceStats reconverge(std::vector<graph::NodeId> frontier,
                               std::uint64_t extra_messages);
 
   graph::MutableGraph graph_;
   std::vector<graph::NodeId> estimate_;  // == coreness between updates
   MaintenanceStats lifetime_;
-  RegionScratch region_;
+  CoreOrder order_{graph_};
 };
 
 }  // namespace kcore::core

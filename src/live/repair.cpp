@@ -1,7 +1,5 @@
 #include "live/repair.h"
 
-#include <algorithm>
-
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/check.h"
@@ -27,7 +25,6 @@ RepairEngine::RepairEngine(const LiveGraph& graph,
     tables_.est[u].store(graph.degree(u), std::memory_order_relaxed);
   }
   in_pending_.assign(n, 0);
-  region_.in_region.assign(n, 0);
 }
 
 void RepairEngine::mark_pending(NodeId u) {
@@ -42,10 +39,17 @@ RepairStats RepairEngine::initialize() {
     tables_.est[u].store(graph_.degree(u), std::memory_order_relaxed);
     mark_pending(u);
   }
-  return repair();
+  RepairStats stats = repair();
+  order_.build();
+  const std::optional<NodeId> bad = first_mismatch();
+  KCORE_CHECK_MSG(!bad, "converged estimate of node "
+                            << *bad << " is not its coreness "
+                            << order_.level(*bad));
+  return stats;
 }
 
-void RepairEngine::warm_start(const std::vector<NodeId>& coreness) {
+std::optional<NodeId> RepairEngine::warm_start(
+    const std::vector<NodeId>& coreness) {
   KCORE_CHECK_MSG(coreness.size() == tables_.est.size(),
                   "warm_start table size " << coreness.size()
                                            << " != node count "
@@ -54,28 +58,34 @@ void RepairEngine::warm_start(const std::vector<NodeId>& coreness) {
   for (NodeId u = 0; u < n; ++u) {
     tables_.est[u].store(coreness[u], std::memory_order_relaxed);
   }
+  order_.build();
+  return first_mismatch();
+}
+
+std::optional<NodeId> RepairEngine::first_mismatch() const {
+  const NodeId n = graph_.num_nodes();
+  for (NodeId u = 0; u < n; ++u) {
+    if (estimate(u) != order_.level(u)) return u;
+  }
+  return std::nullopt;
 }
 
 void RepairEngine::note_insert(NodeId u, NodeId v) {
-  const NodeId K = std::min(tables_.est[u].load(std::memory_order_relaxed),
-                            tables_.est[v].load(std::memory_order_relaxed));
-  const auto& region = core::subcore_region(
-      u, v, K,
-      [this](NodeId w) { return tables_.est[w].load(std::memory_order_relaxed); },
-      [this](NodeId w) { return graph_.neighbors(w); }, region_);
-  for (const NodeId w : region) {
-    // The provable post-insertion upper bound; restores Theorem 2 safety
-    // so the downward relaxation below is exact again.
-    tables_.est[w].store(std::min<NodeId>(K + 1, graph_.degree(w)),
-                  std::memory_order_relaxed);
+  const auto& rising = order_.insert(u, v);
+  for (const NodeId w : rising) {
+    // The new coreness K+1; restores Theorem 2 safety so the downward
+    // relaxation below is exact again.
+    tables_.est[w].store(order_.level(w), std::memory_order_relaxed);
     mark_pending(w);
   }
-  raised_pending_ += region.size();
+  raised_pending_ += rising.size();
+  visited_pending_ += order_.visited();
   mark_pending(u);
   mark_pending(v);
 }
 
 void RepairEngine::note_remove(NodeId u, NodeId v) {
+  order_.note_remove(u, v);
   mark_pending(u);
   mark_pending(v);
 }
@@ -98,8 +108,10 @@ RepairStats RepairEngine::repair() {
   }
   stats.seeded = pending_.size();
   stats.raised = raised_pending_;
+  stats.region_visited = visited_pending_;
   pending_.clear();
   raised_pending_ = 0;
+  visited_pending_ = 0;
 
   const par::AsyncStats run =
       par::relax(graph_, tables_, options_.targeted_send, nullptr);
@@ -108,6 +120,7 @@ RepairStats RepairEngine::repair() {
   stats.pop_scans = run.pop_scans;
   stats.detector_passes = run.detector_passes;
   stats.skipped_recomputes = run.skipped_recomputes;
+  order_.settle([this](NodeId x) { return estimate(x); });
   stats.repair_ms = util::ms_between(start, Clock::now());
   return stats;
 }

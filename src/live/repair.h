@@ -6,33 +6,38 @@
 // fixed point by chaotic relaxation seeded ONLY with the perturbed
 // region — not the whole graph. The relaxation is par::relax
 // (par/relax.h), the same kernel the bsp-async engine runs, started from
-// a warm table instead of the degrees; the insertion region is
-// core::subcore_region (core/subcore_region.h), shared with
-// core::DynamicKCore.
+// a warm table instead of the degrees. Next to the table the engine
+// keeps a k-order, core::CoreOrder (core/core_order.h, shared with
+// core::DynamicKCore), which finds each insertion's rising set.
 //
 // Why warm-starting is exact (core/dynamic.h has the full argument):
 //  * a DELETION only lowers coreness, so the converged table is still a
 //    safe upper bound — re-activating the two endpoints and relaxing
-//    downward restores exactness (Theorem 2 applies verbatim);
-//  * an INSERTION may under-estimate, so before seeding, the K-subcore
-//    candidate region around the endpoints (K = min(est(u), est(v))) is
-//    raised to min(K+1, degree) — the provable upper bound — after which
-//    downward relaxation is again exact. Raises are computed one edge at
-//    a time against exact estimates, which keeps them exact in turn.
+//    downward restores exactness (Theorem 2 applies verbatim); the
+//    k-order then moves the nodes that dropped (CoreOrder::settle);
+//  * an INSERTION may under-estimate, so before seeding, the rising set
+//    V* (the nodes whose coreness goes from K = min(est(u), est(v)) to
+//    K+1) is raised to K+1, after which downward relaxation is again
+//    exact. The k-order finds V* visiting only the nodes of level K
+//    after the earlier endpoint that gained a candidate neighbor, not the
+//    whole K-subcore. Raises are computed one edge at a time against
+//    exact estimates, which keeps them exact in turn.
 //
-// Thread contract: initialize(), note_insert(), note_remove() and
-// repair() are called by ONE writer thread; repair() spawns and joins
-// the worker pool internally, so the estimate table is never mutated
-// concurrently with the notes. Readers of the published coreness never
-// touch this class (live::Service hands them immutable snapshots).
+// Thread contract: initialize(), warm_start(), note_insert(),
+// note_remove() and repair() are called by ONE writer thread; repair()
+// spawns and joins the worker pool internally, so the estimate table is
+// never mutated concurrently with the notes, and the k-order is only
+// touched by the writer. Readers of the published coreness never touch
+// this class (live::Service hands them immutable snapshots).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/run_options.h"
-#include "core/subcore_region.h"
+#include "core/core_order.h"
 #include "graph/graph.h"
 #include "live/live_graph.h"
 #include "par/async_engine.h"
@@ -47,12 +52,15 @@ struct RepairOptions {
 
 /// Cost of one repair run (or of initialize()'s full convergence).
 struct RepairStats {
-  /// Nodes seeded into the worklist (endpoints + raised candidate
-  /// regions) — the localized dirty set the run started from.
+  /// Nodes seeded into the worklist (endpoints + raised rising sets) —
+  /// the localized dirty set the run started from.
   std::uint64_t seeded = 0;
-  /// Estimates lifted by the insertion safety rule (candidate-region
-  /// size summed over the batch's insertions).
+  /// Estimates lifted by the insertion safety rule (rising-set size
+  /// summed over the batch's insertions).
   std::uint64_t raised = 0;
+  /// Nodes the insertion passes visited (CoreOrder::insert's heap pops,
+  /// summed over the batch's insertions).
+  std::uint64_t region_visited = 0;
   std::uint64_t relaxations = 0;
   std::uint64_t steals = 0;
   std::uint64_t pop_scans = 0;
@@ -65,32 +73,38 @@ class RepairEngine {
  public:
   /// The graph reference must outlive the engine; the node count is
   /// fixed at construction (live updates rewire edges, never add nodes).
+  /// Call initialize() or warm_start() before the first note.
   RepairEngine(const LiveGraph& graph, const RepairOptions& options);
 
   /// Full from-scratch convergence: estimate = degree, every node
-  /// seeded — Algorithm 1's initialization on the async runtime.
+  /// seeded — Algorithm 1's initialization on the async runtime — then
+  /// the k-order's bucket peel, which must agree with the table.
   RepairStats initialize();
 
   /// Adopt `coreness` as the already-converged table without relaxing
-  /// anything — the recovery path. The caller vouches the table is exact
-  /// for the CURRENT topology (a CRC-validated checkpoint); Theorems 1–2
-  /// make every subsequent note_*/repair() cycle exact from here, so a
-  /// restart pays zero relaxations instead of a full recompute. Size
-  /// must match the node count.
-  void warm_start(const std::vector<graph::NodeId>& coreness);
+  /// anything — the recovery path; Theorems 1–2 make every subsequent
+  /// note_*/repair() cycle exact from here, so a restart pays zero
+  /// relaxations instead of a full recompute. The k-order's O(n + m)
+  /// bucket peel checks the table: returns the first node whose entry
+  /// is not its coreness in the CURRENT topology (nullopt when the table
+  /// is exact); the engine must not be used after a mismatch. Size must
+  /// match the node count.
+  std::optional<graph::NodeId> warm_start(
+      const std::vector<graph::NodeId>& coreness);
 
   /// Record an insertion of {u,v} that was ALREADY applied to the graph:
-  /// raises the K-subcore candidate region and marks it dirty. Must run
-  /// between repairs (the table is exact when it executes).
+  /// raises the rising set (CoreOrder::insert) and marks it dirty. Must
+  /// run between repairs, before any note_remove() of the same batch
+  /// (the table is exact when it executes).
   void note_insert(graph::NodeId u, graph::NodeId v);
 
   /// Record a deletion of {u,v} already applied to the graph: the table
   /// is now a safe upper bound; only the endpoints need re-activation.
   void note_remove(graph::NodeId u, graph::NodeId v);
 
-  /// Relax the pending dirty set to quiescence; returns the run's cost
-  /// and clears the pending set. A no-op (all-zero stats) when nothing
-  /// is pending.
+  /// Relax the pending dirty set to quiescence, then settle the k-order;
+  /// returns the run's cost and clears the pending set. A no-op (all-zero
+  /// stats) when nothing is pending.
   RepairStats repair();
 
   [[nodiscard]] unsigned workers() const noexcept {
@@ -108,6 +122,8 @@ class RepairEngine {
 
  private:
   void mark_pending(graph::NodeId u);
+  /// The first node whose estimate is not its level in the k-order.
+  [[nodiscard]] std::optional<graph::NodeId> first_mismatch() const;
 
   const LiveGraph& graph_;
   RepairOptions options_;
@@ -115,7 +131,8 @@ class RepairEngine {
   std::vector<graph::NodeId> pending_;   // dirty set for the next repair
   std::vector<std::uint8_t> in_pending_;
   std::uint64_t raised_pending_ = 0;
-  core::RegionScratch region_;
+  std::uint64_t visited_pending_ = 0;
+  core::CoreOrder order_{graph_};
 };
 
 }  // namespace kcore::live

@@ -1,6 +1,8 @@
 #include "live/service.h"
 
 #include <chrono>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -46,11 +48,11 @@ const DurabilityOptions& fresh_state_dir(const DurabilityOptions& durability) {
 }  // namespace
 
 Service::Service(const graph::Graph& initial, const ServiceOptions& options)
-    : Service(initial, options, DurabilityOptions{}, nullptr, 0) {}
+    : Service(initial, options, DurabilityOptions{}, nullptr) {}
 
 Service::Service(const graph::Graph& initial, const ServiceOptions& options,
                  const DurabilityOptions& durability)
-    : Service(initial, options, fresh_state_dir(durability), nullptr, 0) {
+    : Service(initial, options, fresh_state_dir(durability), nullptr) {
   // WAL first (its epoch mark pins the base), then the initial
   // checkpoint pointing at the WAL's durable end. A crash between the
   // two leaves wal.log without a checkpoint, which open() reports as
@@ -61,21 +63,28 @@ Service::Service(const graph::Graph& initial, const ServiceOptions& options,
 }
 
 Service::Service(const graph::Graph& initial, const ServiceOptions& options,
-                 const DurabilityOptions& durability,
-                 const std::vector<NodeId>* warm, std::uint64_t epoch)
+                 const DurabilityOptions& durability, const WarmStart* warm)
     : options_(options),
       durability_(durability),
       graph_(initial),
       engine_(graph_, RepairOptions{options.threads, options.sched,
                                     options.targeted_send}),
-      epoch_(epoch) {
+      epoch_(warm != nullptr ? warm->epoch : 0) {
   if (!durability.dir.empty()) storage_ = &resolve_storage(durability);
   setup_metrics();
   if (warm != nullptr) {
-    // The checkpointed table is exact for the checkpointed topology, so
-    // recovery pays ZERO up-front relaxations (vs initialize()'s full
-    // convergence) — the paper's warm-restart argument, in one call.
-    engine_.warm_start(*warm);
+    // An exact table for the checkpointed topology means recovery pays
+    // ZERO up-front relaxations (vs initialize()'s full convergence) —
+    // the paper's warm-restart argument, in one call. A CRC only proves
+    // the bytes are the ones written, so the k-order's peel checks the
+    // table before it is served.
+    if (const std::optional<NodeId> bad =
+            engine_.warm_start(warm->coreness)) {
+      throw util::IoError(
+          warm->file + ": checkpoint coreness table is not the coreness of " +
+          "its topology (first wrong entry: node " + std::to_string(*bad) +
+          ", stored " + std::to_string(warm->coreness[*bad]) + ")");
+    }
   } else {
     initial_stats_ = engine_.initialize();
     if (registry_) {
@@ -151,9 +160,10 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
     }
   }
 
+  const WarmStart warm{ckpt.coreness, loaded.file, ckpt.epoch};
   std::unique_ptr<Service> service(
       new Service(graph::Graph::from_edges(ckpt.num_nodes, ckpt.edges),
-                  options, durability, &ckpt.coreness, ckpt.epoch));
+                  options, durability, &warm));
 
   if (have_wal) {
     service->wal_.emplace(Wal::open(storage, wal_path,
@@ -204,6 +214,7 @@ void Service::setup_metrics() {
   c_relaxations_ = registry_->counter("live.relaxations");
   c_seeded_ = registry_->counter("live.seeded_nodes");
   c_raised_ = registry_->counter("live.raised_nodes");
+  c_region_visited_ = registry_->counter("live.region_visited");
   c_rejected_ = registry_->counter("live.rejected_updates");
   c_wal_batches_ = registry_->counter("live.wal_batches");
   c_wal_bytes_ = registry_->counter("live.wal_bytes");
@@ -341,6 +352,8 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
     registry_->add(c_relaxations_, kWriterSlot, result.repair.relaxations);
     registry_->add(c_seeded_, kWriterSlot, result.repair.seeded);
     registry_->add(c_raised_, kWriterSlot, result.repair.raised);
+    registry_->add(c_region_visited_, kWriterSlot,
+                   result.repair.region_visited);
     registry_->add(c_rejected_, kWriterSlot, result.rejected_updates);
     if (result.wal_bytes > 0) {
       registry_->add(c_wal_batches_, kWriterSlot, 1);

@@ -29,10 +29,12 @@
 //    atomically (temp -> fsync -> rename); the WAL is synced first so a
 //    checkpoint never references bytes the disk does not have.
 //  * RECOVERY: Service::open() loads the newest valid checkpoint,
-//    warm-starts the repair engine from its coreness table (exact by
-//    construction, zero relaxations — the paper's re-convergence
-//    theorems make this sound), truncates any torn WAL tail, and
-//    replays the remaining records through the normal apply() path.
+//    warm-starts the repair engine from its coreness table (zero
+//    relaxations — the paper's re-convergence theorems make this sound;
+//    the k-order's bucket peel checks the table, and a table that is not
+//    the coreness of its topology is refused with util::IoError naming
+//    the checkpoint file), truncates any torn WAL tail, and replays the
+//    remaining records through the normal apply() path.
 //    Replay is idempotent by epoch: duplicate records are skipped, a
 //    gap is refused with an actionable error.
 //  * A failed checkpoint write degrades gracefully: the error is
@@ -48,8 +50,9 @@
 //  * self-loops, duplicate inserts, absent removes and insert+remove
 //    churn within one batch are IGNORED (only the net effect is applied);
 //  * net insertions are applied before net deletions, each insertion
-//    raising its K-subcore candidate region (see live/repair.h), then
-//    one relaxation run re-converges the whole batch.
+//    raising its rising set, which the k-order finds (core::CoreOrder;
+//    see live/repair.h), then one relaxation run re-converges the whole
+//    batch and the k-order settles the nodes that dropped.
 //
 // Metric glossary (enabled via ServiceOptions::metrics in KCORE_OBS
 // builds; all counters are exposed through metrics() and must equal the
@@ -59,6 +62,7 @@
 //   live.relaxations           vertex recomputations across all repairs
 //   live.seeded_nodes          nodes seeded dirty (localized region size)
 //   live.raised_nodes          estimates raised by the insertion rule
+//   live.region_visited        nodes the insertion passes visited
 //   live.rejected_updates      out-of-range updates dropped
 //   live.wal_batches           batch records appended to the WAL
 //   live.wal_bytes             bytes appended to the WAL
@@ -167,7 +171,9 @@ class Service {
 
   /// Recover a durable service from durability.dir (see the durability
   /// contract above). Throws util::IoError with an actionable one-line
-  /// message when the directory holds nothing recoverable.
+  /// message when the directory holds nothing recoverable, or when the
+  /// newest valid checkpoint's coreness table is not the coreness of its
+  /// topology.
   [[nodiscard]] static std::unique_ptr<Service> open(
       const ServiceOptions& options, const DurabilityOptions& durability,
       RecoveryInfo* info = nullptr);
@@ -220,12 +226,18 @@ class Service {
   }
 
  private:
+  /// A checkpoint's coreness table to warm-start from (recovery).
+  struct WarmStart {
+    const std::vector<graph::NodeId>& coreness;
+    const std::string& file;  // named when the table is refused
+    std::uint64_t epoch;      // the epoch the table is exact for
+  };
+
   /// The one start-up body behind every constructor: metrics, then a
-  /// full convergence (warm == nullptr) or a warm start from the exact
-  /// table `*warm` (recovery), then the publish of `epoch`.
+  /// full convergence (warm == nullptr) or a warm start from the checked
+  /// table `warm->coreness` (recovery), then the publish of the epoch.
   Service(const graph::Graph& initial, const ServiceOptions& options,
-          const DurabilityOptions& durability,
-          const std::vector<graph::NodeId>* warm, std::uint64_t epoch);
+          const DurabilityOptions& durability, const WarmStart* warm);
 
   // Registry lanes: every slot is single-writer (obs::Registry::add is a
   // plain load+store). Writer thread owns 0; the (one-at-a-time,
@@ -275,6 +287,7 @@ class Service {
   obs::Counter c_relaxations_;
   obs::Counter c_seeded_;
   obs::Counter c_raised_;
+  obs::Counter c_region_visited_;
   obs::Counter c_rejected_;
   obs::Counter c_wal_batches_;
   obs::Counter c_wal_bytes_;

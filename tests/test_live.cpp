@@ -294,6 +294,7 @@ TEST(LiveService, MetricsMatchApplyResults) {
   std::uint64_t relaxations = service.initial_stats().relaxations;
   std::uint64_t seeded = service.initial_stats().seeded;
   std::uint64_t raised = 0;
+  std::uint64_t region_visited = 0;
   std::uint64_t rejected = 0;
   std::uint64_t repairs = 1;  // the initial convergence
   const int applies = 8;
@@ -304,6 +305,7 @@ TEST(LiveService, MetricsMatchApplyResults) {
     relaxations += result.repair.relaxations;
     seeded += result.repair.seeded;
     raised += result.repair.raised;
+    region_visited += result.repair.region_visited;
     rejected += result.rejected_updates;
     if (result.repair.seeded > 0) ++repairs;
   }
@@ -313,6 +315,8 @@ TEST(LiveService, MetricsMatchApplyResults) {
   EXPECT_EQ(snapshot.value("live.relaxations"), relaxations);
   EXPECT_EQ(snapshot.value("live.seeded_nodes"), seeded);
   EXPECT_EQ(snapshot.value("live.raised_nodes"), raised);
+  EXPECT_EQ(snapshot.value("live.region_visited"), region_visited);
+  EXPECT_GT(region_visited, 0U);
   EXPECT_EQ(snapshot.value("live.rejected_updates"), rejected);
   EXPECT_EQ(snapshot.value("live.repairs"), repairs);
   EXPECT_GT(rejected, 0U);

@@ -27,6 +27,7 @@
 #include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
+#include "live/checkpoint.h"
 #include "live/service.h"
 #include "live/wal.h"
 #include "live/wire.h"
@@ -481,6 +482,27 @@ TEST_F(RecoveryDegenerate, FreshDurableServiceRefusesADirtyDirectory) {
     EXPECT_NE(std::string(e.what()).find("already contains"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST_F(RecoveryDegenerate, CheckpointWithAWrongCorenessTableIsRefused) {
+  // A CRC only proves the bytes are the ones written. A table that is not
+  // the coreness of its topology (here: one entry bumped, CRC valid)
+  // would be served forever, so recovery refuses it, naming the file.
+  CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  CheckpointData bad = *loaded.data;
+  ASSERT_FALSE(bad.coreness.empty());
+  bad.coreness[bad.coreness.size() / 2] += 1;
+  const std::string path = write_checkpoint(fs_, kDir, bad, 2);
+  ASSERT_EQ(load_latest_checkpoint(fs_, kDir).file, path);
+  try {
+    (void)Service::open(fast_options(), mem_durability(fs_));
+    FAIL() << "expected util::IoError";
+  } catch (const util::IoError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("not the coreness"), std::string::npos) << what;
   }
 }
 
