@@ -92,7 +92,6 @@ DecomposeReport report_of(par::BspParResult result) {
 
 DecomposeReport report_of(par::AsyncResult result, core::SchedPolicy sched) {
   DecomposeReport report;
-  report.coreness = std::move(result.coreness);
   // No rounds to map: the async run reports re-activation notifications
   // as its traffic and always terminates at the exact fixed point.
   report.traffic.total_messages = result.stats.re_enqueues;
@@ -289,9 +288,12 @@ class PreparedBspAsync final : public PreparedProtocol {
     const auto lease = contexts_.acquire([this] {
       return std::make_unique<par::AsyncRunContext>(prepared_, num_nodes_);
     });
-    return report_of(par::run_bsp_async_prepared(*request.graph, prepared_,
-                                                 *lease, request.options),
-                     request.options.sched);
+    DecomposeReport report =
+        report_of(par::run_bsp_async_prepared(*request.graph, prepared_,
+                                              *lease, request.options),
+                  request.options.sched);
+    (*lease).copy_estimates(report.coreness);
+    return report;
   }
 
  private:

@@ -80,7 +80,21 @@ class IndexScratch {
   [[nodiscard]] NodeId compute_index_stream(std::size_t num_neighbors,
                                             NodeId k,
                                             EstimateOf&& estimate_of) {
-    if (k == 0) return 0;
+    NodeId support = 0;
+    return compute_index_stream(num_neighbors, k, estimate_of, support);
+  }
+
+  /// As above, also reporting the answer's SUPPORT: the number of
+  /// neighbors whose estimate is >= the answer (the downward walk's
+  /// running count at exit, so it costs nothing extra).
+  template <typename EstimateOf>
+  [[nodiscard]] NodeId compute_index_stream(std::size_t num_neighbors,
+                                            NodeId k, EstimateOf&& estimate_of,
+                                            NodeId& support) {
+    if (k == 0) {
+      support = static_cast<NodeId>(num_neighbors);
+      return 0;
+    }
     ensure(static_cast<std::size_t>(k) + 1);
     if (++epoch_ == 0) {
       // One amortized re-zero every 2^32 calls keeps the stamps 32-bit
@@ -103,11 +117,12 @@ class IndexScratch {
     NodeId cum = live_count(slot_[k]);
     NodeId i = k;
     while (i >= 2) {
-      if (cum >= i) return i;
+      if (cum >= i) break;
       --i;
       cum = static_cast<NodeId>(cum + live_count(slot_[i]));
     }
-    return 1;
+    support = cum;
+    return i;
   }
 
   /// Algorithm 2 over a materialized estimate span (kernel benches and
@@ -119,26 +134,37 @@ class IndexScratch {
         [neighbor_estimates](std::size_t i) { return neighbor_estimates[i]; });
   }
 
+  /// What refine() learned about one vertex.
+  struct Refined {
+    NodeId value = 0;    // the new estimate, computeIndex(k)
+    NodeId support = 0;  // neighbors whose estimate is >= value
+    bool skipped = false;  // the fast path ran, not the counting kernel
+  };
+
   /// The relaxation step both hot loops (bsp-par, bsp-async) share:
   /// skip-scan, then count. computeIndex is monotone and k never exceeds
   /// the degree (estimates start there and only decrease), so if no
   /// neighbor estimate sits below k then count_ge(k) == degree >= k and
   /// the answer is exactly k — the counting kernel is a no-op and is
-  /// skipped (`skipped` reports which path ran). The early-exit scan is
+  /// skipped (its support is then the degree). The early-exit scan is
   /// cheap in the hot case too: a woken vertex usually has the lowered
   /// neighbor near the front.
   template <typename EstimateOf>
-  [[nodiscard]] NodeId refine(std::size_t num_neighbors, NodeId k,
-                              EstimateOf&& estimate_of, bool& skipped) {
-    skipped = false;
-    if (k == 0) return 0;
+  [[nodiscard]] Refined refine(std::size_t num_neighbors, NodeId k,
+                               EstimateOf&& estimate_of) {
+    Refined r;
+    r.support = static_cast<NodeId>(num_neighbors);
+    if (k == 0) return r;
     for (std::size_t i = 0; i < num_neighbors; ++i) {
       if (estimate_of(i) < k) {
-        return compute_index_stream(num_neighbors, k, estimate_of);
+        r.value =
+            compute_index_stream(num_neighbors, k, estimate_of, r.support);
+        return r;
       }
     }
-    skipped = true;
-    return k;
+    r.value = k;
+    r.skipped = true;
+    return r;
   }
 
   /// Current slot capacity (tests/benches: verifies steady state stops

@@ -1,5 +1,7 @@
 #include "live/repair.h"
 
+#include <algorithm>
+
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/check.h"
@@ -58,6 +60,9 @@ std::optional<NodeId> RepairEngine::warm_start(
   for (NodeId u = 0; u < n; ++u) {
     tables_.est[u].store(coreness[u], std::memory_order_relaxed);
   }
+  // Supports counted against the old table may overstate the adopted
+  // one: restart from the trivial bound.
+  std::fill(tables_.support.begin(), tables_.support.end(), 0);
   order_.build();
   return first_mismatch();
 }
@@ -126,11 +131,7 @@ RepairStats RepairEngine::repair() {
 }
 
 void RepairEngine::copy_coreness(std::vector<NodeId>& out) const {
-  const NodeId n = graph_.num_nodes();
-  out.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
-    out[u] = tables_.est[u].load(std::memory_order_relaxed);
-  }
+  tables_.copy_estimates(out);
 }
 
 }  // namespace kcore::live

@@ -22,6 +22,9 @@
 //    after the earlier endpoint that gained a candidate neighbor, not the
 //    whole K-subcore. Raises are computed one edge at a time against
 //    exact estimates, which keeps them exact in turn.
+// At one worker the table's support counters (par/relax.h) carry over
+// between repairs too: a raise only adds support, and every node whose
+// edges changed is seeded and recounts. warm_start() forgets them.
 //
 // Thread contract: initialize(), warm_start(), note_insert(),
 // note_remove() and repair() are called by ONE writer thread; repair()

@@ -133,12 +133,6 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
     }
     result.telemetry = std::move(telemetry);
   }
-
-  // The workers' join happens-before these loads: the table is final.
-  result.coreness.resize(n);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    result.coreness[u] = est[u].load(std::memory_order_relaxed);
-  }
   return result;
 }
 

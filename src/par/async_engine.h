@@ -26,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/compute_index.h"
 #include "core/run_options.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
@@ -64,9 +65,9 @@ struct AsyncStats {
                                                std::uint64_t seeded);
 };
 
-/// Coreness plus the run profile.
+/// The run profile; the coreness stays in the run's AsyncRunContext
+/// (copy it out with AsyncRunContext::copy_estimates).
 struct AsyncResult {
-  std::vector<graph::NodeId> coreness;
   AsyncStats stats;
   unsigned threads_used = 0;
   double setup_ms = 0.0;  // table/worklist reset + seeding
@@ -96,20 +97,41 @@ struct AsyncPrepared {
 ///  * the shared atomic estimate table (run_bsp_async_prepared resets it
 ///    to the degrees per run; live::RepairEngine keeps it warm),
 ///  * the per-vertex pending-change accumulators (sched=delta only),
+///  * the per-vertex support counters (one worker only, par/relax.h;
+///    all zero is always valid),
+///  * one counting scratch per worker,
 ///  * the worklist (flags + pool + detector), reset in place per run so
 ///    sequential reuse re-allocates nothing.
 struct AsyncRunContext {
   AsyncRunContext(const AsyncPrepared& prepared, graph::NodeId n)
       : est(n),
+        scratch(prepared.workers),
         worklist(std::make_unique<AsyncWorklist>(n, prepared.workers,
                                                  prepared.sched)) {
     if (prepared.sched == core::SchedPolicy::kDelta) {
       delta = std::vector<std::atomic<std::uint32_t>>(n);
     }
+    if (prepared.workers == 1) support.assign(n, 0);
   }
+
+  /// Copy the estimate table out (between runs: the workers have joined).
+  void copy_estimates(std::vector<graph::NodeId>& out) const {
+    out.resize(est.size());
+    for (std::size_t u = 0; u < est.size(); ++u) {
+      out[u] = est[u].load(std::memory_order_relaxed);
+    }
+  }
+
+  /// A worker's scratch on its own cache line: the epoch it bumps on
+  /// every count must not false-share with its neighbor's.
+  struct alignas(64) WorkerScratch {
+    core::IndexScratch index;
+  };
 
   std::vector<std::atomic<graph::NodeId>> est;
   std::vector<std::atomic<std::uint32_t>> delta;
+  std::vector<graph::NodeId> support;
+  std::vector<WorkerScratch> scratch;
   std::unique_ptr<AsyncWorklist> worklist;
 };
 
@@ -128,7 +150,8 @@ struct AsyncRunContext {
 /// would silently lie). There is no progress observer: the
 /// ProgressObserver contract is per-round, and this runtime has no rounds.
 ///
-/// Coreness is bit-identical to the sequential baseline; the schedule
+/// The final table, left in context.est, is the coreness, bit-identical
+/// to the sequential baseline; a warm run allocates nothing. The schedule
 /// profile in stats is interleaving-dependent as always. result.setup_ms
 /// covers only this run's residual setup (table + worklist reset +
 /// seeding). `options.sched` and `options.threads` must match the

@@ -145,13 +145,13 @@ BspParResult run_bsp_par_prepared(const graph::Graph& g,
       // shared with bsp-async (core::IndexScratch::refine).
       // Deterministic: the skip writes the same `refined` the kernel
       // would have.
-      bool fast_path = false;
-      const graph::NodeId refined = my.index.refine(
-          nbrs.size(), k,
-          [&](std::size_t i) {
-            return prev[nbrs[i]].load(std::memory_order_relaxed);
-          },
-          fast_path);
+      const graph::NodeId refined =
+          my.index
+              .refine(nbrs.size(), k,
+                      [&](std::size_t i) {
+                        return prev[nbrs[i]].load(std::memory_order_relaxed);
+                      })
+              .value;
       next[u].store(refined, std::memory_order_relaxed);
       if (refined < k) {
         ++tally.changed;

@@ -29,6 +29,25 @@
 //    synchronizes with every earlier flag RMW). Either way the update is
 //    never lost. The protocol is identical under every policy — the pool
 //    only changes which flagged vertex is popped next.
+//  * SUPPORT-COUNTED WAKES on a one-worker pool with the targeted filter
+//    on — the support counter of SemiCore* (Wen, Qin, Zhang, Lin and Yu,
+//    ICDE 2016). support[v] is the number of v's neighbors whose
+//    estimate was >= est[v] when v last relaxed (refine() reports it for
+//    free). Invariant, for every vertex v not in the queue:
+//        support[v] <= #{u in N(v) : est[u] >= est[v]}.
+//    When u lowers from `stored` to `refined`, that count falls only for
+//    a neighbor v with refined < est[v] <= stored, so exactly those
+//    decrement; a raise between live repairs only grows it. While
+//    support[v] >= est[v], computeIndex(v) is still est[v] and relaxing
+//    v would be wasted, so v is woken only once support[v] < est[v].
+//    Support 0, the trivial bound of a fresh or warm-started table,
+//    keeps the targeted wake (and never wraps below zero). A vertex
+//    whose own edges or estimate changed outside a relaxation is seeded,
+//    so it recounts before its support is trusted again. The rule needs the relaxations serialized: with
+//    two workers v can relax against a stale est[u] (counting u in its
+//    support) while u, after its CAS-min, reads a stale est[v] and
+//    decides no wake is due — the wake that would re-examine v is lost.
+//    With more than one worker the targeted wake runs unchanged.
 //  * Concurrent quiescence detection: core::QuiescenceDetector counts
 //    outstanding work (add on every enqueue, finish after a vertex is
 //    fully processed, including the wakes it issued), and an idle worker
@@ -64,6 +83,9 @@ namespace kcore::par {
 /// std::span<const graph::NodeId> that no worker mutates during the run.
 /// `tables.est` must hold a safe upper bound of every coreness;
 /// `tables.delta` (read under SchedPolicy::kDelta only) starts at zero.
+/// On a one-worker pool with `targeted` on, `tables.support` must keep
+/// the invariant above for every vertex that is not seeded (all zero
+/// always does).
 /// With a non-null `recorder` the async.* counters, histograms and relax
 /// spans are recorded into it; a null one turns every hook off. The
 /// first exception a worker throws stops the pool and is rethrown here
@@ -113,9 +135,14 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
     h_wake_fanout = reg.histogram("async.wake_fanout");
   }
 
+  // Support-counted wakes need the relaxations serialized (block
+  // comment above), so they run only on a one-worker pool.
+  std::vector<graph::NodeId>& support = tables.support;
+  const bool support_wakes = targeted && workers == 1;
+
   auto worker_fn = [&](unsigned w) {
     try {
-      core::IndexScratch scratch;
+      core::IndexScratch& scratch = tables.scratch[w].index;
       obs::WorkerContext* const octx =
           recorder ? recorder->worker(w) : nullptr;
       // obs::kEnabled folds the whole metrics path away at compile time
@@ -178,17 +205,16 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
         // Skip-scan + allocation-free streamed count, shared with
         // bsp-par (core::IndexScratch::refine): the estimates stream
         // straight from the shared table into the epoch-stamped kernel.
-        bool fast_path = false;
-        const graph::NodeId refined = scratch.refine(
-            nbrs.size(), k,
-            [&](std::size_t i) {
+        const core::IndexScratch::Refined r = scratch.refine(
+            nbrs.size(), k, [&](std::size_t i) {
               return est[nbrs[i]].load(std::memory_order_acquire);
-            },
-            fast_path);
-        if (fast_path) {
+            });
+        const graph::NodeId refined = r.value;
+        if (r.skipped) {
           ++skipped;
           OBS_COUNT(octx, c_skipped, 1);
         }
+        if (support_wakes) support[u] = r.support;
         if (refined < stored) {
           // Publish via CAS-min: est only decreases, and a concurrent
           // relaxation of u may already have gone lower.
@@ -221,6 +247,14 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
               // never rises, so est[v] <= refined stays true forever and
               // v's computeIndex can never be lowered by this estimate.
               if (targeted && ev <= refined) continue;
+              if (support_wakes) {
+                // One worker: u leaves v's support only if it crossed
+                // from >= est[v] to below it; v's h-index must fall only
+                // once its support drops below est[v].
+                graph::NodeId& s = support[v];
+                if (ev <= stored && s > 0) --s;
+                if (s >= ev) continue;
+              }
               std::uint32_t bucket = 0;
               switch (sched) {
                 case SchedPolicy::kLifo:
