@@ -12,9 +12,11 @@
 //   {"dataset", "protocol", "threads", "sched", "wall_ms", "run_ms",
 //    "rounds", "messages", "speedup_vs_1t", "first_wall_ms",
 //    "warm_wall_ms"}
-// The sched column is the bsp-async scheduling policy (lifo/delta/bound;
-// "-" for the other protocols) — each policy scales against its own
-// 1-thread baseline because the policies perform different work.
+// The sched column is the bsp-async scheduling policy (lifo/bound; "-"
+// for the other protocols) — each policy scales against its own 1-thread
+// baseline because the policies perform different work. The committed
+// BENCH_scaling.json still holds "delta" rows, recorded before that
+// policy was removed.
 // The session_reuse pair (first_wall_ms vs warm_wall_ms) is the
 // prepare-once/run-many amortization: the first run pays the Session
 // prepare, the warm median is the serving-path cost.
@@ -172,8 +174,7 @@ void real_execution_study(const eval::ExperimentOptions& options,
                            std::string(api::kProtocolBspPar),
                            std::string(api::kProtocolBspAsync)};
     plan_spec.threads = thread_sweep();
-    plan_spec.scheds = {api::SchedPolicy::kLifo, api::SchedPolicy::kDelta,
-                        api::SchedPolicy::kBound};
+    plan_spec.scheds = {api::SchedPolicy::kLifo, api::SchedPolicy::kBound};
     plan_spec.seeds = {util::split_stream(options.base_seed, 1)};
     plan_spec.repeats = repeats;
     // Telemetry rides along: the runtimes that consume obs report their

@@ -16,9 +16,9 @@
 // * One report type: DecomposeReport = coreness + TrafficStats + a typed
 //   variant of per-protocol extras + wall-clock timing.
 // * One registry: ProtocolRegistry maps string keys ("bz", "peeling",
-//   "one-to-one", "one-to-many", "bsp") to preparers; new backends register
-//   under a new key and every CLI flag, bench and experiment picks them
-//   up by name.
+//   "one-to-one", "one-to-many", "bsp", "one-to-many-par", "bsp-par",
+//   "bsp-async") to preparers; new backends register under a new key and
+//   every CLI flag, bench and experiment picks them up by name.
 // * One observer: core::ProgressObserver streams (round, estimates,
 //   messages) from every round/superstep-based runtime.
 //

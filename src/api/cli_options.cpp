@@ -1,6 +1,7 @@
 #include "api/cli_options.h"
 
 #include <limits>
+#include <string>
 
 #include "util/check.h"
 
@@ -8,16 +9,31 @@ namespace kcore::api {
 
 namespace {
 
+constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxThreads = 4096;
+
 /// A non-negative integer flag, bounds-checked BEFORE the unsigned cast —
 /// `--hosts -1` must die with a message naming the flag, not wrap to 4e9
 /// and fail deep inside a protocol runner.
-std::int64_t get_checked(const util::Args& args, const char* name,
-                         std::int64_t fallback, std::int64_t max) {
-  const std::int64_t value = args.get_int(name, fallback);
+std::int64_t checked(const char* name, std::int64_t value, std::int64_t max) {
   KCORE_CHECK_MSG(value >= 0 && value <= max,
                   "--" << name << " must be in [0, " << max << "], got "
                        << value);
   return value;
+}
+
+std::int64_t get_checked(const util::Args& args, const char* name,
+                         std::int64_t fallback, std::int64_t max) {
+  return checked(name, args.get_int(name, fallback), max);
+}
+
+core::SchedPolicy parse_sched(const char* name, const std::string& text) {
+  const auto parsed = core::parse_sched_policy(text);
+  KCORE_CHECK_MSG(parsed.has_value(),
+                  "--" << name << " '" << text
+                       << "' is not a scheduling policy; accepted: lifo, "
+                       << "bound");
+  return *parsed;
 }
 
 }  // namespace
@@ -32,7 +48,6 @@ core::RunOptions run_options_from_args(const util::Args& args,
                                << "accepted: sync, cycle");
     options.mode = *parsed;
   }
-  constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
   options.seed = static_cast<std::uint64_t>(get_checked(
       args, "seed", static_cast<std::int64_t>(defaults.seed), kMaxI64));
   options.max_rounds = static_cast<std::uint64_t>(
@@ -42,7 +57,8 @@ core::RunOptions run_options_from_args(const util::Args& args,
       args, "hosts", static_cast<std::int64_t>(defaults.num_hosts),
       std::numeric_limits<sim::HostId>::max()));
   options.threads = static_cast<unsigned>(get_checked(
-      args, "threads", static_cast<std::int64_t>(defaults.threads), 4096));
+      args, "threads", static_cast<std::int64_t>(defaults.threads),
+      kMaxThreads));
   if (const auto assignment = args.get("assignment")) {
     const auto parsed = core::parse_assignment_policy(*assignment);
     KCORE_CHECK_MSG(parsed.has_value(),
@@ -53,11 +69,7 @@ core::RunOptions run_options_from_args(const util::Args& args,
     options.assignment = *parsed;
   }
   if (const auto sched = args.get("sched")) {
-    const auto parsed = core::parse_sched_policy(*sched);
-    KCORE_CHECK_MSG(parsed.has_value(),
-                    "--sched '" << *sched << "' is not a scheduling policy; "
-                                << "accepted: lifo, delta, bound");
-    options.sched = *parsed;
+    options.sched = parse_sched("sched", *sched);
   }
   if (const auto comm = args.get("comm")) {
     const auto parsed = core::parse_comm_policy(*comm);
@@ -86,6 +98,21 @@ core::RunOptions run_options_from_args(const util::Args& args,
   return options;
 }
 
+void sweep_axes_from_args(const util::Args& args, PlanSpec& spec) {
+  for (const auto& item : args.get_list("thread-counts")) {
+    spec.threads.push_back(static_cast<unsigned>(checked(
+        "thread-counts", util::parse_int("thread-counts", item),
+        kMaxThreads)));
+  }
+  for (const auto& item : args.get_list("scheds")) {
+    spec.scheds.push_back(parse_sched("scheds", item));
+  }
+  for (const auto& item : args.get_list("seeds")) {
+    spec.seeds.push_back(static_cast<std::uint64_t>(
+        checked("seeds", util::parse_int("seeds", item), kMaxI64)));
+  }
+}
+
 const char* run_options_flag_help() {
   return R"(run options (shared by every protocol; unused knobs are ignored):
   --mode sync|cycle          delivery semantics of the SIMULATED protocols
@@ -97,10 +124,9 @@ const char* run_options_flag_help() {
   --hosts N                  hosts / BSP workers (default: 16)
   --threads N                worker threads for the *-par and bsp-async
                              protocols (default: 0 = one per hw thread)
-  --sched lifo|delta|bound   bsp-async dirty-vertex pop order (default:
-                             lifo); delta pops the most-changed
-                             neighborhood first, bound the lowest current
-                             estimate (the peeling frontier)
+  --sched lifo|bound         bsp-async dirty-vertex pop order (default:
+                             lifo); bound pops the lowest current
+                             estimate first (the peeling frontier)
   --assignment modulo|block|random|hash   node-to-host policy (default: modulo)
   --comm broadcast|point-to-point         one-to-many comm (default: point-to-point)
   --max-extra-delay D        fault plan: extra delivery delay in rounds

@@ -11,7 +11,7 @@
 //   --hosts N                  hosts (one-to-many) / workers (bsp)
 //   --threads N                worker threads (one-to-many-par, bsp-par,
 //                              bsp-async); 0 = one per hardware thread
-//   --sched lifo|delta|bound   bsp-async scheduling policy (pop order of
+//   --sched lifo|bound         bsp-async scheduling policy (pop order of
 //                              the dirty-vertex priority pool)
 //   --assignment modulo|block|random|hash   node-to-host policy (§3.2.2)
 //   --comm broadcast|point-to-point         one-to-many policy (§3.2.1)
@@ -21,8 +21,12 @@
 //   --metrics                  per-worker counter/histogram registry (obs)
 //   --sample-period MS         convergence sampler period, 0 = off
 //   --trace-capacity N         per-worker trace ring capacity (events)
+//
+// The sweep axes (--thread-counts, --scheds, --seeds) are comma lists
+// whose items are checked exactly like --threads, --sched and --seed.
 #pragma once
 
+#include "api/session.h"
 #include "core/run_options.h"
 #include "util/args.h"
 
@@ -33,6 +37,11 @@ namespace kcore::api {
 /// value (listing the accepted names for enum flags).
 [[nodiscard]] core::RunOptions run_options_from_args(
     const util::Args& args, const core::RunOptions& defaults = {});
+
+/// Append the sweep axes given in `args` (--thread-counts, --scheds,
+/// --seeds) to `spec`. Throws util::CheckError naming the flag on an
+/// item that --threads, --sched or --seed would reject.
+void sweep_axes_from_args(const util::Args& args, PlanSpec& spec);
 
 /// The flag reference above, formatted for usage() blocks.
 [[nodiscard]] const char* run_options_flag_help();

@@ -65,8 +65,6 @@ const char* to_string(SchedPolicy policy) {
   switch (policy) {
     case SchedPolicy::kLifo:
       return "lifo";
-    case SchedPolicy::kDelta:
-      return "delta";
     case SchedPolicy::kBound:
       return "bound";
   }
@@ -102,7 +100,6 @@ std::optional<AssignmentPolicy> parse_assignment_policy(
 
 std::optional<SchedPolicy> parse_sched_policy(std::string_view name) {
   if (name == "lifo") return SchedPolicy::kLifo;
-  if (name == "delta") return SchedPolicy::kDelta;
   if (name == "bound") return SchedPolicy::kBound;
   return std::nullopt;
 }

@@ -44,19 +44,19 @@ enum class CommPolicy {
 
 /// Scheduling policy of the async (chaotic-relaxation) runtime. The §4
 /// convergence argument holds for ANY schedule, so the order dirty
-/// vertices are popped is a pure performance lever:
-///  * kLifo  — freshest activation first (Chase–Lev deque order); the
-///    original bsp-async behavior and the fallback fast path.
-///  * kDelta — pop the vertex whose neighborhood changed most since it
-///    was last relaxed (largest accumulated estimate drop first).
-///  * kBound — pop the vertex whose current estimate is lowest, i.e. the
-///    one closest to its final value: the global peeling frontier, the
-///    chaotic-relaxation analogue of Batagelj–Zaveršnik's bucket order.
-/// Every policy converges to the exact decomposition; they differ only in
-/// how many relaxations the run needs (pinned by tests).
+/// vertices are popped is a pure performance lever. Every vertex is
+/// pushed with its current estimate as priority; the policy picks how
+/// many priority buckets the pool has:
+///  * kLifo  — one: freshest activation first (Chase–Lev deque order);
+///    the original bsp-async behavior and the fallback fast path.
+///  * kBound — one per estimate (up to the pool's cap): pop the vertex
+///    whose current estimate is lowest, i.e. the one closest to its final
+///    value: the global peeling frontier, the chaotic-relaxation analogue
+///    of Batagelj–Zaveršnik's bucket order.
+/// Both converge to the exact decomposition; they differ only in how many
+/// relaxations the run needs (pinned by tests).
 enum class SchedPolicy {
   kLifo,
-  kDelta,
   kBound,
 };
 

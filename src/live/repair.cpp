@@ -9,7 +9,6 @@
 
 namespace kcore::live {
 
-using core::SchedPolicy;
 using graph::NodeId;
 using Clock = util::SteadyClock;
 
@@ -105,11 +104,8 @@ RepairStats RepairEngine::repair() {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const NodeId u = pending_[i];
     in_pending_[u] = 0;
-    const std::uint32_t bucket =
-        options_.sched == SchedPolicy::kBound
-            ? par::bound_bucket(tables_.est[u].load(std::memory_order_relaxed))
-            : 0;
-    worklist.seed(u, static_cast<unsigned>(i) % worklist.workers(), bucket);
+    worklist.seed(u, static_cast<unsigned>(i) % worklist.workers(),
+                  estimate(u));
   }
   stats.seeded = pending_.size();
   stats.raised = raised_pending_;

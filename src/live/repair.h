@@ -113,9 +113,6 @@ class RepairEngine {
   [[nodiscard]] unsigned workers() const noexcept {
     return tables_.worklist->workers();
   }
-  [[nodiscard]] core::SchedPolicy sched() const noexcept {
-    return options_.sched;
-  }
   /// Current exact estimate of one node (between repairs).
   [[nodiscard]] graph::NodeId estimate(graph::NodeId u) const {
     return tables_.est[u].load(std::memory_order_relaxed);

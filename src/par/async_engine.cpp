@@ -34,7 +34,6 @@ AsyncStats AsyncStats::from_metrics(const obs::MetricsSnapshot& m,
 namespace {
 
 using Clock = util::SteadyClock;
-using core::SchedPolicy;
 
 }  // namespace
 
@@ -66,33 +65,24 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
                                       << " workers, this run asks for "
                                       << options.threads << " threads");
   const unsigned workers = prepared.workers;
-  const SchedPolicy sched = prepared.sched;
   result.threads_used = workers;
   const auto setup_start = Clock::now();
 
   // Reset the context's estimate table to the degrees (Algorithm 1's
-  // starting estimate) and the pending-change accumulators to zero.
+  // starting estimate).
   std::vector<std::atomic<graph::NodeId>>& est = context.est;
   for (graph::NodeId u = 0; u < n; ++u) {
     est[u].store(g.degree(u), std::memory_order_relaxed);
   }
-  std::vector<std::atomic<std::uint32_t>>& delta = context.delta;
-  if (sched == SchedPolicy::kDelta) {
-    for (graph::NodeId u = 0; u < n; ++u) {
-      delta[u].store(0, std::memory_order_relaxed);
-    }
-  }
 
-  // Reset-in-place, then replay the cached per-worker seed order: a
-  // reused context allocates nothing here (the pool keeps its grown
-  // rings).
+  // Reset-in-place, then replay the cached per-worker seed order, each
+  // vertex at its starting estimate as priority: a reused context
+  // allocates nothing here (the pool keeps its grown rings).
   AsyncWorklist& worklist = *context.worklist;
   worklist.reset();
   for (unsigned w = 0; w < workers; ++w) {
     for (const std::uint32_t u : prepared.seeds[w]) {
-      const std::uint32_t bucket =
-          sched == SchedPolicy::kBound ? bound_bucket(g.degree(u)) : 0;
-      worklist.seed(u, w, bucket);
+      worklist.seed(u, w, g.degree(u));
     }
   }
 

@@ -96,7 +96,6 @@ struct AsyncPrepared {
 /// by one run at a time:
 ///  * the shared atomic estimate table (run_bsp_async_prepared resets it
 ///    to the degrees per run; live::RepairEngine keeps it warm),
-///  * the per-vertex pending-change accumulators (sched=delta only),
 ///  * the per-vertex support counters (one worker only, par/relax.h;
 ///    all zero is always valid),
 ///  * one counting scratch per worker,
@@ -108,9 +107,6 @@ struct AsyncRunContext {
         scratch(prepared.workers),
         worklist(std::make_unique<AsyncWorklist>(n, prepared.workers,
                                                  prepared.sched)) {
-    if (prepared.sched == core::SchedPolicy::kDelta) {
-      delta = std::vector<std::atomic<std::uint32_t>>(n);
-    }
     if (prepared.workers == 1) support.assign(n, 0);
   }
 
@@ -129,7 +125,6 @@ struct AsyncRunContext {
   };
 
   std::vector<std::atomic<graph::NodeId>> est;
-  std::vector<std::atomic<std::uint32_t>> delta;
   std::vector<graph::NodeId> support;
   std::vector<WorkerScratch> scratch;
   std::unique_ptr<AsyncWorklist> worklist;

@@ -28,9 +28,7 @@
 //    quiescence, never a transient dip.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -56,16 +54,20 @@ class BasicAsyncWorklist {
 
  public:
   static constexpr std::uint32_t kNone = UINT32_MAX;
-  /// Priority buckets of the non-lifo policies (== the pool's bitmap
-  /// width). Priorities at or above the cap share the last bucket.
-  static constexpr std::uint32_t kBuckets =
-      PriorityPool<std::uint32_t, Sync>::kMaxBuckets;
 
+  /// The policy only sets the pool width; every caller passes the
+  /// vertex's estimate as its priority and the pool's clamp does the
+  /// rest. lifo: one bucket per lane, so every priority lands in bucket
+  /// 0 — the classic Chase–Lev LIFO/steal path with a single-probe scan.
+  /// bound: the full bitmap width, so the estimate is the bucket (those
+  /// at or past the last share it) and the lowest estimate, the one
+  /// closest to final (the peeling frontier), pops first.
   BasicAsyncWorklist(std::uint32_t size, unsigned workers,
                      core::SchedPolicy policy = core::SchedPolicy::kLifo)
-      : policy_(policy),
-        in_queue_(size),
-        pool_(make_pool(workers, policy)),
+      : in_queue_(size),
+        pool_(workers, policy == core::SchedPolicy::kBound
+                           ? PriorityPool<std::uint32_t, Sync>::kMaxBuckets
+                           : 1),
         tallies_(workers) {
     KCORE_CHECK_MSG(workers >= 1, "worklist needs at least one worker");
     for (std::uint32_t i = 0; i < size; ++i) {
@@ -74,7 +76,6 @@ class BasicAsyncWorklist {
   }
 
   [[nodiscard]] unsigned workers() const noexcept { return pool_.workers(); }
-  [[nodiscard]] core::SchedPolicy policy() const noexcept { return policy_; }
 
   /// Pre-run seeding: flag `item` and enqueue it into `worker`'s lane at
   /// `bucket`. Must not race with acquire/schedule.
@@ -87,7 +88,7 @@ class BasicAsyncWorklist {
 
   /// Activation: flag `item` and, if this call won the 0->1 transition,
   /// enqueue it into the calling worker's lane at priority `bucket`
-  /// (clamped to the pool width; ignored under lifo). Returns true when
+  /// (clamped to the pool width). Returns true when
   /// this call enqueued (false: the item was already scheduled elsewhere
   /// — its bucket keeps the priority it was enqueued with, the MultiQueue
   /// staleness trade).
@@ -224,27 +225,6 @@ class BasicAsyncWorklist {
     std::uint64_t pop_scans = 0;  // deque probes during acquire
   };
 
-  static PriorityPool<std::uint32_t, Sync> make_pool(
-      unsigned workers, core::SchedPolicy policy) {
-    switch (policy) {
-      case core::SchedPolicy::kLifo:
-        // One bucket per lane: push/pop degenerate to the classic
-        // Chase–Lev LIFO/steal path with a single-probe scan.
-        return {workers, 1, PopOrder::kAscending};
-      case core::SchedPolicy::kBound:
-        // Bucket = current estimate: the lowest estimate is the closest
-        // to final (the peeling frontier), so ascending pop order.
-        return {workers, kBuckets, PopOrder::kAscending};
-      case core::SchedPolicy::kDelta:
-        // Bucket = log2 of the accumulated estimate drop since the
-        // vertex was last relaxed: the most-changed neighborhood pops
-        // first.
-        return {workers, kBuckets, PopOrder::kDescending};
-    }
-    return {workers, 1, PopOrder::kAscending};
-  }
-
-  core::SchedPolicy policy_;
   std::vector<typename Sync::template Atomic<std::uint8_t>> in_queue_;
   PriorityPool<std::uint32_t, Sync> pool_;
   std::vector<WorkerTally> tallies_;
@@ -253,26 +233,5 @@ class BasicAsyncWorklist {
 
 /// The production instantiation (zero-overhead std::atomic passthrough).
 using AsyncWorklist = BasicAsyncWorklist<>;
-
-// --- bucket maps ------------------------------------------------------------
-// The priority each scheduling policy seeds/wakes with: par::relax
-// (par/relax.h) wakes with them, and both of its callers (the batch
-// engine in par/async_engine.cpp, the repair engine in live/repair.cpp)
-// seed with them, so the policies cannot drift between the two.
-
-/// bound: clamp the estimate into the bitmap width — ascending pop order
-/// makes the lowest still-live estimate the peeling frontier.
-[[nodiscard]] inline std::uint32_t bound_bucket(std::uint32_t estimate) {
-  return std::min<std::uint32_t>(estimate, AsyncWorklist::kBuckets - 1);
-}
-
-/// delta: log-scaled so the buckets cover any drop magnitude; an
-/// accumulated value >= 1 keeps seeded work (bucket 0) behind every real
-/// change under descending pop order.
-[[nodiscard]] inline std::uint32_t delta_bucket(std::uint32_t accumulated) {
-  return std::min<std::uint32_t>(
-      static_cast<std::uint32_t>(std::bit_width(accumulated)),
-      AsyncWorklist::kBuckets - 1);
-}
 
 }  // namespace kcore::par

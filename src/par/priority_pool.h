@@ -4,11 +4,11 @@
 // A MultiQueue-style relaxed priority pool: W worker lanes × B priority
 // buckets, each bucket an independent Chase–Lev deque (par/steal_deque.h).
 // The owner of a lane pushes into the bucket chosen by the caller's
-// priority metric and pops its own lane in bucket-priority order (LIFO
-// within a bucket — freshly woken work is hot in cache); a dry owner
-// steals bucket-major across all other lanes (highest-priority bucket of
-// ANY victim before lower buckets anywhere), so thieves drain the
-// globally most urgent work first.
+// priority and pops its own lane lowest bucket first (LIFO within a
+// bucket — freshly woken work is hot in cache); a dry owner steals
+// bucket-major across all other lanes (lowest bucket of ANY victim
+// before higher buckets anywhere), so thieves drain the globally most
+// urgent work first.
 //
 // Priorities are RELAXED, not exact: an item keeps the bucket it was
 // pushed with even if its priority metric moves afterwards, and
@@ -48,14 +48,6 @@
 
 namespace kcore::par {
 
-/// Which bucket index holds the MOST urgent work: kAscending pops bucket
-/// 0 first (e.g. lowest-estimate-first peeling order), kDescending pops
-/// bucket B-1 first (e.g. largest-accumulated-delta first).
-enum class PopOrder {
-  kAscending,
-  kDescending,
-};
-
 template <typename T, typename Sync = chk::RealSync>
 class PriorityPool {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -66,8 +58,7 @@ class PriorityPool {
   /// Hard cap on buckets — one occupancy-bitmap bit per bucket.
   static constexpr std::uint32_t kMaxBuckets = 64;
 
-  PriorityPool(unsigned workers, std::uint32_t buckets, PopOrder order)
-      : buckets_(buckets), order_(order) {
+  PriorityPool(unsigned workers, std::uint32_t buckets) : buckets_(buckets) {
     KCORE_CHECK_MSG(workers >= 1, "priority pool needs at least one lane");
     KCORE_CHECK_MSG(buckets >= 1 && buckets <= kMaxBuckets,
                     "buckets must be in [1, " << kMaxBuckets << "], got "
@@ -82,7 +73,6 @@ class PriorityPool {
     return static_cast<unsigned>(lanes_.size());
   }
   [[nodiscard]] std::uint32_t buckets() const noexcept { return buckets_; }
-  [[nodiscard]] PopOrder order() const noexcept { return order_; }
 
   /// Lane owner only: push `value` with priority `bucket` into the
   /// caller's own lane. Priorities at or past the pool width share the
@@ -114,7 +104,8 @@ class PriorityPool {
     std::uint64_t hint =
         lane.hint.load(std::memory_order_relaxed, "pp.pop.read_hint");
     while (hint != 0) {
-      const std::uint32_t bucket = best_bucket(hint);
+      // The lowest set bit is the most urgent bucket.
+      const auto bucket = static_cast<std::uint32_t>(std::countr_zero(hint));
       ++probes;
       if (lane.deque(bucket).pop(out)) return true;
       // Empty from the owner's side: nothing can reappear in this bucket
@@ -127,8 +118,8 @@ class PriorityPool {
   }
 
   /// Any worker: one bucket-major sweep over the other lanes — the
-  /// most-urgent bucket of ANY victim is drained before less urgent
-  /// buckets anywhere. Each victim's hint bitmap is snapshotted ONCE per
+  /// lowest bucket of ANY victim is drained before higher buckets
+  /// anywhere. Each victim's hint bitmap is snapshotted ONCE per
   /// sweep (into the caller's own lane scratch — no allocation, no
   /// re-reads per bucket); the snapshot may be stale in either direction,
   /// which the relaxed-priority contract already tolerates. False when
@@ -144,9 +135,7 @@ class PriorityPool {
                                                    "pp.steal.read_hint");
       any |= snapshot[offset];
     }
-    for (std::uint32_t step = 0; step < buckets_ && any != 0; ++step) {
-      const std::uint32_t bucket =
-          order_ == PopOrder::kAscending ? step : buckets_ - 1 - step;
+    for (std::uint32_t bucket = 0; bucket < buckets_ && any != 0; ++bucket) {
       const std::uint64_t bit = 1ULL << bucket;
       if ((any & bit) == 0) continue;
       for (unsigned offset = 1; offset < n; ++offset) {
@@ -215,15 +204,7 @@ class PriorityPool {
     std::unique_ptr<std::uint64_t[]> steal_snapshot;
   };
 
-  [[nodiscard]] std::uint32_t best_bucket(std::uint64_t hint) const noexcept {
-    // hint != 0. Most urgent set bit under the pool's order.
-    return order_ == PopOrder::kAscending
-               ? static_cast<std::uint32_t>(std::countr_zero(hint))
-               : static_cast<std::uint32_t>(63 - std::countl_zero(hint));
-  }
-
   std::uint32_t buckets_;
-  PopOrder order_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 

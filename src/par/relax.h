@@ -15,10 +15,11 @@
 //  * A pluggable SCHEDULING POLICY (core::SchedPolicy): because any
 //    schedule converges, pop order is a pure performance lever. The
 //    dirty-vertex pool is a bucketed priority pool (par/priority_pool.h)
-//    of Chase–Lev deques — policy lifo uses one bucket per worker (the
-//    classic LIFO/steal path), policy bound buckets by current estimate
-//    and pops lowest first (the peeling frontier), policy delta buckets
-//    by accumulated neighborhood change and pops largest first.
+//    of Chase–Lev deques, and every vertex is pushed with its current
+//    estimate as priority. The policy only sets the pool's width: lifo
+//    has one bucket per worker (the classic LIFO/steal path, every
+//    priority clamps to bucket 0), bound has one bucket per estimate up
+//    to the cap and pops lowest first (the peeling frontier).
 //  * A lost-wakeup-safe re-enqueue protocol: one atomic in-queue flag per
 //    vertex. schedule() enqueues only on the flag's 0->1 exchange (a
 //    vertex sits in at most one bucket); a worker clears the flag — also
@@ -75,17 +76,16 @@ namespace kcore::par {
 
 /// Relax `tables.est` to the exact coreness of `g`, starting from the
 /// items seeded into `tables.worklist`, on its workers() threads (the
-/// caller's thread is worker 0) under its scheduling policy, and return
+/// caller's thread is worker 0) in its pool's pop order, and return
 /// the run's profile (re_enqueues counts the activations beyond the
 /// seeded items).
 ///
 /// `Adjacency` is anything with `neighbors(u)` returning a
 /// std::span<const graph::NodeId> that no worker mutates during the run.
-/// `tables.est` must hold a safe upper bound of every coreness;
-/// `tables.delta` (read under SchedPolicy::kDelta only) starts at zero.
-/// On a one-worker pool with `targeted` on, `tables.support` must keep
-/// the invariant above for every vertex that is not seeded (all zero
-/// always does).
+/// `tables.est` must hold a safe upper bound of every coreness. On a
+/// one-worker pool with `targeted` on, `tables.support` must keep the
+/// invariant above for every vertex that is not seeded (all zero always
+/// does).
 /// With a non-null `recorder` the async.* counters, histograms and relax
 /// spans are recorded into it; a null one turns every hook off. The
 /// first exception a worker throws stops the pool and is rethrown here
@@ -98,12 +98,9 @@ namespace kcore::par {
 template <typename Adjacency>
 static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
                         bool targeted, obs::Recorder* recorder) {
-  using core::SchedPolicy;
   std::vector<std::atomic<graph::NodeId>>& est = tables.est;
-  std::vector<std::atomic<std::uint32_t>>& delta = tables.delta;
   AsyncWorklist& worklist = *tables.worklist;
   const unsigned workers = worklist.workers();
-  const SchedPolicy sched = worklist.policy();
   const std::uint64_t seeded = worklist.total_enqueues();
   std::atomic<bool> abort{false};
   std::atomic<std::uint64_t> skipped_total{0};
@@ -149,6 +146,12 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
       // when the telemetry layer is off.
       const bool metrics_on =
           obs::kEnabled && octx != nullptr && octx->metrics();
+      // A woken neighbor's estimate feeds the targeted filter and is its
+      // priority; a one-bucket pool with the filter off needs neither
+      // load. Worker-local: read through the lambda's capture it cost
+      // ~2% of perfbench static-decompose p50 (x86-64 Xeon, one thread).
+      const bool load_neighbor_estimate =
+          targeted || worklist.pool().buckets() > 1;
       std::uint64_t prev_scans = 0;
       std::uint64_t skipped = 0;
       unsigned idle_sweeps = 0;
@@ -186,12 +189,6 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
         // iteration); also feeds the latency histogram, in ns.
         OBS_SPAN(octx, "relax", h_relax_ns);
         worklist.begin(u);  // clear-before-read: the wakeup handshake
-        if (sched == SchedPolicy::kDelta) {
-          // Consume the pending-change accumulator: priority restarts
-          // from zero for the NEXT activation of u (hint only — a racing
-          // accumulate merely inflates a later priority).
-          delta[u].store(0, std::memory_order_relaxed);
-        }
         const graph::NodeId stored = est[u].load(std::memory_order_acquire);
         const std::span<const graph::NodeId> nbrs = g.neighbors(u);
         // A live deletion can leave the stored estimate ABOVE the degree,
@@ -232,15 +229,10 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
           // that beat us to <= refined already woke the neighborhood for
           // its (stronger) value.
           if (lowered) {
-            const std::uint32_t drop = stored - refined;
             std::uint32_t woken = 0;
-            // est[v] feeds the targeted filter and the bound bucket; a
-            // lifo run with the filter off needs neither load.
-            const bool need_neighbor_estimate =
-                targeted || sched == SchedPolicy::kBound;
             for (const graph::NodeId v : nbrs) {
               const graph::NodeId ev =
-                  need_neighbor_estimate
+                  load_neighbor_estimate
                       ? est[v].load(std::memory_order_acquire)
                       : 0;
               // §3.1.2 targeted wake, still safe under asynchrony: est[v]
@@ -255,20 +247,7 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
                 if (ev <= stored && s > 0) --s;
                 if (s >= ev) continue;
               }
-              std::uint32_t bucket = 0;
-              switch (sched) {
-                case SchedPolicy::kLifo:
-                  break;
-                case SchedPolicy::kBound:
-                  bucket = bound_bucket(ev);
-                  break;
-                case SchedPolicy::kDelta:
-                  bucket = delta_bucket(
-                      delta[v].fetch_add(drop, std::memory_order_relaxed) +
-                      drop);
-                  break;
-              }
-              if (worklist.schedule(v, w, bucket)) ++woken;
+              if (worklist.schedule(v, w, ev)) ++woken;
             }
             if (metrics_on) {
               octx->add(c_wakes, woken);

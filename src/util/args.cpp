@@ -62,17 +62,7 @@ std::string Args::get_string(const std::string& name,
 std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
   const auto v = get(name);
-  if (!v) return fallback;
-  std::size_t pos = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(*v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  KCORE_CHECK_MSG(pos == v->size() && pos > 0,
-                  "option --" << name << "='" << *v << "' is not an integer");
-  return value;
+  return v ? parse_int(name, *v) : fallback;
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
@@ -90,12 +80,40 @@ double Args::get_double(const std::string& name, double fallback) const {
   return value;
 }
 
+std::vector<std::string> Args::get_list(const std::string& name) const {
+  std::vector<std::string> items;
+  const auto v = get(name);
+  if (!v) return items;
+  std::size_t start = 0;
+  while (start <= v->size()) {
+    const auto comma = v->find(',', start);
+    const auto end = comma == std::string::npos ? v->size() : comma;
+    if (end > start) items.push_back(v->substr(start, end - start));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return items;
+}
+
 std::vector<std::string> Args::unused() const {
   std::vector<std::string> out;
   for (const auto& [name, value] : options_) {
     if (!queried_.contains(name)) out.push_back(name);
   }
   return out;
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& text) {
+  std::size_t pos = 0;
+  std::int64_t value = 0;
+  try {
+    value = std::stoll(text, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  KCORE_CHECK_MSG(pos == text.size() && pos > 0,
+                  "option --" << name << "='" << text << "' is not an integer");
+  return value;
 }
 
 }  // namespace kcore::util

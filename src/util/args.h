@@ -45,6 +45,11 @@ class Args {
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
 
+  /// Items of the comma list --name ("1,2,4"; empty items are dropped);
+  /// empty when absent. Throws CheckError when present but valueless.
+  [[nodiscard]] std::vector<std::string> get_list(
+      const std::string& name) const;
+
   /// Option names that were provided but never queried — surfacing typos.
   /// Call after all get()/has() uses.
   [[nodiscard]] std::vector<std::string> unused() const;
@@ -56,5 +61,11 @@ class Args {
   std::map<std::string, std::optional<std::string>> options_;
   mutable std::map<std::string, bool> queried_;
 };
+
+/// `text`, the value (or one list item) of option --name, as an integer;
+/// throws CheckError naming the option when the whole of `text` is not
+/// one.
+[[nodiscard]] std::int64_t parse_int(const std::string& name,
+                                     const std::string& text);
 
 }  // namespace kcore::util

@@ -436,13 +436,13 @@ TEST(ApiEnums, CommPolicyRoundTrips) {
 
 TEST(ApiEnums, SchedPolicyRoundTrips) {
   for (const auto policy :
-       {api::SchedPolicy::kLifo, api::SchedPolicy::kDelta,
-        api::SchedPolicy::kBound}) {
+       {api::SchedPolicy::kLifo, api::SchedPolicy::kBound}) {
     const auto parsed = api::parse_sched_policy(api::to_string(policy));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, policy);
   }
   EXPECT_FALSE(api::parse_sched_policy("fifo").has_value());
+  EXPECT_FALSE(api::parse_sched_policy("delta").has_value());
 }
 
 TEST(ApiEnums, AssignmentPolicyRoundTrips) {
@@ -600,8 +600,7 @@ TEST(ApiValidate, SchedRejectedForFixedScheduleRuntimes) {
     EXPECT_NE(problems[0].find("--sched"), std::string::npos) << protocol;
     EXPECT_NE(problems[0].find("bsp-async"), std::string::npos) << protocol;
   }
-  for (const auto sched : {api::SchedPolicy::kLifo, api::SchedPolicy::kDelta,
-                           api::SchedPolicy::kBound}) {
+  for (const auto sched : {api::SchedPolicy::kLifo, api::SchedPolicy::kBound}) {
     request.protocol = std::string(api::kProtocolBspAsync);
     request.options.sched = sched;
     EXPECT_TRUE(api::validate(request).empty())
@@ -767,6 +766,46 @@ TEST(ApiCliOptions, BadEnumValueThrowsActionably) {
     const std::string what = e.what();
     EXPECT_NE(what.find("warp"), std::string::npos) << what;
     EXPECT_NE(what.find("cycle"), std::string::npos) << what;
+  }
+}
+
+TEST(ApiCliOptions, ParsesTheSweepAxes) {
+  const util::Args args({"sweep", "--thread-counts", "1,,4",
+                         "--scheds", "bound,lifo", "--seeds", "0,9"});
+  api::PlanSpec spec;
+  api::sweep_axes_from_args(args, spec);
+  EXPECT_EQ(spec.threads, (std::vector<unsigned>{1, 4}));
+  EXPECT_EQ(spec.scheds, (std::vector<api::SchedPolicy>{
+                             api::SchedPolicy::kBound,
+                             api::SchedPolicy::kLifo}));
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{0, 9}));
+}
+
+TEST(ApiCliOptions, BadSweepAxisItemNamesItsFlag) {
+  // Each item is held to the bounds of its single-valued flag: no stoul
+  // error without a flag name, no wrap of 2^32 + 1 to one thread, no
+  // wrap of -1 to the largest seed.
+  const struct {
+    const char* flag;
+    const char* value;
+    const char* expected;
+  } cases[] = {
+      {"--thread-counts", "1,abc", "--thread-counts='abc' is not an integer"},
+      {"--thread-counts", "4294967297",
+       "--thread-counts must be in [0, 4096], got 4294967297"},
+      {"--seeds", "3,-1", "--seeds must be in [0, "},
+      {"--scheds", "lifo,delta", "accepted: lifo, bound"},
+  };
+  for (const auto& c : cases) {
+    const util::Args args({"sweep", c.flag, c.value});
+    api::PlanSpec spec;
+    try {
+      api::sweep_axes_from_args(args, spec);
+      ADD_FAILURE() << c.flag << " " << c.value << " was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.expected), std::string::npos) << what;
+    }
   }
 }
 

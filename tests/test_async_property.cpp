@@ -130,7 +130,6 @@ constexpr api::AssignmentPolicy kPolicies[] = {
     api::AssignmentPolicy::kRandom, api::AssignmentPolicy::kHash};
 
 constexpr api::SchedPolicy kScheds[] = {api::SchedPolicy::kLifo,
-                                        api::SchedPolicy::kDelta,
                                         api::SchedPolicy::kBound};
 
 TEST(AsyncProperty, MatchesSequentialBaselineOnEveryGeneratedGraph) {

@@ -379,7 +379,7 @@ TEST(ChkDeque, GrowUnderFireKeepsElementsVisible) {
 
 TEST(ChkPool, ExactlyOnceAndHintSupersetUnderSteal) {
   const chk::Outcome out = chk::explore(exhaustive(2), [] {
-    auto pool = std::make_shared<ModelPool>(2, 4, par::PopOrder::kAscending);
+    auto pool = std::make_shared<ModelPool>(2, 4);
     auto log = std::make_shared<HandoutLog>();
     chk::Program p;
     p.threads.push_back([=] {  // lane-0 owner

@@ -175,8 +175,7 @@ INSTANTIATE_TEST_SUITE_P(
                           LiveChurnCase{"grid", churn_grid},
                           LiveChurnCase{"cliques", churn_cliques}),
         ::testing::Values(1U, 2U, 4U),
-        ::testing::Values(SchedPolicy::kLifo, SchedPolicy::kBound,
-                          SchedPolicy::kDelta)),
+        ::testing::Values(SchedPolicy::kLifo, SchedPolicy::kBound)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param).name) + "_t" +
              std::to_string(std::get<1>(info.param)) + "_" +
@@ -554,8 +553,7 @@ TEST(RepairEngine, InitializeDoesTheSameWorkAsBspAsync) {
   params.edge_factor = 8.0;
   const Graph g = gen::rmat(params, 7);
   const auto truth = seq::coreness_bz(g);
-  for (const SchedPolicy sched :
-       {SchedPolicy::kLifo, SchedPolicy::kBound, SchedPolicy::kDelta}) {
+  for (const SchedPolicy sched : {SchedPolicy::kLifo, SchedPolicy::kBound}) {
     api::RunOptions options;
     options.threads = 1;
     options.sched = sched;

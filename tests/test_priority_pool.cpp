@@ -23,7 +23,6 @@ using Pool = par::PriorityPool<std::uint32_t>;
 using core::SchedPolicy;
 
 constexpr SchedPolicy kAllPolicies[] = {SchedPolicy::kLifo,
-                                        SchedPolicy::kDelta,
                                         SchedPolicy::kBound};
 
 // ---------------------------------------------------------------------------
@@ -31,7 +30,7 @@ constexpr SchedPolicy kAllPolicies[] = {SchedPolicy::kLifo,
 // ---------------------------------------------------------------------------
 
 TEST(PriorityPool, AscendingPopsLowestBucketFirstLifoWithin) {
-  Pool pool(1, 8, par::PopOrder::kAscending);
+  Pool pool(1, 8);
   std::uint64_t probes = 0;
   pool.push(30, 3, 0);
   pool.push(10, 1, 0);
@@ -54,26 +53,10 @@ TEST(PriorityPool, AscendingPopsLowestBucketFirstLifoWithin) {
   EXPECT_GE(probes, 5u);
 }
 
-TEST(PriorityPool, DescendingPopsHighestBucketFirst) {
-  Pool pool(1, 64, par::PopOrder::kDescending);
-  std::uint64_t probes = 0;
-  pool.push(1, 0, 0);
-  pool.push(63, 63, 0);
-  pool.push(7, 7, 0);
-  std::uint32_t out = 0;
-  ASSERT_TRUE(pool.pop_own(out, 0, probes));
-  EXPECT_EQ(out, 63u);
-  ASSERT_TRUE(pool.pop_own(out, 0, probes));
-  EXPECT_EQ(out, 7u);
-  ASSERT_TRUE(pool.pop_own(out, 0, probes));
-  EXPECT_EQ(out, 1u);
-  EXPECT_FALSE(pool.pop_own(out, 0, probes));
-}
-
 TEST(PriorityPool, StealSweepIsBucketMajorAcrossVictims) {
   // Worker 0's steal sweep must take the most urgent bucket of ANY victim
   // before a less urgent bucket anywhere.
-  Pool pool(3, 8, par::PopOrder::kAscending);
+  Pool pool(3, 8);
   pool.push(25, 5, 1);  // victim 1, bucket 5
   pool.push(32, 2, 2);  // victim 2, bucket 2 — more urgent, later victim
   std::uint64_t probes = 0;
@@ -89,7 +72,7 @@ TEST(PriorityPool, OwnerPopStaysCorrectAfterThievesDrainABucket) {
   // A thief empties the owner's most urgent bucket; the owner's next pop
   // must fall through to the remaining one (stale hint bits are probed
   // and retired, never trusted as content).
-  Pool pool(2, 4, par::PopOrder::kAscending);
+  Pool pool(2, 4);
   pool.push(7, 0, 0);
   pool.push(9, 2, 0);
   std::uint64_t probes = 0;
@@ -102,7 +85,7 @@ TEST(PriorityPool, OwnerPopStaysCorrectAfterThievesDrainABucket) {
 }
 
 TEST(PriorityPool, ClearForgetsContentAndIsReusable) {
-  Pool pool(2, 8, par::PopOrder::kAscending);
+  Pool pool(2, 8);
   for (std::uint32_t v = 0; v < 100; ++v) pool.push(v, v % 8, 0);
   pool.clear();
   std::uint64_t probes = 0;
@@ -125,7 +108,7 @@ TEST(PriorityPool, ClearForgetsContentAndIsReusable) {
 TEST(PriorityPoolStress, OwnerAndThievesConsumeEachValueExactlyOnce) {
   constexpr std::uint32_t kValues = 50000;
   constexpr unsigned kThieves = 3;
-  Pool pool(1 + kThieves, 64, par::PopOrder::kAscending);
+  Pool pool(1 + kThieves, 64);
 
   std::vector<std::atomic<std::uint32_t>> times_seen(kValues);
   for (auto& seen : times_seen) seen.store(0, std::memory_order_relaxed);
@@ -207,22 +190,27 @@ TEST(AsyncWorklistPolicies, ScheduleDeduplicatesWhileFlaggedUnderEveryPolicy) {
 
 TEST(AsyncWorklistPolicies, BoundPopsLowestBucketFirst) {
   par::AsyncWorklist worklist(8, 1, SchedPolicy::kBound);
+  worklist.seed(6, 0, 9999);  // clamped into the last bucket
   worklist.seed(7, 0, 60);
   worklist.seed(3, 0, 2);
   worklist.seed(5, 0, 30);
   EXPECT_EQ(worklist.acquire(0), 3u);
   EXPECT_EQ(worklist.acquire(0), 5u);
   EXPECT_EQ(worklist.acquire(0), 7u);
+  EXPECT_EQ(worklist.acquire(0), 6u);
 }
 
-TEST(AsyncWorklistPolicies, DeltaPopsHighestBucketFirstAndClampsOverflow) {
-  par::AsyncWorklist worklist(8, 1, SchedPolicy::kDelta);
+TEST(AsyncWorklistPolicies, LifoIgnoresRawPriorities) {
+  // Callers pass the estimate under every policy; the one-bucket lifo
+  // pool clamps it away, so pop order is push order reversed.
+  par::AsyncWorklist worklist(8, 1, SchedPolicy::kLifo);
   worklist.seed(1, 0, 0);
-  worklist.seed(6, 0, 9999);  // clamped into the last bucket
-  worklist.seed(4, 0, 17);
-  EXPECT_EQ(worklist.acquire(0), 6u);
-  EXPECT_EQ(worklist.acquire(0), 4u);
+  worklist.seed(2, 0, 70);
+  worklist.seed(3, 0, 3);
+  EXPECT_EQ(worklist.acquire(0), 3u);
+  EXPECT_EQ(worklist.acquire(0), 2u);
   EXPECT_EQ(worklist.acquire(0), 1u);
+  EXPECT_EQ(worklist.acquire(0), par::AsyncWorklist::kNone);
 }
 
 /// The full protocol under contention, for each policy and across a

@@ -7,7 +7,7 @@
 //   decompose  --input FILE [--algo <registry key>] [run options]
 //              [--output FILE] [--summary] [--progress N] [--repeat N]
 //   sweep      --input FILE [--algos a,b,..] [--thread-counts 1,2,..]
-//              [--scheds lifo,delta,..] [--seeds 1,2,..] [--repeat N]
+//              [--scheds lifo,bound] [--seeds 1,2,..] [--repeat N]
 //              [run options]
 //   generate   --family NAME [--n N] [--seed S] [--output FILE] [...]
 //   stream     --input FILE --updates FILE [--window W] [--verify]
@@ -81,7 +81,7 @@ int usage() {
                "at ui.perfetto.dev)\n"
             << "  sweep     --input FILE [--algos a,b,..] "
                "[--thread-counts 1,2,..]\n"
-            << "            [--scheds lifo,delta,bound] [--seeds 1,2,..] "
+            << "            [--scheds lifo,bound] [--seeds 1,2,..] "
                "[--repeat N]\n"
             << "            [run options] [--json]  (NDJSON: one report "
                "per run)\n"
@@ -454,52 +454,16 @@ int cmd_protocols() {
   return 0;
 }
 
-/// Parse "1,2,4"-style comma lists for the sweep axes.
-std::vector<std::string> split_csv(const std::string& value) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    const auto comma = value.find(',', start);
-    const auto end = comma == std::string::npos ? value.size() : comma;
-    if (end > start) items.push_back(value.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
 int cmd_sweep(const util::Args& args) {
   const graph::Graph g = load(args);
   api::PlanSpec spec;
   spec.base = api::run_options_from_args(args);
   spec.repeats = static_cast<int>(args.get_int("repeat", 3));
 
-  if (const auto algos = args.get("algos")) {
-    spec.protocols = split_csv(*algos);
-  } else {
-    spec.protocols = api::ProtocolRegistry::instance().names();
-  }
-  if (const auto threads = args.get("thread-counts")) {
-    for (const auto& item : split_csv(*threads)) {
-      spec.threads.push_back(
-          static_cast<unsigned>(std::stoul(item)));
-    }
-  }
-  if (const auto scheds = args.get("scheds")) {
-    for (const auto& item : split_csv(*scheds)) {
-      const auto parsed = core::parse_sched_policy(item);
-      KCORE_CHECK_MSG(parsed.has_value(),
-                      "--scheds '" << item
-                                   << "' is not a scheduling policy; "
-                                   << "accepted: lifo, delta, bound");
-      spec.scheds.push_back(*parsed);
-    }
-  }
-  if (const auto seeds = args.get("seeds")) {
-    for (const auto& item : split_csv(*seeds)) {
-      spec.seeds.push_back(std::stoull(item));
-    }
-  }
+  spec.protocols = args.has("algos")
+                       ? args.get_list("algos")
+                       : api::ProtocolRegistry::instance().names();
+  api::sweep_axes_from_args(args, spec);
 
   api::Plan plan(g, spec);
   const auto problems = plan.validate();
