@@ -130,12 +130,15 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
   ri.checkpoint_file = loaded.file;
   ri.checkpoint_epoch = ckpt.epoch;
 
-  // Scan the WAL (from 0: validates the epoch mark, so a foreign or
-  // mismatched log is refused instead of replayed onto the wrong base).
-  std::vector<WalBatch> tail;
+  // One read, one validating pass over the WAL. The pass starts at 0 so
+  // the epoch mark is checked (a foreign or mismatched log is refused
+  // instead of replayed onto the wrong base) and every record's CRC and
+  // framing is checked; only the batches past the checkpoint are decoded.
+  // The same scan positions the appender below.
+  WalReadResult scan;
   const bool have_wal = storage.exists(wal_path);
   if (have_wal) {
-    WalReadResult scan = Wal::read(storage, wal_path, 0);
+    scan = Wal::scan(storage, wal_path, ckpt.epoch);
     if (!scan.has_start_mark) {
       throw util::IoError(wal_path +
                           ": missing epoch mark at offset 0 — not a WAL this "
@@ -155,9 +158,6 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
           " bytes are valid — the WAL lost synced data (state inconsistent)");
     }
     ri.torn_bytes_truncated = scan.torn_bytes;
-    for (WalBatch& b : scan.batches) {
-      if (b.epoch > ckpt.epoch) tail.push_back(std::move(b));
-    }
   }
 
   const WarmStart warm{ckpt.coreness, loaded.file, ckpt.epoch};
@@ -166,8 +166,8 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
                   options, durability, &warm));
 
   if (have_wal) {
-    service->wal_.emplace(Wal::open(storage, wal_path,
-                                    wal_options_of(durability), nullptr));
+    service->wal_.emplace(
+        Wal::open(storage, wal_path, wal_options_of(durability), scan));
   } else {
     // Checkpoint-only directory (WAL lost or deleted): the checkpoint is
     // a complete state, so recover from it and start a fresh log.
@@ -179,7 +179,7 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
   // epoch: duplicates (a retried append after a transient I/O error)
   // are skipped, gaps are refused.
   service->replaying_ = true;
-  for (const WalBatch& b : tail) {
+  for (const WalBatch& b : scan.batches) {
     if (b.epoch < service->epoch_) {
       ++ri.skipped_duplicate_batches;
       continue;

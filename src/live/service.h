@@ -33,8 +33,11 @@
 //    relaxations — the paper's re-convergence theorems make this sound;
 //    the k-order's bucket peel checks the table, and a table that is not
 //    the coreness of its topology is refused with util::IoError naming
-//    the checkpoint file), truncates any torn WAL tail, and replays the
-//    remaining records through the normal apply() path.
+//    the checkpoint file), reads wal.log once and validates every
+//    record in one pass (Wal::scan: CRC and framing checked from offset
+//    0, only the records past the checkpoint's epoch decoded), truncates
+//    any torn WAL tail, and replays the decoded tail through the normal
+//    apply() path.
 //    Replay is idempotent by epoch: duplicate records are skipped, a
 //    gap is refused with an actionable error.
 //  * A failed checkpoint write degrades gracefully: the error is

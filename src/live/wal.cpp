@@ -1,5 +1,7 @@
 #include "live/wal.h"
 
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "live/wire.h"
@@ -50,6 +52,82 @@ std::string encode_epoch_mark(std::uint64_t epoch) {
   return encode_frame(payload);
 }
 
+/// True if every update in `updates` (whole kUpdateBytes records) has an
+/// op byte inside EdgeOp.
+bool ops_valid(std::string_view updates) {
+  for (std::size_t i = 0; i < updates.size(); i += kUpdateBytes) {
+    if (static_cast<std::uint8_t>(updates[i]) > kMaxOp) return false;
+  }
+  return true;
+}
+
+/// Decode updates that ops_valid() accepted.
+WalBatch decode_batch(std::uint64_t epoch, std::string_view updates) {
+  WalBatch batch;
+  batch.epoch = epoch;
+  batch.updates.resize(updates.size() / kUpdateBytes);
+  wire::Reader reader(updates);
+  for (graph::EdgeUpdate& u : batch.updates) {
+    std::uint8_t op = 0;
+    // Cannot run short: `updates` holds exactly one record per entry.
+    (void)(reader.get_u8(op) && reader.get_u32(u.u) && reader.get_u32(u.v));
+    u.op = static_cast<graph::EdgeOp>(op);
+  }
+  return batch;
+}
+
+/// The one validating pass behind read() and scan(). Every record from
+/// `offset` on gets its framing, CRC, count and op bytes checked; only
+/// batch records with an epoch past `decode_after` (all of them when it
+/// is empty) are decoded into WalReadResult::batches.
+WalReadResult parse(std::string_view content, std::uint64_t offset,
+                    std::optional<std::uint64_t> decode_after) {
+  WalReadResult result;
+  result.valid_end = offset;
+  wire::Reader reader(content.substr(static_cast<std::size_t>(offset)));
+  while (reader.remaining() > 0) {
+    std::uint32_t len = 0;
+    std::uint32_t crc = 0;
+    std::string_view payload;
+    if (!reader.get_u32(len) || len > kMaxPayload || !reader.get_u32(crc) ||
+        !reader.get_bytes(len, payload) || util::crc32(payload) != crc) {
+      break;  // torn tail: everything from valid_end on is discarded
+    }
+    wire::Reader body(payload);
+    std::uint8_t type = 0;
+    if (!body.get_u8(type)) break;
+    if (type == kTypeEpochMark) {
+      std::uint64_t epoch = 0;
+      if (!body.get_u64(epoch)) break;
+      if (result.valid_end == offset && offset == 0) {
+        result.start_epoch = epoch;
+        result.has_start_mark = true;
+      }
+    } else if (type == kTypeBatch) {
+      std::uint64_t epoch = 0;
+      std::uint32_t count = 0;
+      std::string_view updates;
+      // A count the payload cannot hold, or an op byte outside EdgeOp,
+      // is corruption under a valid CRC: stop here (torn tail) before
+      // allocating for it.
+      if (!body.get_u64(epoch) || !body.get_u32(count) ||
+          count > body.remaining() / kUpdateBytes ||
+          !body.get_bytes(std::size_t{count} * kUpdateBytes, updates) ||
+          !ops_valid(updates)) {
+        break;
+      }
+      if (!decode_after.has_value() || epoch > *decode_after) {
+        result.batches.push_back(decode_batch(epoch, updates));
+      }
+    } else {
+      break;  // unknown record type: treat as corruption, stop here
+    }
+    result.valid_end = offset + reader.pos();
+  }
+  result.torn_bytes = content.size() - result.valid_end;
+  return result;
+}
+
 }  // namespace
 
 const char* to_string(FsyncPolicy policy) noexcept {
@@ -83,13 +161,11 @@ Wal Wal::create(util::Storage& storage, const std::string& path,
 }
 
 Wal Wal::open(util::Storage& storage, const std::string& path,
-              const WalOptions& options, std::uint64_t* torn_bytes_out) {
-  WalReadResult scan = read(storage, path, 0);
+              const WalOptions& options, const WalReadResult& scan) {
   if (scan.torn_bytes > 0) {
     storage.truncate_file(path, scan.valid_end);
     storage.sync_file(path);
   }
-  if (torn_bytes_out != nullptr) *torn_bytes_out = scan.torn_bytes;
   return Wal(storage, path, options, scan.valid_end);
 }
 
@@ -102,60 +178,12 @@ WalReadResult Wal::read(util::Storage& storage, const std::string& path,
                         std::to_string(content.size()) +
                         " bytes — the state directory is inconsistent");
   }
+  return parse(content, offset, std::nullopt);
+}
 
-  WalReadResult result;
-  result.valid_end = offset;
-  wire::Reader reader(
-      std::string_view(content).substr(static_cast<std::size_t>(offset)));
-  while (reader.remaining() > 0) {
-    std::uint32_t len = 0;
-    std::uint32_t crc = 0;
-    std::string_view payload;
-    if (!reader.get_u32(len) || len > kMaxPayload || !reader.get_u32(crc) ||
-        !reader.get_bytes(len, payload) || util::crc32(payload) != crc) {
-      break;  // torn tail: everything from valid_end on is discarded
-    }
-    wire::Reader body(payload);
-    std::uint8_t type = 0;
-    if (!body.get_u8(type)) break;
-    if (type == kTypeEpochMark) {
-      std::uint64_t epoch = 0;
-      if (!body.get_u64(epoch)) break;
-      if (result.valid_end == offset && offset == 0) {
-        result.start_epoch = epoch;
-        result.has_start_mark = true;
-      }
-    } else if (type == kTypeBatch) {
-      WalBatch batch;
-      std::uint32_t count = 0;
-      // A count the payload cannot hold is corruption under a valid
-      // CRC: stop here (torn tail) before allocating for it.
-      if (!body.get_u64(batch.epoch) || !body.get_u32(count) ||
-          count > body.remaining() / kUpdateBytes) {
-        break;
-      }
-      batch.updates.reserve(count);
-      bool ok = true;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint8_t op = 0;
-        graph::EdgeUpdate u;
-        if (!body.get_u8(op) || op > kMaxOp || !body.get_u32(u.u) ||
-            !body.get_u32(u.v)) {
-          ok = false;
-          break;
-        }
-        u.op = static_cast<graph::EdgeOp>(op);
-        batch.updates.push_back(u);
-      }
-      if (!ok) break;
-      result.batches.push_back(std::move(batch));
-    } else {
-      break;  // unknown record type: treat as corruption, stop here
-    }
-    result.valid_end = offset + reader.pos();
-  }
-  result.torn_bytes = content.size() - result.valid_end;
-  return result;
+WalReadResult Wal::scan(util::Storage& storage, const std::string& path,
+                        std::uint64_t after_epoch) {
+  return parse(storage.read_file(path), 0, after_epoch);
 }
 
 std::uint64_t Wal::append(const WalBatch& batch) {

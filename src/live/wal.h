@@ -7,6 +7,9 @@
 // the exact same apply() semantics. A torn tail — the half-written
 // record a power cut leaves behind — is detected by the length/CRC frame
 // and truncated on open; everything before it is intact by construction.
+// Recovery reads the log once (scan()): every record is validated, only
+// the tail past the checkpoint is decoded, and the appender is
+// positioned from the same scan.
 //
 // Record frame:   u32 payload_len | u32 crc32(payload) | payload
 // Payload:        u8 type | type-specific body (all little-endian)
@@ -57,8 +60,11 @@ struct WalBatch {
   std::vector<graph::EdgeUpdate> updates;
 };
 
-/// Result of scanning a WAL file.
+/// Result of scanning a WAL file. Every record the scan covered was
+/// validated; `batches` holds the ones it decoded.
 struct WalReadResult {
+  /// read(): every batch from the offset on. scan(): only the batches
+  /// past its epoch, the tail recovery replays.
   std::vector<WalBatch> batches;
   /// Byte offset one past the last valid record.
   std::uint64_t valid_end = 0;
@@ -77,20 +83,28 @@ class Wal {
   static Wal create(util::Storage& storage, const std::string& path,
                     std::uint64_t epoch, const WalOptions& options);
 
-  /// Open an existing WAL for append. Scans the whole file, truncates a
-  /// torn tail (syncing the truncation), and positions appends after the
-  /// last valid record. `torn_bytes_out`, if non-null, receives the
-  /// number of bytes discarded.
+  /// Open an existing WAL for append from `scan`, a whole-file scan of it
+  /// (scan() or read(…, 0)). Truncates the torn tail the scan found
+  /// (syncing the truncation) and positions appends at its valid_end;
+  /// the file is not read again.
   static Wal open(util::Storage& storage, const std::string& path,
-                  const WalOptions& options,
-                  std::uint64_t* torn_bytes_out = nullptr);
+                  const WalOptions& options, const WalReadResult& scan);
 
-  /// Parse records starting at byte `offset`. Stops cleanly at the first
-  /// torn/corrupt record (reported via torn_bytes). Throws util::IoError
-  /// if `offset` lies beyond the end of the file — a checkpoint pointing
-  /// past the durable WAL means the directory is inconsistent.
+  /// Parse and decode every record starting at byte `offset`. Stops
+  /// cleanly at the first torn/corrupt record (reported via torn_bytes).
+  /// Throws util::IoError if `offset` lies beyond the end of the file — a
+  /// checkpoint pointing past the durable WAL means the directory is
+  /// inconsistent.
   static WalReadResult read(util::Storage& storage, const std::string& path,
                             std::uint64_t offset);
+
+  /// Recovery's single pass: read the file once and validate every
+  /// record from offset 0 exactly as read() does (framing, CRC, count,
+  /// op bytes — so valid_end, torn_bytes and the epoch mark are the
+  /// same), but decode only the batches whose epoch is past
+  /// `after_epoch`. The checkpointed prefix is checked, not decoded.
+  static WalReadResult scan(util::Storage& storage, const std::string& path,
+                            std::uint64_t after_epoch);
 
   Wal(Wal&&) = default;
   Wal& operator=(Wal&&) = default;

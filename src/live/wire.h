@@ -1,10 +1,10 @@
 // Little-endian wire encoding shared by the WAL and checkpoint formats.
 //
-// Explicit byte-at-a-time encoding (not memcpy-of-struct): durable files
-// must mean the same thing regardless of host padding or endianness, and
-// the decoder must treat every field read as potentially truncated — a
-// torn tail is a NORMAL state for these readers, surfaced as a clean
-// "out of bytes" signal rather than UB.
+// Explicitly shifted little-endian bytes, one append per field (not
+// memcpy-of-struct): durable files must mean the same thing regardless
+// of host padding or endianness, and the decoder must treat every field
+// read as potentially truncated — a torn tail is a NORMAL state for
+// these readers, surfaced as a clean "out of bytes" signal rather than UB.
 #pragma once
 
 #include <cstdint>
@@ -18,15 +18,19 @@ inline void put_u8(std::string& out, std::uint8_t v) {
 }
 
 inline void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  const char bytes[4] = {
+      static_cast<char>(v & 0xFF), static_cast<char>((v >> 8) & 0xFF),
+      static_cast<char>((v >> 16) & 0xFF), static_cast<char>((v >> 24) & 0xFF)};
+  out.append(bytes, sizeof(bytes));
 }
 
 inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
+  const char bytes[8] = {
+      static_cast<char>(v & 0xFF),         static_cast<char>((v >> 8) & 0xFF),
+      static_cast<char>((v >> 16) & 0xFF), static_cast<char>((v >> 24) & 0xFF),
+      static_cast<char>((v >> 32) & 0xFF), static_cast<char>((v >> 40) & 0xFF),
+      static_cast<char>((v >> 48) & 0xFF), static_cast<char>((v >> 56) & 0xFF)};
+  out.append(bytes, sizeof(bytes));
 }
 
 /// Bounds-checked cursor over an encoded buffer. Every get_* returns

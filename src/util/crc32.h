@@ -1,7 +1,8 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the integrity
 // check framing every durable artifact in this repo (WAL records,
-// checkpoint files). Table-driven, incremental: feed chunks through the
-// running value, compare the final against the stored footer.
+// checkpoint files). Table-driven, sliced by 8 (eight input bytes per
+// step), incremental: feed chunks through the running value, compare the
+// final against the stored footer.
 #pragma once
 
 #include <cstdint>

@@ -440,9 +440,9 @@ TEST_F(RecoveryDegenerate, DuplicateWalRecordsAreSkippedOnReplay) {
   // A retried append after a transient sync error leaves the same epoch
   // in the log twice; replay must apply it exactly once. The duplicate
   // has to sit PAST the newest checkpoint's epoch — records at or below
-  // it are already cut away by the checkpoint's WAL offset filter.
+  // it are validated but never decoded, let alone replayed.
   const std::string wal_path = std::string(kDir) + "/wal.log";
-  Wal wal = Wal::open(fs_, wal_path, {});
+  Wal wal = Wal::open(fs_, wal_path, {}, Wal::read(fs_, wal_path, 0));
   WalBatch next;
   next.epoch = trace_.log.size() + 1;
   next.updates = trace_.log[1].updates;
@@ -461,7 +461,7 @@ TEST_F(RecoveryDegenerate, DuplicateWalRecordsAreSkippedOnReplay) {
 
 TEST_F(RecoveryDegenerate, WalEpochGapRefusesWithReason) {
   const std::string wal_path = std::string(kDir) + "/wal.log";
-  Wal wal = Wal::open(fs_, wal_path, {});
+  Wal wal = Wal::open(fs_, wal_path, {}, Wal::read(fs_, wal_path, 0));
   WalBatch future;
   future.epoch = 1000;
   wal.append(future);
@@ -472,6 +472,188 @@ TEST_F(RecoveryDegenerate, WalEpochGapRefusesWithReason) {
     EXPECT_NE(std::string(e.what()).find("epoch gap"), std::string::npos)
         << e.what();
   }
+}
+
+/// Expect Service::open over `fs` to throw util::IoError containing
+/// `needle`.
+void expect_refusal(util::MemStorage& fs, const std::string& needle) {
+  try {
+    (void)Service::open(fast_options(), mem_durability(fs));
+    FAIL() << "expected util::IoError containing '" << needle << "'";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(RecoveryDegenerate, CorruptEpochMarkRefusesWithReason) {
+  // Overwrite the first frame's type byte: the head record no longer
+  // checks out, so the log carries no epoch mark at offset 0.
+  const std::string wal_path = std::string(kDir) + "/wal.log";
+  std::string bytes = fs_.read_file(wal_path);
+  bytes[8] = 0x01;
+  fs_.write_file(wal_path, bytes);
+  fs_.sync_file(wal_path);
+  expect_refusal(fs_, "missing epoch mark");
+}
+
+TEST_F(RecoveryDegenerate, WalNewerThanTheCheckpointRefusesWithReason) {
+  const std::string wal_path = std::string(kDir) + "/wal.log";
+  (void)Wal::create(fs_, wal_path, /*epoch=*/trace_.log.size() + 10, {});
+  expect_refusal(fs_, "is newer than checkpoint epoch");
+}
+
+TEST_F(RecoveryDegenerate, CorruptRecordBeforeTheCheckpointOffsetRefuses) {
+  // Recovery decodes only the records past the checkpoint, but it still
+  // CRC-checks the prefix: a flipped byte there ends the valid log before
+  // the offset the checkpoint vouched for.
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  const std::uint64_t offset = loaded.data->wal_offset;
+  const std::string wal_path = std::string(kDir) + "/wal.log";
+  std::string bytes = fs_.read_file(wal_path);
+  ASSERT_GT(offset, 40U);
+  bytes[static_cast<std::size_t>(offset) - 3] ^= 0x10;
+  fs_.write_file(wal_path, bytes);
+  fs_.sync_file(wal_path);
+  expect_refusal(fs_, "WAL lost synced data");
+}
+
+/// MemStorage that counts read_file calls on the WAL.
+class WalReadCountingStorage : public util::MemStorage {
+ public:
+  std::string read_file(const std::string& path) override {
+    if (path.ends_with("/wal.log")) ++wal_reads;
+    return MemStorage::read_file(path);
+  }
+  int wal_reads = 0;
+};
+
+TEST(Recovery, OpenReadsTheWalExactlyOnce) {
+  const Trace trace = make_trace(0, 4);
+  WalReadCountingStorage fs;
+  ASSERT_TRUE(run_trace(fs, trace));
+  fs.wal_reads = 0;
+  RecoveryInfo info;
+  const auto service =
+      Service::open(fast_options(), mem_durability(fs), &info);
+  EXPECT_EQ(info.recovered_epoch, trace.log.size());
+  EXPECT_EQ(fs.wal_reads, 1);
+}
+
+// --- seeded WAL mutations ---------------------------------------------------
+
+TEST(Recovery, MutatedWalRecoversExactlyOrRefuses) {
+  // A finished durable run whose newest checkpoint (epoch 4) leaves a WAL
+  // tail (epochs 5..6), so mutations land in both the checkpointed
+  // prefix, which recovery validates without decoding, and the tail.
+  const Trace trace = make_trace(1, 7);
+  util::MemStorage base;
+  DurabilityOptions durability = mem_durability(base);
+  durability.checkpoint_every = 4;
+  // history[e]: the topology after the first e batches. A recovered
+  // service must sit on one of them — a table exact for some OTHER
+  // topology would be a silent divergence.
+  std::vector<std::vector<graph::Edge>> history;
+  {
+    Service service(trace.base, fast_options(), durability);
+    history.push_back(service.graph().edges());
+    for (const graph::EdgeUpdateBatch& batch : trace.log) {
+      service.apply(batch.updates);
+      history.push_back(service.graph().edges());
+    }
+  }
+  const CheckpointLoadResult loaded = load_latest_checkpoint(base, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  const std::uint64_t split = loaded.data->wal_offset;
+  const std::string wal_path = std::string(kDir) + "/wal.log";
+  const std::string wal = base.read_file(wal_path);
+  ASSERT_GT(split, 0U);
+  ASSERT_LT(split, wal.size());
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const std::string& name : base.list_dir(kDir)) {
+    const std::string path = std::string(kDir) + "/" + name;
+    files.emplace_back(path, base.read_file(path));
+  }
+  // Frame starts, to aim length-field corruption at real headers.
+  std::vector<std::size_t> frames;
+  for (std::size_t at = 0; at + 8 <= wal.size();) {
+    frames.push_back(at);
+    std::uint32_t len = 0;
+    wire::Reader header(std::string_view(wal).substr(at, 4));
+    ASSERT_TRUE(header.get_u32(len));
+    at += 8 + len;
+  }
+
+  std::uint64_t recovered = 0;
+  std::uint64_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (int kind = 0; kind < 3; ++kind) {
+      for (const bool in_tail : {false, true}) {
+        util::Xoshiro256 rng(seed * 101 + static_cast<std::uint64_t>(kind));
+        const std::size_t lo = in_tail ? split : 0;
+        const std::size_t hi = in_tail ? wal.size() : split;
+        const auto pick = [&](std::size_t from, std::size_t to) {
+          return from + static_cast<std::size_t>(rng.next_below(to - from));
+        };
+        std::string mutant = wal;
+        if (kind == 0) {  // flip bits in one byte
+          mutant[pick(lo, hi)] ^= static_cast<char>(1 + rng.next_below(255));
+        } else if (kind == 1) {  // cut the log short
+          mutant.resize(pick(lo, hi));
+        } else {  // rewrite one frame's length field
+          std::vector<std::size_t> region;
+          for (const std::size_t f : frames) {
+            if (f >= lo && f < hi) region.push_back(f);
+          }
+          ASSERT_FALSE(region.empty());
+          const std::size_t at = region[pick(0, region.size())];
+          const std::uint32_t len =
+              rng.next_bool(0.5) ? static_cast<std::uint32_t>(rng.next())
+                                 : static_cast<std::uint32_t>(
+                                       rng.next_below(64));
+          std::string field;
+          wire::put_u32(field, len);
+          mutant.replace(at, 4, field);
+        }
+
+        util::MemStorage fs;
+        fs.make_dir(kDir);
+        for (const auto& [path, bytes] : files) {
+          fs.write_file(path, path == wal_path ? mutant : bytes);
+          fs.sync_file(path);
+        }
+        DurabilityOptions on_mutant = durability;
+        on_mutant.storage = &fs;
+        RecoveryInfo info;
+        std::unique_ptr<Service> service;
+        try {
+          service = Service::open(fast_options(), on_mutant, &info);
+        } catch (const util::IoError& e) {
+          ASSERT_NE(std::string(e.what()).find(kDir), std::string::npos)
+              << e.what();
+          // Damage past the checkpoint's offset is a torn tail, never a
+          // reason to give up the checkpointed state.
+          ASSERT_FALSE(in_tail) << "seed " << seed << " kind " << kind
+                                << ": " << e.what();
+          ++refused;
+          continue;
+        }
+        ++recovered;
+        ASSERT_LE(info.recovered_epoch, trace.log.size())
+            << "seed " << seed << " kind " << kind << " tail " << in_tail;
+        ASSERT_EQ(service->graph().edges(), history[info.recovered_epoch])
+            << "seed " << seed << " kind " << kind << " tail " << in_tail;
+        ASSERT_EQ(service->query()->coreness,
+                  seq::coreness_bz(service->graph().snapshot()))
+            << "seed " << seed << " kind " << kind << " tail " << in_tail;
+      }
+    }
+  }
+  // Prefix damage is refused ("WAL lost synced data" and kin), tail
+  // damage recovers: both must occur.
+  EXPECT_GT(recovered, 0U);
+  EXPECT_GT(refused, 0U);
 }
 
 TEST_F(RecoveryDegenerate, FreshDurableServiceRefusesADirtyDirectory) {

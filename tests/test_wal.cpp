@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "live/checkpoint.h"
 #include "live/wire.h"
 #include "util/check.h"
 #include "util/crc32.h"
@@ -83,9 +84,9 @@ TEST(Wal, GarbageTailIsDetectedAndTruncatedOnOpen) {
   fs.append_file("wal.log", "garbage-not-a-frame");
   fs.sync_file("wal.log");
 
-  std::uint64_t torn = 0;
-  Wal reopened = Wal::open(fs, "wal.log", {}, &torn);
-  EXPECT_EQ(torn, 19U);
+  const WalReadResult opened = Wal::read(fs, "wal.log", 0);
+  Wal reopened = Wal::open(fs, "wal.log", {}, opened);
+  EXPECT_EQ(opened.torn_bytes, 19U);
   EXPECT_EQ(reopened.end_offset(), good_end);
   // The truncation is synced: the garbage is gone even after a crash.
   fs.crash();
@@ -167,9 +168,12 @@ TEST(Wal, ForgedRecordsWithValidCrcAreATornTail) {
     ASSERT_EQ(scan.batches.size(), 1U) << count << "/" << int{op};
     EXPECT_EQ(scan.valid_end, good_end);
     EXPECT_EQ(scan.torn_bytes, forged.size());
-    std::uint64_t torn = 0;
-    (void)Wal::open(fs, "wal.log", {}, &torn);
-    EXPECT_EQ(torn, forged.size());
+    // scan() validates the same way, decoding nothing at or below epoch 1.
+    const WalReadResult tail = Wal::scan(fs, "wal.log", /*after_epoch=*/1);
+    EXPECT_TRUE(tail.batches.empty());
+    EXPECT_EQ(tail.valid_end, good_end);
+    EXPECT_EQ(tail.torn_bytes, forged.size());
+    (void)Wal::open(fs, "wal.log", {}, tail);
     EXPECT_EQ(fs.file_size("wal.log"), good_end);
   }
   // The same frame with an honest count and op decodes.
@@ -180,6 +184,88 @@ TEST(Wal, ForgedRecordsWithValidCrcAreATornTail) {
   ASSERT_EQ(scan.batches.size(), 1U);
   EXPECT_EQ(scan.batches[0].updates,
             (std::vector<EdgeUpdate>{{EdgeOp::kRemove, 1, 2}}));
+}
+
+// --- recovery's single scan --------------------------------------------------
+
+TEST(Wal, ScanDecodesOnlyTheBatchesPastItsEpoch) {
+  util::MemStorage fs;
+  Wal wal = Wal::create(fs, "wal.log", /*epoch=*/0, {});
+  for (std::uint64_t e = 1; e <= 5; ++e) wal.append(make_batch(e));
+  fs.append_file("wal.log", "torn");
+
+  const WalReadResult all = Wal::read(fs, "wal.log", 0);
+  const WalReadResult tail = Wal::scan(fs, "wal.log", /*after_epoch=*/3);
+  ASSERT_EQ(tail.batches.size(), 2U);
+  EXPECT_EQ(tail.batches[0].epoch, 4U);
+  EXPECT_EQ(tail.batches[1].epoch, 5U);
+  EXPECT_EQ(tail.batches[1].updates, make_batch(5).updates);
+  // Everything but the decoded set matches a full read.
+  EXPECT_EQ(tail.valid_end, all.valid_end);
+  EXPECT_EQ(tail.torn_bytes, all.torn_bytes);
+  EXPECT_EQ(tail.torn_bytes, 4U);
+  EXPECT_TRUE(tail.has_start_mark);
+  EXPECT_EQ(tail.start_epoch, 0U);
+  EXPECT_EQ(Wal::scan(fs, "wal.log", 0).batches.size(), all.batches.size());
+}
+
+TEST(Wal, ScanStillChecksTheCrcOfThePrefixItSkips) {
+  util::MemStorage fs;
+  Wal wal = Wal::create(fs, "wal.log", 0, {});
+  const std::uint64_t mark_end = wal.end_offset();
+  wal.append(make_batch(1));
+  wal.append(make_batch(2));
+  std::string content = fs.read_file("wal.log");
+  content[mark_end + 12] ^= 0x01;  // inside batch 1's payload
+  fs.write_file("wal.log", content);
+
+  // Batch 2 is past the scan's epoch but sits behind the corrupt record:
+  // the valid log ends before batch 1, exactly as a full read says.
+  const WalReadResult tail = Wal::scan(fs, "wal.log", /*after_epoch=*/1);
+  EXPECT_TRUE(tail.batches.empty());
+  EXPECT_EQ(tail.valid_end, mark_end);
+  EXPECT_EQ(tail.torn_bytes, content.size() - mark_end);
+  EXPECT_EQ(Wal::read(fs, "wal.log", 0).valid_end, mark_end);
+}
+
+// --- on-disk format pins ---------------------------------------------------
+
+// Golden bytes of both durable formats: a change that moves one byte
+// fails here, since existing state directories must stay recoverable.
+TEST(WireFormat, WalBytesAreUnchanged) {
+  util::MemStorage fs;
+  Wal wal = Wal::create(fs, "wal.log", /*epoch=*/5, {});
+  WalBatch batch;
+  batch.epoch = 0xA1B2C3D4E5F60718ull;
+  batch.updates = {{EdgeOp::kInsert, 1, 2}, {EdgeOp::kRemove, 0x01020304, 7}};
+  wal.append(batch);
+  const std::string golden(
+      "\x09\x00\x00\x00\x4c\x32\x1f\x80\x02\x05\x00\x00\x00\x00\x00\x00"
+      "\x00\x1f\x00\x00\x00\xca\x12\x7c\xf9\x01\x18\x07\xf6\xe5\xd4\xc3"
+      "\xb2\xa1\x02\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x01"
+      "\x04\x03\x02\x01\x07\x00\x00\x00",
+      56);
+  EXPECT_EQ(fs.read_file("wal.log"), golden);
+}
+
+TEST(WireFormat, CheckpointBytesAreUnchanged) {
+  util::MemStorage fs;
+  fs.make_dir("d");
+  CheckpointData data;
+  data.epoch = 3;
+  data.wal_offset = 0x8877665544332211ull;
+  data.num_nodes = 3;
+  data.edges = {{0, 1}, {1, 2}};
+  data.coreness = {1, 1, 1};
+  const std::string path = write_checkpoint(fs, "d", data, 2);
+  EXPECT_EQ(path, "d/checkpoint-0000000003.ckpt");
+  const std::string golden(
+      "\x70\x6b\x63\x6b\x3f\x4b\xf1\x75\x03\x00\x00\x00\x00\x00\x00\x00"
+      "\x11\x22\x33\x44\x55\x66\x77\x88\x03\x00\x00\x00\x02\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00"
+      "\x02\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00\x01\x00\x00\x00",
+      64);
+  EXPECT_EQ(fs.read_file(path), golden);
 }
 
 // --- fsync policies against the durability model ----------------------------
