@@ -23,10 +23,11 @@ using graph::NodeId;
 /// estimate (bounded by degree) is below this.
 inline constexpr NodeId kEstimateInfinity = graph::kInvalidNode;
 
-/// Algorithm 2. `neighbor_estimates` are the est[] entries for every
-/// neighbor of u (order irrelevant); `k` is u's current estimate (the cap).
-/// Runs in O(|neighbors| + k); the `counts` scratch buffer is caller-
-/// provided so hot loops can reuse it across calls.
+/// Algorithm 2, literally. `neighbor_estimates` are the est[] entries for
+/// every neighbor of u (order irrelevant); `k` is u's current estimate
+/// (the cap). Runs in O(|neighbors| + k). Every run path uses
+/// IndexScratch below; this kernel is the reference the tests check
+/// IndexScratch against, and kernel_bench's baseline.
 ///
 /// Returns 0 when k == 0 (isolated node); otherwise a value in [1, k].
 [[nodiscard]] inline NodeId compute_index(
@@ -49,7 +50,7 @@ inline constexpr NodeId kEstimateInfinity = graph::kInvalidNode;
   return i;
 }
 
-/// Convenience overload allocating its own scratch (tests, cold paths).
+/// Convenience overload allocating its own scratch (tests).
 [[nodiscard]] inline NodeId compute_index(
     std::span<const NodeId> neighbor_estimates, NodeId k) {
   std::vector<NodeId> scratch;

@@ -153,12 +153,10 @@ void OneToManyHost::improve_estimates() {
     const std::uint32_t l = owned_local_[o];
     const graph::NodeId current = est_[l];
     if (current == 0) continue;
-    gather_.clear();
-    for (std::uint64_t i = own_adj_offsets_[o]; i < own_adj_offsets_[o + 1];
-         ++i) {
-      gather_.push_back(est_[own_adj_[i]]);
-    }
-    const graph::NodeId k = compute_index(gather_, current, scratch_);
+    const std::uint32_t* adj = own_adj_.data() + own_adj_offsets_[o];
+    const graph::NodeId k = index_.compute_index_stream(
+        own_adj_offsets_[o + 1] - own_adj_offsets_[o], current,
+        [this, adj](std::size_t i) { return est_[adj[i]]; });
     if (k < current) {
       est_[l] = k;
       changed_[o] = true;

@@ -109,8 +109,7 @@ class OneToManyHost {
   std::vector<bool> changed_;       // per owned index
   std::vector<std::uint32_t> worklist_;
   std::vector<bool> in_worklist_;   // per owned index
-  std::vector<graph::NodeId> gather_;   // scratch: neighbor estimates
-  std::vector<graph::NodeId> scratch_;  // scratch: computeIndex counts
+  IndexScratch index_;  // computeIndex slots, shared by the owned nodes
   std::uint64_t estimates_shipped_ = 0;
   std::uint64_t last_send_round_ = 0;
 };

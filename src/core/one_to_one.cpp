@@ -28,7 +28,10 @@ void OneToOneNode::on_message(sim::HostId /*from*/, const Message& m) {
 void OneToOneNode::on_round(sim::Context<Message>& ctx) {
   if (recompute_) {
     recompute_ = false;
-    const graph::NodeId t = compute_index(est_, core_, scratch_);
+    // One scratch per executing thread, not per node: IndexScratch's
+    // 64-slot floor would cost every node 512 B.
+    thread_local IndexScratch index;
+    const graph::NodeId t = index.compute_index(est_, core_);
     if (t < core_) {
       core_ = t;
       changed_ = true;

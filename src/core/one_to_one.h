@@ -88,7 +88,6 @@ class OneToOneNode {
   std::uint64_t transitions_ = 0;
   std::uint64_t last_send_round_ = 0;
   std::vector<graph::NodeId> est_;  // aligned with graph_->neighbors(self_)
-  std::vector<graph::NodeId> scratch_;
 };
 
 /// Configuration for a one-to-one run: the shared option set. Consumed

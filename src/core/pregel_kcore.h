@@ -61,8 +61,8 @@ struct PregelKCoreProgram {
       }
     }
     if (lowered) {
-      std::vector<graph::NodeId> scratch;
-      const graph::NodeId t = compute_index(value.est, value.core, scratch);
+      thread_local IndexScratch index;  // one per worker thread
+      const graph::NodeId t = index.compute_index(value.est, value.core);
       if (t < value.core) {
         value.core = t;
         for (std::size_t i = 0; i < nbrs.size(); ++i) {

@@ -207,8 +207,8 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
 
 void Service::setup_metrics() {
   if (!(obs::kEnabled && options_.metrics)) return;
-  // Three single-writer lanes — see the slot constants in service.h.
-  registry_ = std::make_unique<obs::Registry>(3);
+  // Two single-writer lanes — see the slot constants in service.h.
+  registry_ = std::make_unique<obs::Registry>(2);
   c_repairs_ = registry_->counter("live.repairs");
   c_epochs_ = registry_->counter("live.epoch_publishes");
   c_relaxations_ = registry_->counter("live.relaxations");
@@ -221,7 +221,6 @@ void Service::setup_metrics() {
   c_checkpoints_ = registry_->counter("live.checkpoints");
   c_checkpoint_failures_ = registry_->counter("live.checkpoint_failures");
   c_provisional_ = registry_->counter("live.provisional_publishes");
-  c_overload_ = registry_->counter("live.overload_rejects");
 }
 
 std::shared_ptr<const Snapshot> Service::query() const {
@@ -363,16 +362,6 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
   return result;
 }
 
-std::vector<ApplyResult> Service::replay(
-    std::span<const graph::EdgeUpdateBatch> batches) {
-  std::vector<ApplyResult> results;
-  results.reserve(batches.size());
-  for (const graph::EdgeUpdateBatch& batch : batches) {
-    results.push_back(apply(batch.updates));
-  }
-  return results;
-}
-
 void Service::write_checkpoint_now() {
   KCORE_CHECK(wal_.has_value());
   // Barrier: the WAL must be durable up to the offset the checkpoint
@@ -395,10 +384,6 @@ void Service::checkpoint() {
                   "checkpoint() requires a durable Service (set "
                   "DurabilityOptions::dir)");
   write_checkpoint_now();
-}
-
-void Service::note_overload_reject(std::uint64_t n) {
-  if (registry_) registry_->add(c_overload_, kIngressSlot, n);
 }
 
 obs::MetricsSnapshot Service::metrics() const {

@@ -72,7 +72,6 @@
 //   live.checkpoints           checkpoints written (incl. the initial one)
 //   live.checkpoint_failures   checkpoint writes that failed (degraded)
 //   live.provisional_publishes provisional snapshots the watchdog pushed
-//   live.overload_rejects      batches a bounded ingest queue turned away
 #pragma once
 
 #include <condition_variable>
@@ -191,17 +190,8 @@ class Service {
   /// incrementally, publish a new epoch. Single-writer.
   ApplyResult apply(std::span<const graph::EdgeUpdate> batch);
 
-  /// Apply every batch in order; returns one result per batch.
-  std::vector<ApplyResult> replay(
-      std::span<const graph::EdgeUpdateBatch> batches);
-
   /// Force a checkpoint now (also syncs the WAL). Durable mode only.
   void checkpoint();
-
-  /// Count a batch turned away by a bounded ingest queue (see
-  /// live/ingest.h). Callers must serialize (the Ingestor's queue mutex
-  /// does) — the counter lane is single-writer.
-  void note_overload_reject(std::uint64_t n = 1);
 
   /// Writer-side view of the current topology (do not call concurrently
   /// with apply()).
@@ -244,11 +234,9 @@ class Service {
 
   // Registry lanes: every slot is single-writer (obs::Registry::add is a
   // plain load+store). Writer thread owns 0; the (one-at-a-time,
-  // spawn/joined) watchdog owns 1; ingest producers own 2, serialized by
-  // the Ingestor's queue mutex.
+  // spawn/joined) watchdog owns 1.
   static constexpr unsigned kWriterSlot = 0;
   static constexpr unsigned kWatchdogSlot = 1;
-  static constexpr unsigned kIngressSlot = 2;
 
   void setup_metrics();
   /// Hand readers a snapshot of the current estimate table, stamped with
@@ -297,7 +285,6 @@ class Service {
   obs::Counter c_checkpoints_;
   obs::Counter c_checkpoint_failures_;
   obs::Counter c_provisional_;
-  obs::Counter c_overload_;
 };
 
 }  // namespace kcore::live

@@ -14,18 +14,6 @@
 
 namespace kcore::par {
 
-AsyncStats AsyncStats::from_metrics(const obs::MetricsSnapshot& m,
-                                    std::uint64_t seeded) {
-  AsyncStats s;
-  s.relaxations = m.value("async.relaxations");
-  s.steals = m.value("async.steals");
-  s.re_enqueues = s.relaxations >= seeded ? s.relaxations - seeded : 0;
-  s.detector_passes = m.value("async.detector_passes");
-  s.skipped_recomputes = m.value("async.skipped_recomputes");
-  s.pop_scans = m.value("async.pop_scans");
-  return s;
-}
-
 // --- bsp-async ---------------------------------------------------------------
 // The worker loop is par::relax (par/relax.h), shared with live repair;
 // this runner owns what is static-only: the degree reset, the prepared
@@ -114,14 +102,8 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
   result.run_ms =
       util::ms_between(run_start, run_stop);
   if (recorder) {
-    auto telemetry =
+    result.telemetry =
         std::make_shared<obs::RunTelemetry>(recorder->harvest());
-    if (telemetry->has_metrics) {
-      // The registry is the single source of truth: the stats become a
-      // view over its "async.*" snapshot.
-      result.stats = AsyncStats::from_metrics(telemetry->metrics, n);
-    }
-    result.telemetry = std::move(telemetry);
   }
   return result;
 }

@@ -55,14 +55,6 @@ struct AsyncStats {
   /// scan overhead (== successful pops for lifo, higher for the bucketed
   /// policies and for dry steal sweeps).
   std::uint64_t pop_scans = 0;
-
-  /// Build the stats as a VIEW over an obs metrics snapshot (the
-  /// "async.*" counters the engine registers when options.obs.metrics is
-  /// on) — the registry is then the single source of truth and this
-  /// struct is a projection of it. `seeded` is the initial enqueue count
-  /// (n), subtracted to recover re_enqueues.
-  [[nodiscard]] static AsyncStats from_metrics(const obs::MetricsSnapshot& m,
-                                               std::uint64_t seeded);
 };
 
 /// The run profile; the coreness stays in the run's AsyncRunContext

@@ -279,7 +279,7 @@ static AsyncStats relax(const Adjacency& g, AsyncRunContext& tables,
   if (recorder && recorder->metrics_on()) {
     // Fold the worklist's per-worker scheduling tallies into the
     // registry (single-threaded here — the workers have joined), so the
-    // registry is the single source of truth for every "async.*" number.
+    // registry carries every "async.*" number the returned stats do.
     obs::Registry& reg = recorder->registry();
     for (unsigned w = 0; w < workers; ++w) {
       const auto tally = worklist.tally(w);

@@ -262,7 +262,7 @@ TEST(EdgeStream, ParseErrorsNameSourceAndLine) {
   // what `kcore stream` prints verbatim before exiting.
   std::istringstream in("0 + 1 2\n1 * 3 4\n");
   try {
-    read_edge_stream(in, "churn.txt");
+    (void)read_edge_stream(in, "churn.txt");
     FAIL() << "expected util::IoError";
   } catch (const util::IoError& e) {
     const std::string what = e.what();

@@ -43,9 +43,9 @@ TEST_F(EnvTest, IntFallbackAndParse) {
 
 TEST_F(EnvTest, IntRejectsGarbage) {
   set("KCORE_TEST_BADINT", "12abc");
-  EXPECT_THROW(env_int("KCORE_TEST_BADINT", 0), CheckError);
+  EXPECT_THROW((void)env_int("KCORE_TEST_BADINT", 0), CheckError);
   set("KCORE_TEST_BADINT2", "abc");
-  EXPECT_THROW(env_int("KCORE_TEST_BADINT2", 0), CheckError);
+  EXPECT_THROW((void)env_int("KCORE_TEST_BADINT2", 0), CheckError);
 }
 
 TEST_F(EnvTest, DoubleFallbackAndParse) {
@@ -56,7 +56,7 @@ TEST_F(EnvTest, DoubleFallbackAndParse) {
 
 TEST_F(EnvTest, DoubleRejectsGarbage) {
   set("KCORE_TEST_BADDBL", "1.5x");
-  EXPECT_THROW(env_double("KCORE_TEST_BADDBL", 0.0), CheckError);
+  EXPECT_THROW((void)env_double("KCORE_TEST_BADDBL", 0.0), CheckError);
 }
 
 TEST_F(EnvTest, BoolVariants) {
@@ -74,7 +74,7 @@ TEST_F(EnvTest, BoolVariants) {
 
 TEST_F(EnvTest, BoolRejectsGarbage) {
   set("KCORE_TEST_BADBOOL", "maybe");
-  EXPECT_THROW(env_bool("KCORE_TEST_BADBOOL", false), CheckError);
+  EXPECT_THROW((void)env_bool("KCORE_TEST_BADBOOL", false), CheckError);
 }
 
 }  // namespace

@@ -12,11 +12,8 @@
 //    transient churn are counted, not applied, and never corrupt the
 //    table;
 //  * metrics parity — the live.* counters equal the sums over the
-//    returned ApplyResults (including the wal/checkpoint/overload
-//    counters added with durability);
-//  * overload policy — the bounded ingestion queue either backpressures
-//    (kBlock: nothing lost) or sheds load visibly (kReject: every
-//    turned-away batch counted, never silently dropped);
+//    returned ApplyResults (including the wal/checkpoint counters added
+//    with durability);
 //  * graceful degradation — provisional snapshots published past the
 //    repair deadline are sound upper bounds (Theorem 1) and the final
 //    publish always lands last.
@@ -37,7 +34,6 @@
 #include "core/dynamic.h"
 #include "graph/edge_list.h"
 #include "graph/generators.h"
-#include "live/ingest.h"
 #include "live/live_graph.h"
 #include "live/repair.h"
 #include "obs/options.h"
@@ -364,95 +360,6 @@ TEST(LiveService, DurabilityMetricsMatchApplyResults) {
   EXPECT_EQ(snapshot.value("live.checkpoints"), checkpoints);
   EXPECT_EQ(snapshot.value("live.checkpoint_failures"), 0U);
   EXPECT_GE(checkpoints, 4U);  // cadence 3 over 8 applies fired at least twice
-}
-
-// --- overload policy: bounded queue, explicit shedding -----------------------
-
-TEST(LiveIngest, BlockPolicyBackpressuresAndLosesNothing) {
-  const graph::Graph g = gen::erdos_renyi_gnm(150, 380, 23);
-  ServiceOptions options;
-  options.threads = 1;
-  Service service(g, options);
-  core::DynamicKCore replica(g);
-
-  IngestOptions ingest;
-  ingest.queue_capacity = 2;  // far smaller than the burst below
-  ingest.policy = OverloadPolicy::kBlock;
-  constexpr int kBatches = 20;
-  {
-    Ingestor ingestor(service, ingest);
-    util::Xoshiro256 rng(29);
-    for (int b = 0; b < kBatches; ++b) {
-      auto batch = random_batch(rng, g.num_nodes(), 6);
-      replica.apply_batch(batch);
-      // Backpressure means submit() may wait, but it NEVER fails.
-      ASSERT_TRUE(ingestor.submit(std::move(batch))) << "batch " << b;
-    }
-    ingestor.drain();
-    const IngestStats stats = ingestor.stats();
-    EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kBatches));
-    EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kBatches));
-    EXPECT_EQ(stats.rejected, 0U);
-    EXPECT_EQ(stats.applied, static_cast<std::uint64_t>(kBatches));
-    EXPECT_EQ(stats.io_errors, 0U);
-    // Results come back in submission order: epochs 1..kBatches.
-    ASSERT_EQ(ingestor.results().size(), static_cast<std::size_t>(kBatches));
-    for (int b = 0; b < kBatches; ++b) {
-      EXPECT_EQ(ingestor.results()[b].epoch,
-                static_cast<std::uint64_t>(b) + 1);
-    }
-  }
-  EXPECT_EQ(service.query()->epoch, static_cast<std::uint64_t>(kBatches));
-  EXPECT_EQ(service.query()->coreness, replica.coreness());
-}
-
-TEST(LiveIngest, RejectPolicyShedsLoadVisiblyNeverSilently) {
-  ServiceOptions options;
-  options.metrics = true;
-  options.threads = 1;
-  Service service(gen::erdos_renyi_gnm(150, 380, 7), options);
-
-  IngestOptions ingest;
-  ingest.queue_capacity = 1;
-  ingest.policy = OverloadPolicy::kReject;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  constexpr int kBurst = 40;
-  {
-    Ingestor ingestor(service, ingest);
-    util::Xoshiro256 rng(11);
-    for (int b = 0; b < kBurst; ++b) {
-      if (ingestor.submit(random_batch(rng, 150, 6))) {
-        ++accepted;
-      } else {
-        ++rejected;
-      }
-    }
-    ingestor.drain();
-    ingestor.close();
-    // A closed ingestor rejects deterministically — so the reject path
-    // is exercised even if the consumer outran the burst above.
-    EXPECT_FALSE(ingestor.submit(random_batch(rng, 150, 2)));
-    ++rejected;
-
-    const IngestStats stats = ingestor.stats();
-    EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kBurst) + 1);
-    EXPECT_EQ(stats.accepted, accepted);
-    EXPECT_EQ(stats.rejected, rejected);
-    EXPECT_EQ(stats.applied, accepted);  // everything accepted was applied
-    EXPECT_EQ(ingestor.results().size(), accepted);
-  }
-  // The overload ledger balances: no batch unaccounted for.
-  EXPECT_EQ(accepted + rejected, static_cast<std::uint64_t>(kBurst) + 1);
-  EXPECT_GT(rejected, 0U);
-  EXPECT_EQ(service.query()->epoch, accepted);
-  EXPECT_EQ(service.query()->coreness,
-            seq::coreness_bz(service.graph().snapshot()));
-  if (service.metrics_enabled()) {
-    const obs::MetricsSnapshot snapshot = service.metrics();
-    EXPECT_EQ(snapshot.value("live.overload_rejects"), rejected);
-    EXPECT_EQ(snapshot.value("live.epoch_publishes"), accepted + 1);
-  }
 }
 
 // --- graceful degradation: provisional snapshots are sound upper bounds ------

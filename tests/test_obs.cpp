@@ -440,9 +440,10 @@ TEST(ObsValidate, NegativeSamplePeriodRejected) {
 // --- end-to-end through the facade ------------------------------------------
 
 TEST(ObsEndToEnd, AsyncMetricsMatchStatsView) {
-  // With metrics on, AsyncStats is rebuilt FROM the registry snapshot —
-  // the two views must agree exactly, and the counters must satisfy the
-  // engine's own invariants (relaxations = seeded + re-enqueues).
+  // With metrics on, the stats par::relax returns and the registry's
+  // async.* counters are two independent counts of the same run — they
+  // must agree exactly, and the counters must satisfy the engine's own
+  // invariants (relaxations = seeded + re-enqueues).
   const graph::Graph g = graph::gen::barabasi_albert(4000, 3, 7);
   api::RunOptions options;
   options.threads = 4;

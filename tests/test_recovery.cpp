@@ -715,7 +715,9 @@ TEST(Recovery, WarmRestartPaysFarFewerRelaxationsThanFromScratch) {
   {
     Service service(g, fast_options(), durability);
     cold_relaxations = service.initial_stats().relaxations;
-    service.replay(log);
+    for (const graph::EdgeUpdateBatch& batch : log) {
+      service.apply(batch.updates);
+    }
   }
   ASSERT_GE(cold_relaxations, g.num_nodes());
 

@@ -108,8 +108,8 @@ TEST(Histogram, Quantile) {
 TEST(Histogram, QuantileValidation) {
   Histogram h(3);
   h.add(1);
-  EXPECT_THROW(h.quantile(0.0), CheckError);
-  EXPECT_THROW(h.quantile(1.5), CheckError);
+  EXPECT_THROW((void)h.quantile(0.0), CheckError);
+  EXPECT_THROW((void)h.quantile(1.5), CheckError);
 }
 
 TEST(Sample, PercentilesNearestRank) {
@@ -126,8 +126,8 @@ TEST(Sample, PercentilesNearestRank) {
 
 TEST(Sample, EmptyThrows) {
   Sample s;
-  EXPECT_THROW(s.percentile(50), CheckError);
-  EXPECT_THROW(s.mean(), CheckError);
+  EXPECT_THROW((void)s.percentile(50), CheckError);
+  EXPECT_THROW((void)s.mean(), CheckError);
 }
 
 TEST(Sample, AddAfterPercentileStillCorrect) {

@@ -323,7 +323,7 @@ TEST(Wal, FsyncPolicySpellingsRoundTrip) {
        {FsyncPolicy::kEveryBatch, FsyncPolicy::kEveryN, FsyncPolicy::kNone}) {
     EXPECT_EQ(parse_fsync_policy(to_string(policy)), policy);
   }
-  EXPECT_THROW(parse_fsync_policy("sometimes"), util::IoError);
+  EXPECT_THROW((void)parse_fsync_policy("sometimes"), util::IoError);
 }
 
 }  // namespace
