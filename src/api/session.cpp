@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <exception>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
@@ -145,8 +143,6 @@ Plan::Plan(const graph::Graph& g, PlanSpec spec)
                   "a Plan needs at least one protocol");
   KCORE_CHECK_MSG(spec_.repeats >= 1,
                   "repeats must be >= 1, got " << spec_.repeats);
-  KCORE_CHECK_MSG(spec_.concurrency >= 1,
-                  "concurrency must be >= 1, got " << spec_.concurrency);
   if (spec_.threads.empty()) spec_.threads = {spec_.base.threads};
   if (spec_.scheds.empty()) spec_.scheds = {spec_.base.sched};
   if (spec_.seeds.empty()) spec_.seeds = {spec_.base.seed};
@@ -198,18 +194,8 @@ std::vector<std::string> Plan::validate() const {
 std::vector<PlanCellResult> Plan::run(
     const PlanReportHook& on_report,
     const PlanObserverFactory& observer_factory) {
-  const std::vector<PlanCell> all = cells();
-  std::vector<PlanCellResult> results(all.size());
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(spec_.concurrency, all.size()));
-  // With more than one worker the user's hooks run under one mutex —
-  // cells are independent Sessions, but the hooks see a single
-  // interleaved stream, same as in the serial case.
-  const bool serialize_hooks = workers > 1;
-  std::mutex hook_mutex;
-
-  auto run_cell = [&](std::size_t index) {
-    const PlanCell& cell = all[index];
+  std::vector<PlanCellResult> results;
+  for (const PlanCell& cell : cells()) {
     Session session(*graph_, cell.protocol,
                     options_for_cell(spec_.base, cell));
 
@@ -220,23 +206,9 @@ std::vector<PlanCellResult> Plan::run(
     wall.reserve(static_cast<std::size_t>(spec_.repeats));
     for (int repeat = 0; repeat < spec_.repeats; ++repeat) {
       ProgressObserver observer;
-      if (observer_factory) {
-        if (serialize_hooks) {
-          std::lock_guard<std::mutex> lock(hook_mutex);
-          observer = observer_factory(cell, repeat);
-        } else {
-          observer = observer_factory(cell, repeat);
-        }
-      }
+      if (observer_factory) observer = observer_factory(cell, repeat);
       DecomposeReport report = session.run(observer);
-      if (on_report) {
-        if (serialize_hooks) {
-          std::lock_guard<std::mutex> lock(hook_mutex);
-          on_report(cell, repeat, report);
-        } else {
-          on_report(cell, repeat, report);
-        }
-      }
+      if (on_report) on_report(cell, repeat, report);
       wall.push_back(report.elapsed_ms);
       if (repeat == 0) {
         result.first_wall_ms = report.elapsed_ms;
@@ -257,42 +229,8 @@ std::vector<PlanCellResult> Plan::run(
     result.wall_ms = util::SampleSummary::of(wall);
     result.warm_wall_ms = util::SampleSummary::of(warm);
     result.run_ms = util::SampleSummary::of(run_phase);
-    results[index] = std::move(result);
-  };
-
-  if (workers == 1) {
-    for (std::size_t index = 0; index < all.size(); ++index) run_cell(index);
-    return results;
+    results.push_back(std::move(result));
   }
-
-  // Work-stealing by atomic index: each thread claims the next
-  // unclaimed cell. Results land at their cell's slot, so the returned
-  // order matches cells() regardless of completion order. The first
-  // exception wins; it parks the claim index past the end so the other
-  // workers drain, then rethrows on the caller's thread.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-        if (index >= all.size()) return;
-        try {
-          run_cell(index);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          next.store(all.size(), std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  if (first_error) std::rethrow_exception(first_error);
   return results;
 }
 

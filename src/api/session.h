@@ -27,16 +27,13 @@
 // tests/test_serving.cpp). Lazy preparation is race-safe: runs that
 // arrive while another thread prepares wait for it, and only the run
 // that actually performed the preparation absorbs its cost into the
-// setup accounting. bench/serving_study.cpp measures this path
-// (queries/sec, tail latency) on one shared prepared graph.
+// setup accounting.
 //
 // Plan turns repeated Sessions into declarative sweeps: the cross
 // product of protocols × threads × seeds, each cell prepared once and
-// run `repeats` times, with min/median/max aggregation per cell —
-// independent cells optionally executed concurrently
-// (PlanSpec::concurrency) over the shared graph. The CLI's `sweep`
-// subcommand, bench/scaling_study and the eval drivers all ride it
-// instead of hand-rolled loops.
+// run `repeats` times, with min/median/max aggregation per cell. The
+// CLI's `sweep` subcommand and the eval drivers ride it instead of
+// hand-rolled loops.
 #pragma once
 
 #include <atomic>
@@ -155,13 +152,6 @@ struct PlanSpec {
   /// run() calls per cell (>= 1). The first pays prepare; the rest are
   /// warm.
   int repeats = 1;
-  /// Cells executed concurrently (>= 1; 1 = the serial loop). Cells are
-  /// independent Sessions over the one shared graph, so any value is
-  /// result-equivalent to 1 — but per-cell wall times then include
-  /// cross-cell interference, so keep 1 when the cells themselves are
-  /// the timing experiment. Hooks and observer factories are serialized
-  /// under a mutex, and results always come back in cells() order.
-  unsigned concurrency = 1;
   /// Every other knob, shared by all cells. base.obs (telemetry) is
   /// clamped off per cell for protocols without Capabilities::
   /// consumes_obs, so a sweep mixing sequential baselines with the par

@@ -2,7 +2,7 @@
 //
 // One streaming writer class shared by every JSON emitter in the repo —
 // the Chrome-trace exporter (obs/trace.cpp), `kcore --json`, and the
-// bench result files (BENCH_scaling.json, BENCH_kernel.json, fig4) —
+// bench result files (BENCH_kernel.json, BENCH_stream.json, fig4) —
 // replacing the hand-rolled string concatenation each of them used to
 // carry. The writer owns the three things hand-rolled emitters get
 // wrong: string escaping (control characters, quotes, backslashes),

@@ -13,14 +13,19 @@
 // Around the matrix: transient-EIO degradation (apply fails, service
 // stays consistent, retry succeeds), the degenerate state directories
 // (empty, checkpoint-only, WAL-only, corrupt checkpoint, corrupt WAL
-// tail, duplicates, epoch gaps), and the warm-restart cost pin
-// (recovery relaxations << from-scratch convergence).
+// tail, duplicates, epoch gaps), seeded mutations of the WAL and of the
+// newest checkpoint (each mutant recovers exactly or is refused), and the
+// warm-restart cost pin (recovery relaxations << from-scratch
+// convergence).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -541,7 +546,97 @@ TEST(Recovery, OpenReadsTheWalExactlyOnce) {
   EXPECT_EQ(fs.wal_reads, 1);
 }
 
-// --- seeded WAL mutations ---------------------------------------------------
+// --- seeded mutations of the state files -----------------------------------
+
+/// A finished durable run over MemStorage: its state files, and
+/// history[e], the topology after the first e batches. A recovered
+/// service must sit on one of them — a table exact for some OTHER
+/// topology would be a silent divergence.
+struct FinishedRun {
+  DurabilityOptions durability;
+  std::vector<std::pair<std::string, std::string>> files;  // path, bytes
+  std::vector<std::vector<graph::Edge>> history;
+};
+
+FinishedRun finish_run(const Trace& trace, util::MemStorage& fs,
+                       std::uint64_t checkpoint_every) {
+  FinishedRun run;
+  run.durability = mem_durability(fs);
+  run.durability.checkpoint_every = checkpoint_every;
+  {
+    Service service(trace.base, fast_options(), run.durability);
+    run.history.push_back(service.graph().edges());
+    for (const graph::EdgeUpdateBatch& batch : trace.log) {
+      service.apply(batch.updates);
+      run.history.push_back(service.graph().edges());
+    }
+  }
+  for (const std::string& name : fs.list_dir(kDir)) {
+    const std::string path = std::string(kDir) + "/" + name;
+    run.files.emplace_back(path, fs.read_file(path));
+  }
+  return run;
+}
+
+/// One seeded mutant of `bytes`. Kind 0 flips bits in one byte of
+/// [lo, hi), kind 1 cuts the file short inside [lo, hi), kind 2 rewrites
+/// the u32 at one of `fields` (length or count fields) with a wild or a
+/// small value.
+std::string mutate(const std::string& bytes, int kind, std::size_t lo,
+                   std::size_t hi, const std::vector<std::size_t>& fields,
+                   util::Xoshiro256& rng) {
+  const auto pick = [&](std::size_t from, std::size_t to) {
+    return from + static_cast<std::size_t>(rng.next_below(to - from));
+  };
+  std::string mutant = bytes;
+  if (kind == 0) {
+    mutant[pick(lo, hi)] ^= static_cast<char>(1 + rng.next_below(255));
+  } else if (kind == 1) {
+    mutant.resize(pick(lo, hi));
+  } else {
+    const std::size_t at = fields[pick(0, fields.size())];
+    const std::uint32_t len =
+        rng.next_bool(0.5)
+            ? static_cast<std::uint32_t>(rng.next())
+            : static_cast<std::uint32_t>(rng.next_below(64));
+    std::string field;
+    wire::put_u32(field, len);
+    mutant.replace(at, 4, field);
+  }
+  return mutant;
+}
+
+/// Opens a service on `run`'s files with the one at `path` replaced by
+/// `mutant`. Returns the refusal when Service::open throws
+/// util::IoError. Otherwise records a failure unless the recovered
+/// service sits on one of the run's topologies with a table
+/// bit-identical to bz, and returns nullopt.
+std::optional<std::string> recover_mutant(const FinishedRun& run,
+                                          const std::string& path,
+                                          const std::string& mutant,
+                                          RecoveryInfo& info) {
+  util::MemStorage fs;
+  fs.make_dir(kDir);
+  for (const auto& [file, bytes] : run.files) {
+    fs.write_file(file, file == path ? mutant : bytes);
+    fs.sync_file(file);
+  }
+  DurabilityOptions durability = run.durability;
+  durability.storage = &fs;
+  std::unique_ptr<Service> service;
+  try {
+    service = Service::open(fast_options(), durability, &info);
+  } catch (const util::IoError& e) {
+    return std::string(e.what());
+  }
+  EXPECT_LT(info.recovered_epoch, run.history.size());
+  if (info.recovered_epoch < run.history.size()) {
+    EXPECT_EQ(service->graph().edges(), run.history[info.recovered_epoch]);
+  }
+  EXPECT_EQ(service->query()->coreness,
+            seq::coreness_bz(service->graph().snapshot()));
+  return std::nullopt;
+}
 
 TEST(Recovery, MutatedWalRecoversExactlyOrRefuses) {
   // A finished durable run whose newest checkpoint (epoch 4) leaves a WAL
@@ -549,20 +644,7 @@ TEST(Recovery, MutatedWalRecoversExactlyOrRefuses) {
   // prefix, which recovery validates without decoding, and the tail.
   const Trace trace = make_trace(1, 7);
   util::MemStorage base;
-  DurabilityOptions durability = mem_durability(base);
-  durability.checkpoint_every = 4;
-  // history[e]: the topology after the first e batches. A recovered
-  // service must sit on one of them — a table exact for some OTHER
-  // topology would be a silent divergence.
-  std::vector<std::vector<graph::Edge>> history;
-  {
-    Service service(trace.base, fast_options(), durability);
-    history.push_back(service.graph().edges());
-    for (const graph::EdgeUpdateBatch& batch : trace.log) {
-      service.apply(batch.updates);
-      history.push_back(service.graph().edges());
-    }
-  }
+  const FinishedRun run = finish_run(trace, base, /*checkpoint_every=*/4);
   const CheckpointLoadResult loaded = load_latest_checkpoint(base, kDir);
   ASSERT_TRUE(loaded.data.has_value());
   const std::uint64_t split = loaded.data->wal_offset;
@@ -570,83 +652,43 @@ TEST(Recovery, MutatedWalRecoversExactlyOrRefuses) {
   const std::string wal = base.read_file(wal_path);
   ASSERT_GT(split, 0U);
   ASSERT_LT(split, wal.size());
-  std::vector<std::pair<std::string, std::string>> files;
-  for (const std::string& name : base.list_dir(kDir)) {
-    const std::string path = std::string(kDir) + "/" + name;
-    files.emplace_back(path, base.read_file(path));
-  }
-  // Frame starts, to aim length-field corruption at real headers.
-  std::vector<std::size_t> frames;
+  // Frame starts before and past the split, to aim length-field
+  // corruption at real headers.
+  std::vector<std::size_t> frames[2];
   for (std::size_t at = 0; at + 8 <= wal.size();) {
-    frames.push_back(at);
+    frames[at >= split ? 1 : 0].push_back(at);
     std::uint32_t len = 0;
     wire::Reader header(std::string_view(wal).substr(at, 4));
     ASSERT_TRUE(header.get_u32(len));
     at += 8 + len;
   }
+  ASSERT_FALSE(frames[0].empty());
+  ASSERT_FALSE(frames[1].empty());
 
   std::uint64_t recovered = 0;
   std::uint64_t refused = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     for (int kind = 0; kind < 3; ++kind) {
       for (const bool in_tail : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " kind "
+                                          << kind << " tail " << in_tail);
         util::Xoshiro256 rng(seed * 101 + static_cast<std::uint64_t>(kind));
         const std::size_t lo = in_tail ? split : 0;
         const std::size_t hi = in_tail ? wal.size() : split;
-        const auto pick = [&](std::size_t from, std::size_t to) {
-          return from + static_cast<std::size_t>(rng.next_below(to - from));
-        };
-        std::string mutant = wal;
-        if (kind == 0) {  // flip bits in one byte
-          mutant[pick(lo, hi)] ^= static_cast<char>(1 + rng.next_below(255));
-        } else if (kind == 1) {  // cut the log short
-          mutant.resize(pick(lo, hi));
-        } else {  // rewrite one frame's length field
-          std::vector<std::size_t> region;
-          for (const std::size_t f : frames) {
-            if (f >= lo && f < hi) region.push_back(f);
-          }
-          ASSERT_FALSE(region.empty());
-          const std::size_t at = region[pick(0, region.size())];
-          const std::uint32_t len =
-              rng.next_bool(0.5) ? static_cast<std::uint32_t>(rng.next())
-                                 : static_cast<std::uint32_t>(
-                                       rng.next_below(64));
-          std::string field;
-          wire::put_u32(field, len);
-          mutant.replace(at, 4, field);
-        }
-
-        util::MemStorage fs;
-        fs.make_dir(kDir);
-        for (const auto& [path, bytes] : files) {
-          fs.write_file(path, path == wal_path ? mutant : bytes);
-          fs.sync_file(path);
-        }
-        DurabilityOptions on_mutant = durability;
-        on_mutant.storage = &fs;
         RecoveryInfo info;
-        std::unique_ptr<Service> service;
-        try {
-          service = Service::open(fast_options(), on_mutant, &info);
-        } catch (const util::IoError& e) {
-          ASSERT_NE(std::string(e.what()).find(kDir), std::string::npos)
-              << e.what();
-          // Damage past the checkpoint's offset is a torn tail, never a
-          // reason to give up the checkpointed state.
-          ASSERT_FALSE(in_tail) << "seed " << seed << " kind " << kind
-                                << ": " << e.what();
-          ++refused;
+        const std::optional<std::string> refusal = recover_mutant(
+            run, wal_path, mutate(wal, kind, lo, hi, frames[in_tail], rng),
+            info);
+        ASSERT_FALSE(::testing::Test::HasFailure());
+        if (!refusal) {
+          ++recovered;
           continue;
         }
-        ++recovered;
-        ASSERT_LE(info.recovered_epoch, trace.log.size())
-            << "seed " << seed << " kind " << kind << " tail " << in_tail;
-        ASSERT_EQ(service->graph().edges(), history[info.recovered_epoch])
-            << "seed " << seed << " kind " << kind << " tail " << in_tail;
-        ASSERT_EQ(service->query()->coreness,
-                  seq::coreness_bz(service->graph().snapshot()))
-            << "seed " << seed << " kind " << kind << " tail " << in_tail;
+        ASSERT_NE(refusal->find(kDir), std::string::npos) << *refusal;
+        // Damage past the checkpoint's offset is a torn tail, never a
+        // reason to give up the checkpointed state.
+        ASSERT_FALSE(in_tail) << *refusal;
+        ++refused;
       }
     }
   }
@@ -654,6 +696,66 @@ TEST(Recovery, MutatedWalRecoversExactlyOrRefuses) {
   // damage recovers: both must occur.
   EXPECT_GT(recovered, 0U);
   EXPECT_GT(refused, 0U);
+}
+
+TEST(Recovery, MutatedCheckpointRecoversExactlyOrRefuses) {
+  // The same finished run keeps two checkpoints (epochs 0 and 4) and the
+  // WAL behind both. Mutations hit the newest one. A damaged newest
+  // checkpoint must be rejected, and recovery must fall back to the older
+  // one plus a longer WAL replay, never serve the changed file. The older
+  // checkpoint and the WAL are intact, so no mutant is a reason to refuse.
+  const Trace trace = make_trace(1, 7);
+  util::MemStorage base;
+  const FinishedRun run = finish_run(trace, base, /*checkpoint_every=*/4);
+  const CheckpointLoadResult loaded = load_latest_checkpoint(base, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  ASSERT_EQ(loaded.data->epoch, 4U);
+  const std::string ckpt = base.read_file(loaded.file);
+  // magic, CRC | epoch, WAL offset, node count (u32), edge count (u64)
+  constexpr std::size_t kHeader = 8 + 28;
+  ASSERT_GT(ckpt.size(), kHeader);
+  // The node count and the two halves of the edge count.
+  const std::vector<std::size_t> counts = {24, 28, 32};
+  struct Case {
+    int kind;
+    std::size_t lo, hi;
+    bool reseal;  // recompute the CRC, so only the structure checks remain
+  };
+  // No resealed flips: a flipped edge or epoch under a valid CRC can be a
+  // different but well-formed state, which no check can tell from a real
+  // one.
+  const Case cases[] = {
+      {0, 0, kHeader, false},     {0, kHeader, ckpt.size(), false},
+      {1, 0, ckpt.size(), false}, {1, 8, ckpt.size(), true},
+      {2, 0, 0, false},           {2, 0, 0, true},
+  };
+
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (std::size_t c = 0; c < std::size(cases); ++c) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " case " << c);
+      const Case& mutation = cases[c];
+      util::Xoshiro256 rng(seed * 131 + c);
+      std::string mutant =
+          mutate(ckpt, mutation.kind, mutation.lo, mutation.hi, counts, rng);
+      if (mutation.reseal) {
+        std::string crc;
+        wire::put_u32(crc, util::crc32(std::string_view(mutant).substr(8)));
+        mutant.replace(4, 4, crc);
+      }
+      RecoveryInfo info;
+      const std::optional<std::string> refusal =
+          recover_mutant(run, loaded.file, mutant, info);
+      ASSERT_FALSE(refusal.has_value()) << *refusal;
+      ASSERT_FALSE(::testing::Test::HasFailure());
+      if (mutant != ckpt) {
+        ASSERT_EQ(info.checkpoint_epoch, 0U);
+        ASSERT_EQ(info.rejected_checkpoints.size(), 1U);
+        ASSERT_NE(info.rejected_checkpoints[0].find(loaded.file),
+                  std::string::npos)
+            << info.rejected_checkpoints[0];
+      }
+    }
+  }
 }
 
 TEST_F(RecoveryDegenerate, FreshDurableServiceRefusesADirtyDirectory) {

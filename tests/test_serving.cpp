@@ -11,9 +11,6 @@
 //    unprepared Session serialize the derivation, every run succeeds,
 //    and the phase-timing invariant elapsed == setup + run holds on
 //    every concurrently-produced report.
-//  * Plan executes independent cells concurrently
-//    (PlanSpec::concurrency) with results equal to the serial sweep,
-//    in cells() order, hooks serialized.
 //
 // This file runs under the TSan CI job: the assertions prove parity,
 // the sanitizer proves the absence of data races on the shared state.
@@ -22,14 +19,12 @@
 #include <atomic>
 #include <string>
 #include <thread>
-#include <utility>
 #include <variant>
 #include <vector>
 
 #include "api/session.h"
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
-#include "util/check.h"
 
 namespace kcore {
 namespace {
@@ -213,66 +208,6 @@ TEST(ServingTiming, ElapsedEqualsSetupPlusRunOnEveryConcurrentReport) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent Plan cells
-// ---------------------------------------------------------------------------
-
-TEST(PlanConcurrency, ConcurrentCellsMatchTheSerialSweep) {
-  const Graph g = gen::barabasi_albert(250, 3, 41);
-  const auto truth = seq::coreness_bz(g);
-  api::PlanSpec spec;
-  spec.protocols = {std::string(api::kProtocolOneToMany),
-                    std::string(api::kProtocolBspPar)};
-  spec.threads = {1, 2};
-  spec.seeds = {5, 9};
-  spec.repeats = 2;
-  spec.base.num_hosts = 4;
-
-  api::Plan serial(g, spec);
-  const auto expected = serial.run();
-
-  spec.concurrency = 4;
-  api::Plan concurrent(g, spec);
-  int hook_calls = 0;  // hooks are mutex-serialized by the Plan
-  const auto results = concurrent.run(
-      [&](const api::PlanCell&, int, const api::DecomposeReport& report) {
-        EXPECT_EQ(report.coreness, truth);
-        ++hook_calls;
-      });
-
-  ASSERT_EQ(results.size(), expected.size());
-  EXPECT_EQ(hook_calls,
-            static_cast<int>(results.size()) * spec.repeats);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    // Results land in cells() order regardless of completion order.
-    EXPECT_EQ(results[i].cell.protocol, expected[i].cell.protocol) << i;
-    EXPECT_EQ(results[i].cell.threads, expected[i].cell.threads) << i;
-    EXPECT_EQ(results[i].cell.seed, expected[i].cell.seed) << i;
-    EXPECT_EQ(results[i].repeats, expected[i].repeats) << i;
-    EXPECT_EQ(results[i].last.coreness, expected[i].last.coreness) << i;
-    EXPECT_GT(results[i].prepare_ms, 0.0) << i;
-  }
-}
-
-TEST(PlanConcurrency, RejectsZeroConcurrency) {
-  const Graph g = gen::clique(4);
-  api::PlanSpec spec;
-  spec.protocols = {std::string(api::kProtocolBz)};
-  spec.concurrency = 0;
-  EXPECT_THROW(api::Plan(g, spec), util::CheckError);
-}
-
-TEST(PlanConcurrency, PropagatesTheFirstCellFailure) {
-  const Graph g = gen::clique(4);
-  api::PlanSpec spec;
-  spec.protocols = {std::string(api::kProtocolBz)};
-  spec.seeds = {1, 2, 3, 4};
-  spec.concurrency = 2;
-  spec.base.comm = api::CommPolicy::kBroadcast;  // invalid for bz
-  api::Plan plan(g, spec);
-  EXPECT_THROW((void)plan.run(), util::CheckError);
 }
 
 }  // namespace

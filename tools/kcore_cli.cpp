@@ -699,7 +699,6 @@ int cmd_stream(const util::Args& args) {
       }
       if (verify) w.member("exact", exact);
       w.end_object();
-      std::cout << "\n";
     } else {
       std::vector<std::string> row = {
           std::to_string(i), std::to_string(batch.size()),
