@@ -12,8 +12,15 @@
 //
 //  3. Heap allocations of a warm run_bsp_async_prepared call, counted by
 //     a global operator new/delete override: after one warm-up run the
-//     context's table, worklist and scratch are all reused in place, so
-//     the run must allocate NOTHING. The exit code gates on it.
+//     context's table, queue, histogram arena and scratch are all reused
+//     in place, so the run must allocate NOTHING. The exit code gates on
+//     it.
+//
+//  4. Attribution of a warm one-worker run_bsp_async_prepared on a fixed
+//     hub-heavy graph (berkstan-like at scale 0.5, the perfbench
+//     static-decompose shape): ns per relaxation and neighbor estimates
+//     read per relaxation, the two numbers the one-worker kernel's cost
+//     is tracked by.
 //
 // Emits BENCH_kernel.json (override with KCORE_KERNEL_JSON); honors
 // KCORE_QUICK for CI smoke runs.
@@ -30,6 +37,8 @@
 #include <vector>
 
 #include "core/compute_index.h"
+#include "eval/datasets.h"
+#include "graph/edge_list.h"
 #include "graph/generators.h"
 #include "par/async_engine.h"
 #include "util/check.h"
@@ -67,6 +76,8 @@ using graph::NodeId;
 using Clock = util::SteadyClock;
 
 constexpr const char* kWarmRunRow = "warm run_bsp_async_prepared";
+constexpr const char* kAttributionInput =
+    "warm one-worker run_bsp_async_prepared, berkstan-like@0.5 seed 1";
 
 struct Record {
   std::string section;
@@ -248,6 +259,45 @@ void bench_allocations(bool quick, std::vector<Record>& records,
                  "-"});
 }
 
+// --- part 4: one-worker attribution ---------------------------------------
+
+/// Best-of-N warm one-worker runs on a fixed graph: the relax phase's ns
+/// per relaxation, and the neighbor estimates read per relaxation (a
+/// pure function of the schedule, so identical in every run). The graph
+/// goes through an edge list first, which numbers the nodes in order of
+/// first appearance, as perfbench's static-decompose inputs are.
+void bench_attribution(bool quick, std::vector<Record>& records,
+                       util::TableWriter& table) {
+  std::stringstream edges;
+  graph::write_edge_list(edges,
+                         eval::dataset_by_name("berkstan-like").build(0.5, 1));
+  const graph::Graph g = graph::read_edge_list(edges).graph;
+  core::RunOptions options;
+  options.threads = 1;
+  options.sched = core::SchedPolicy::kBound;
+  const auto prepared = par::prepare_bsp_async(g, options);
+  par::AsyncRunContext context(prepared, g.num_nodes());
+  double best_ms = 0.0;
+  par::AsyncStats stats;
+  for (int run = 0; run < (quick ? 5 : 30); ++run) {
+    const auto result =
+        par::run_bsp_async_prepared(g, prepared, context, options);
+    if (run == 0 || result.run_ms < best_ms) best_ms = result.run_ms;
+    stats = result.stats;
+  }
+  const auto relaxations = static_cast<double>(stats.relaxations);
+  const double ns = best_ms * 1e6 / relaxations;
+  const double reads = static_cast<double>(stats.neighbor_reads) / relaxations;
+  records.push_back({"attribution", kAttributionInput, ns, 0.0,
+                     "ns/relaxation"});
+  records.push_back({"attribution", kAttributionInput, reads, 0.0,
+                     "reads/relaxation"});
+  table.add_row({"attribution", "ns per relaxation", util::fmt_double(ns, 1),
+                 "-", "-"});
+  table.add_row({"attribution", "neighbor reads per relaxation",
+                 util::fmt_double(reads, 1), "-", "-"});
+}
+
 }  // namespace
 
 int main() {
@@ -262,6 +312,7 @@ int main() {
   bench_compute_index(quick, records, table);
   bench_gather(quick, records, table);
   bench_allocations(quick, records, table);
+  bench_attribution(quick, records, table);
   table.print(std::cout);
 
   // Exit-code gate: every compute_index input must beat the legacy

@@ -140,6 +140,7 @@ class IndexScratch {
     NodeId value = 0;    // the new estimate, computeIndex(k)
     NodeId support = 0;  // neighbors whose estimate is >= value
     bool skipped = false;  // the fast path ran, not the counting kernel
+    std::size_t reads = 0;  // estimate_of calls: the skip-scan + the count
   };
 
   /// The relaxation step both hot loops (bsp-par, bsp-async) share:
@@ -160,12 +161,21 @@ class IndexScratch {
       if (estimate_of(i) < k) {
         r.value =
             compute_index_stream(num_neighbors, k, estimate_of, r.support);
+        r.reads = i + 1 + num_neighbors;
         return r;
       }
     }
     r.value = k;
     r.skipped = true;
+    r.reads = num_neighbors;
     return r;
+  }
+
+  /// After a counting call (compute_index_stream, or a refine() that did
+  /// not skip) with cap k: the number of neighbors whose estimate was
+  /// exactly j, for j < k.
+  [[nodiscard]] NodeId count(NodeId j) const noexcept {
+    return live_count(slot_[j]);
   }
 
   /// Current slot capacity (tests/benches: verifies steady state stops

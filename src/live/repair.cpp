@@ -1,7 +1,5 @@
 #include "live/repair.h"
 
-#include <algorithm>
-
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/check.h"
@@ -61,7 +59,7 @@ std::optional<NodeId> RepairEngine::warm_start(
   }
   // Supports counted against the old table may overstate the adopted
   // one: restart from the trivial bound.
-  std::fill(tables_.support.begin(), tables_.support.end(), 0);
+  if (tables_.one_worker) tables_.one_worker->counts.forget_support();
   order_.build();
   return first_mismatch();
 }
@@ -99,13 +97,12 @@ RepairStats RepairEngine::repair() {
   if (pending_.empty()) return stats;
   const auto start = Clock::now();
 
-  par::AsyncWorklist& worklist = *tables_.worklist;
-  worklist.reset();
+  tables_.reset_queue();
+  const unsigned workers = tables_.workers();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const NodeId u = pending_[i];
     in_pending_[u] = 0;
-    worklist.seed(u, static_cast<unsigned>(i) % worklist.workers(),
-                  estimate(u));
+    tables_.seed(u, static_cast<unsigned>(i) % workers, estimate(u));
   }
   stats.seeded = pending_.size();
   stats.raised = raised_pending_;

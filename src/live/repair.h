@@ -22,8 +22,9 @@
 //    after the earlier endpoint that gained a candidate neighbor, not the
 //    whole K-subcore. Raises are computed one edge at a time against
 //    exact estimates, which keeps them exact in turn.
-// At one worker the table's support counters (par/relax.h) carry over
-// between repairs too: a raise only adds support, and every node whose
+// At one worker the kernel's neighbour-estimate histograms (par/relax.h)
+// are rebuilt every run; the support counters beside them carry over
+// between repairs: a raise only adds support, and every node whose
 // edges changed is seeded and recounts. warm_start() forgets them.
 //
 // Thread contract: initialize(), warm_start(), note_insert(),
@@ -111,7 +112,7 @@ class RepairEngine {
   RepairStats repair();
 
   [[nodiscard]] unsigned workers() const noexcept {
-    return tables_.worklist->workers();
+    return tables_.workers();
   }
   /// Current exact estimate of one node (between repairs).
   [[nodiscard]] graph::NodeId estimate(graph::NodeId u) const {

@@ -65,25 +65,25 @@ AsyncResult run_bsp_async_prepared(const graph::Graph& g,
 
   // Reset-in-place, then replay the cached per-worker seed order, each
   // vertex at its starting estimate as priority: a reused context
-  // allocates nothing here (the pool keeps its grown rings).
-  AsyncWorklist& worklist = *context.worklist;
-  worklist.reset();
+  // allocates nothing here (the queue keeps its grown storage).
+  context.reset_queue();
+  if (context.one_worker) context.one_worker->counts.reserve(g.num_arcs());
   for (unsigned w = 0; w < workers; ++w) {
     for (const std::uint32_t u : prepared.seeds[w]) {
-      worklist.seed(u, w, g.degree(u));
+      context.seed(u, w, g.degree(u));
     }
   }
 
   auto recorder = obs::Recorder::make(workers, options.obs);
   // The convergence sampler reads only concurrency-safe state: the
-  // detector's outstanding counter, the pool's racy size estimate, and
-  // acquire loads of the shared estimate table. Because estimates only
-  // decrease (Theorem 2), the sampled sum is a monotone Fig.-4 error
-  // proxy — no round observer needed.
+  // queue's outstanding and queued counts, and acquire loads of the
+  // shared estimate table. Because estimates only decrease (Theorem 2),
+  // the sampled sum is a monotone Fig.-4 error proxy — no round observer
+  // needed.
   if (recorder) {
-    recorder->start_sampler([&worklist, &est, n](obs::Sample& s) {
-      s.outstanding = worklist.detector().outstanding();
-      s.worklist_depth = worklist.size_estimate();
+    recorder->start_sampler([&context, &est, n](obs::Sample& s) {
+      s.outstanding = context.outstanding();
+      s.worklist_depth = context.size_estimate();
       double sum = 0.0;
       for (graph::NodeId u = 0; u < n; ++u) {
         sum += static_cast<double>(est[u].load(std::memory_order_acquire));

@@ -31,6 +31,7 @@
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "par/async_worklist.h"
+#include "par/one_worker.h"
 
 namespace kcore::par {
 
@@ -55,6 +56,9 @@ struct AsyncStats {
   /// scan overhead (== successful pops for lifo, higher for the bucketed
   /// policies and for dry steal sweeps).
   std::uint64_t pop_scans = 0;
+  /// Neighbor estimates loaded, by the counting and the wake passes
+  /// together — the kernel's memory traffic (bench/kernel_bench).
+  std::uint64_t neighbor_reads = 0;
 };
 
 /// The run profile; the coreness stays in the run's AsyncRunContext
@@ -88,18 +92,55 @@ struct AsyncPrepared {
 /// by one run at a time:
 ///  * the shared atomic estimate table (run_bsp_async_prepared resets it
 ///    to the degrees per run; live::RepairEngine keeps it warm),
-///  * the per-vertex support counters (one worker only, par/relax.h;
-///    all zero is always valid),
 ///  * one counting scratch per worker,
-///  * the worklist (flags + pool + detector), reset in place per run so
-///    sequential reuse re-allocates nothing.
+///  * the queue: at one worker the plain bucket stacks, the support
+///    counters and the neighbour-estimate histogram arena
+///    (par/one_worker.h), otherwise the worklist (flags + pool +
+///    detector). Either is reset in place per run, so sequential reuse
+///    re-allocates nothing.
 struct AsyncRunContext {
   AsyncRunContext(const AsyncPrepared& prepared, graph::NodeId n)
-      : est(n),
-        scratch(prepared.workers),
-        worklist(std::make_unique<AsyncWorklist>(n, prepared.workers,
-                                                 prepared.sched)) {
-    if (prepared.workers == 1) support.assign(n, 0);
+      : est(n), scratch(prepared.workers) {
+    if (prepared.workers == 1) {
+      one_worker = std::make_unique<OneWorkerState>(n, prepared.sched);
+    } else {
+      worklist = std::make_unique<AsyncWorklist>(n, prepared.workers,
+                                                 prepared.sched);
+    }
+  }
+
+  [[nodiscard]] unsigned workers() const noexcept {
+    return one_worker ? 1 : worklist->workers();
+  }
+
+  /// Empty the queue before seeding a run.
+  void reset_queue() {
+    if (one_worker) {
+      one_worker->queue.reset();
+    } else {
+      worklist->reset();
+    }
+  }
+
+  /// Queue `u` on `worker`'s lane at priority `priority` (its estimate).
+  void seed(std::uint32_t u, unsigned worker, graph::NodeId priority) {
+    if (one_worker) {
+      (void)one_worker->queue.schedule(u, priority);
+    } else {
+      worklist->seed(u, worker, priority);
+    }
+  }
+
+  /// Racy snapshots for the obs sampler: work not yet finished, and work
+  /// queued. One worker counts only the queued items for both.
+  [[nodiscard]] std::int64_t outstanding() const {
+    return one_worker ? static_cast<std::int64_t>(
+                            one_worker->queue.size_estimate())
+                      : worklist->detector().outstanding();
+  }
+  [[nodiscard]] std::uint64_t size_estimate() const {
+    return one_worker ? one_worker->queue.size_estimate()
+                      : worklist->size_estimate();
   }
 
   /// Copy the estimate table out (between runs: the workers have joined).
@@ -117,8 +158,8 @@ struct AsyncRunContext {
   };
 
   std::vector<std::atomic<graph::NodeId>> est;
-  std::vector<graph::NodeId> support;
   std::vector<WorkerScratch> scratch;
+  std::unique_ptr<OneWorkerState> one_worker;  // exactly one of these two
   std::unique_ptr<AsyncWorklist> worklist;
 };
 

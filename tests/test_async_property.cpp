@@ -20,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/mutable_graph.h"
 #include "live/repair.h"
+#include "par/relax.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
 
@@ -276,6 +277,59 @@ TEST(AsyncSched, OneWorkerRelaxationsStayNearNodeCountOnBerkstan) {
             << " relaxations per node\n";
 }
 
+TEST(AsyncSched, OneWorkerScheduleIsPinned) {
+  // At one worker the schedule is a pure function of (graph, options),
+  // so its work profile is pinned to literals. They were recorded from
+  // the pool-backed one-worker kernel (Chase-Lev lanes, atomic flags,
+  // the detector and support counters); the plain-stack kernel with
+  // neighbour-estimate histograms must reproduce every one of them. A
+  // different literal means a different schedule, not noise: do not
+  // re-pin it without explaining the change.
+  struct Pin {
+    const char* graph;
+    api::SchedPolicy sched;
+    std::uint64_t relaxations;
+    std::uint64_t skipped_recomputes;
+    std::uint64_t pop_scans;
+    std::uint64_t detector_passes;
+  };
+  graph::gen::RmatParams params;
+  params.scale = 13;
+  params.edge_factor = 8.0;
+  const std::vector<Case> graphs{
+      {"rmat", gen::rmat(params, 7)},
+      {"berkstan-like",
+       eval::dataset_by_name("berkstan-like").build(0.5, 1)},
+      {"astroph-like", eval::dataset_by_name("astroph-like").build(0.1, 17)}};
+  const Pin pins[] = {
+      {"rmat", api::SchedPolicy::kLifo, 13390, 3525, 13391, 1},
+      {"rmat", api::SchedPolicy::kBound, 12792, 3537, 13434, 1},
+      {"berkstan-like", api::SchedPolicy::kLifo, 18867, 6643, 18868, 1},
+      {"berkstan-like", api::SchedPolicy::kBound, 18152, 6655, 18786, 1},
+      {"astroph-like", api::SchedPolicy::kLifo, 1299, 24, 1300, 1},
+      {"astroph-like", api::SchedPolicy::kBound, 757, 27, 868, 1},
+  };
+  for (const Pin& pin : pins) {
+    const auto it = std::find_if(
+        graphs.begin(), graphs.end(),
+        [&pin](const Case& c) { return c.name == pin.graph; });
+    ASSERT_NE(it, graphs.end());
+    api::RunOptions options;
+    options.threads = 1;
+    options.sched = pin.sched;
+    const auto report =
+        api::decompose(it->g, api::kProtocolBspAsync, options);
+    const auto& extras = std::get<api::AsyncExtras>(report.extras);
+    const std::string label = std::string(pin.graph) + " sched=" +
+                              std::string(api::to_string(pin.sched));
+    EXPECT_EQ(extras.relaxations, pin.relaxations) << label;
+    EXPECT_EQ(extras.skipped_recomputes, pin.skipped_recomputes) << label;
+    EXPECT_EQ(extras.pop_scans, pin.pop_scans) << label;
+    EXPECT_EQ(extras.detector_passes, pin.detector_passes) << label;
+    EXPECT_EQ(report.coreness, seq::coreness_bz(it->g)) << label;
+  }
+}
+
 TEST(AsyncSched, OneThreadRunsAreDeterministicPerPolicy) {
   // The counter the reduction test pins must itself be reproducible:
   // same graph, same options, 1 thread -> identical schedule profile.
@@ -383,12 +437,13 @@ void expect_repairs_exact(live::RepairEngine& engine, graph::MutableGraph& g,
   }
 }
 
-TEST(AsyncProperty, OneWorkerSupportWakesStayExact) {
-  // Support-counted wakes run only on a one-worker pool with the
-  // targeted filter on; with it off the plain wake runs. Both must land
-  // on bz under every policy, for static decomposition and for live
-  // repair (whose table starts warm, with supports carried over from
-  // earlier repairs, or reset to zero by a warm start).
+TEST(AsyncProperty, OneWorkerHistogramWakesStayExact) {
+  // The histogram wake runs only on a one-worker context with the
+  // targeted filter on; with it off every neighbor of a lowered vertex
+  // is woken. Both must land on bz under every policy, for static
+  // decomposition and for live repair (whose table starts warm, either
+  // converged by the engine or adopted by a warm start; histograms are
+  // rebuilt every run either way).
   graph::gen::RmatParams params;
   params.scale = 10;
   params.edge_factor = 8.0;
@@ -423,7 +478,7 @@ TEST(AsyncProperty, OneWorkerSupportWakesStayExact) {
                            test_case.name + " initialize sched=" +
                                std::string(api::to_string(sched)));
       // Adopt a table after the graph moved underneath the engine (the
-      // recovery shape): the supports the first run counted are stale.
+      // recovery shape).
       graph::MutableGraph adopted(test_case.g);
       live::RepairEngine warm(adopted, one_worker);
       warm.initialize();
@@ -441,6 +496,75 @@ TEST(AsyncProperty, OneWorkerSupportWakesStayExact) {
                            test_case.name + " warm_start sched=" +
                                std::string(api::to_string(sched)));
     }
+  }
+}
+
+TEST(AsyncProperty, OneWorkerRelaxFromWarmTablesIsExact) {
+  // par::relax at one worker from warm tables: every estimate is a
+  // random safe upper bound in [coreness, degree + 3], so the clamp for
+  // an estimate above the degree fires. Every vertex whose estimate is
+  // above its computeIndex is seeded, plus a random third of the rest;
+  // the others start without a histogram and relax only if the targeted
+  // rule wakes them, which a static run (everything seeded) never does.
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    cases.push_back({"er seed=" + std::to_string(seed),
+                     gen::erdos_renyi_gnm(300, 300 * (1 + seed % 4), seed)});
+    cases.push_back({"ba seed=" + std::to_string(seed),
+                     gen::barabasi_albert(300, 1 + seed % 5, seed)});
+    cases.push_back({"union seed=" + std::to_string(seed),
+                     disconnected_union(seed)});
+  }
+  cases.push_back({"star", gen::star(120)});
+  cases.push_back({"star-of-cliques", star_of_cliques(12, 5)});
+  std::size_t index = 0;
+  for (const Case& test_case : cases) {
+    const Graph& g = test_case.g;
+    const NodeId n = g.num_nodes();
+    const auto expected = seq::coreness_bz(g);
+    for (const api::SchedPolicy sched : kScheds) {
+      for (const bool targeted : {true, false}) {
+        util::Xoshiro256 rng(1000 + index++);
+        std::vector<NodeId> start(n);
+        for (NodeId u = 0; u < n; ++u) {
+          start[u] = expected[u] + static_cast<NodeId>(rng.next_below(
+                                       g.degree(u) + 4 - expected[u]));
+        }
+        par::AsyncRunContext context(par::AsyncPrepared{1, sched, {}}, n);
+        context.reset_queue();
+        std::vector<NodeId> around;
+        std::uint64_t unseeded = 0;
+        for (NodeId u = 0; u < n; ++u) {
+          context.est[u].store(start[u], std::memory_order_relaxed);
+          around.clear();
+          for (const NodeId v : g.neighbors(u)) around.push_back(start[v]);
+          const bool stable = start[u] <= g.degree(u) &&
+                              core::compute_index(around, start[u]) ==
+                                  start[u];
+          if (!stable || rng.next_below(3) == 0) {
+            context.seed(u, 0, start[u]);
+          } else {
+            ++unseeded;
+          }
+        }
+        const par::AsyncStats stats =
+            par::relax(g, context, targeted, nullptr);
+        std::vector<NodeId> coreness;
+        context.copy_estimates(coreness);
+        ASSERT_EQ(coreness, expected)
+            << test_case.name << " sched=" << api::to_string(sched)
+            << " targeted=" << targeted << " unseeded=" << unseeded;
+        EXPECT_EQ(stats.detector_passes, 1u);
+        EXPECT_LE(stats.skipped_recomputes, stats.relaxations);
+      }
+    }
+    // One-worker live repairs after mixed insert/remove batches.
+    graph::MutableGraph live(g);
+    live::RepairEngine engine(live,
+                              live::RepairOptions{1, kScheds[index % 2],
+                                                  true});
+    engine.initialize();
+    expect_repairs_exact(engine, live, 7 + index, test_case.name);
   }
 }
 

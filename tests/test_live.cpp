@@ -178,6 +178,42 @@ INSTANTIATE_TEST_SUITE_P(
              std::string(core::to_string(std::get<2>(info.param)));
     });
 
+TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
+  // The live half of the one-worker schedule pin: the relaxations a
+  // one-worker Service spends over a fixed seeded churn trace, summed
+  // over its batches. Recorded from the pool-backed kernel, whose
+  // support counters carried over between repairs; the histogram kernel
+  // rebuilds its histograms every run and must spend the same work.
+  const Graph g = gen::barabasi_albert(3000, 4, 21);
+  for (const SchedPolicy sched : {SchedPolicy::kLifo, SchedPolicy::kBound}) {
+    ServiceOptions options;
+    options.threads = 1;
+    options.sched = sched;
+    Service service(g, options);
+    util::Xoshiro256 rng(5);
+    std::uint64_t relaxations = 0;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<EdgeUpdate> batch;
+      while (batch.size() < 128) {
+        const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        if (rng.next_bool(0.5)) {
+          const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+          batch.push_back({EdgeOp::kInsert, u, v});
+          continue;
+        }
+        const auto nbrs = service.graph().neighbors(u);
+        if (nbrs.empty()) continue;
+        batch.push_back(
+            {EdgeOp::kRemove, u, nbrs[rng.next_below(nbrs.size())]});
+      }
+      relaxations += service.apply(batch).repair.relaxations;
+    }
+    EXPECT_EQ(relaxations, 13983U) << core::to_string(sched);
+    EXPECT_EQ(service.query()->coreness,
+              seq::coreness_bz(service.graph().snapshot()));
+  }
+}
+
 // --- parity with the synchronous simulator path -----------------------------
 
 TEST(LiveService, ReplayMatchesDynamicKCoreOnTheSameLog) {

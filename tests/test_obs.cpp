@@ -443,31 +443,40 @@ TEST(ObsEndToEnd, AsyncMetricsMatchStatsView) {
   // With metrics on, the stats par::relax returns and the registry's
   // async.* counters are two independent counts of the same run — they
   // must agree exactly, and the counters must satisfy the engine's own
-  // invariants (relaxations = seeded + re-enqueues).
+  // invariants (relaxations = seeded + re-enqueues). One worker runs the
+  // plain-queue path, four the pool path; both feed the same counters.
   const graph::Graph g = graph::gen::barabasi_albert(4000, 3, 7);
-  api::RunOptions options;
-  options.threads = 4;
-  options.obs.metrics = true;
-  const auto report = api::decompose(g, "bsp-async", options);
-  ASSERT_NE(report.telemetry, nullptr);
-  ASSERT_TRUE(report.telemetry->has_metrics);
-  const auto& metrics = report.telemetry->metrics;
-  const auto& extras = std::get<api::AsyncExtras>(report.extras);
-  EXPECT_EQ(extras.relaxations, metrics.value("async.relaxations"));
-  EXPECT_EQ(extras.steals, metrics.value("async.steals"));
-  EXPECT_EQ(extras.pop_scans, metrics.value("async.pop_scans"));
-  EXPECT_EQ(extras.skipped_recomputes,
-            metrics.value("async.skipped_recomputes"));
-  EXPECT_EQ(extras.detector_passes, metrics.value("async.detector_passes"));
-  EXPECT_EQ(extras.re_enqueues,
-            metrics.value("async.relaxations") - g.num_nodes());
-  EXPECT_GE(extras.relaxations, g.num_nodes());
-  // The latency histogram saw every relaxation the span wrapped.
-  const auto* relax_ns = metrics.histogram("async.relax_ns");
-  ASSERT_NE(relax_ns, nullptr);
-  EXPECT_EQ(relax_ns->count, extras.relaxations);
-  // Coreness unaffected by instrumentation.
-  EXPECT_EQ(report.coreness, seq::coreness_bz(g));
+  for (const unsigned threads : {1U, 4U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    api::RunOptions options;
+    options.threads = threads;
+    options.obs.metrics = true;
+    const auto report = api::decompose(g, "bsp-async", options);
+    ASSERT_NE(report.telemetry, nullptr);
+    ASSERT_TRUE(report.telemetry->has_metrics);
+    const auto& metrics = report.telemetry->metrics;
+    const auto& extras = std::get<api::AsyncExtras>(report.extras);
+    EXPECT_EQ(extras.relaxations, metrics.value("async.relaxations"));
+    EXPECT_EQ(extras.steals, metrics.value("async.steals"));
+    EXPECT_EQ(extras.pop_scans, metrics.value("async.pop_scans"));
+    EXPECT_EQ(extras.skipped_recomputes,
+              metrics.value("async.skipped_recomputes"));
+    EXPECT_EQ(extras.detector_passes,
+              metrics.value("async.detector_passes"));
+    EXPECT_EQ(extras.re_enqueues,
+              metrics.value("async.relaxations") - g.num_nodes());
+    EXPECT_GE(extras.relaxations, g.num_nodes());
+    // The latency histogram saw every relaxation the span wrapped, and
+    // the scan-length histogram every successful pop.
+    const auto* relax_ns = metrics.histogram("async.relax_ns");
+    ASSERT_NE(relax_ns, nullptr);
+    EXPECT_EQ(relax_ns->count, extras.relaxations);
+    const auto* scan_len = metrics.histogram("async.acquire_scan_len");
+    ASSERT_NE(scan_len, nullptr);
+    EXPECT_EQ(scan_len->count, extras.relaxations);
+    // Coreness unaffected by instrumentation.
+    EXPECT_EQ(report.coreness, seq::coreness_bz(g));
+  }
 }
 
 TEST(ObsEndToEnd, WarmRunTelemetryNeverAccumulatesAcrossRuns) {
@@ -478,32 +487,36 @@ TEST(ObsEndToEnd, WarmRunTelemetryNeverAccumulatesAcrossRuns) {
   // counters, tallies or detector state shows up here as a doubled or
   // drifting value.
   const graph::Graph g = graph::gen::barabasi_albert(4000, 3, 7);
-  api::RunOptions options;
-  options.threads = 4;
-  options.obs.metrics = true;
-  api::Session session(g, "bsp-async", options);
-  api::DecomposeReport report;
-  for (int run = 0; run < 3; ++run) report = session.run();
-  ASSERT_NE(report.telemetry, nullptr);
-  ASSERT_TRUE(report.telemetry->has_metrics);
-  const auto& metrics = report.telemetry->metrics;
-  const auto& extras = std::get<api::AsyncExtras>(report.extras);
-  EXPECT_EQ(extras.relaxations, metrics.value("async.relaxations"));
-  EXPECT_EQ(extras.steals, metrics.value("async.steals"));
-  EXPECT_EQ(extras.pop_scans, metrics.value("async.pop_scans"));
-  EXPECT_EQ(extras.skipped_recomputes,
-            metrics.value("async.skipped_recomputes"));
-  EXPECT_EQ(extras.detector_passes, metrics.value("async.detector_passes"));
-  // Every node still relaxes at least once per run — a registry that
-  // leaked from the previous runs would report ~3x this floor against
-  // an extras view of ~1x and fail the equalities above.
-  EXPECT_EQ(extras.re_enqueues,
-            metrics.value("async.relaxations") - g.num_nodes());
-  EXPECT_GE(extras.relaxations, g.num_nodes());
-  const auto* relax_ns = metrics.histogram("async.relax_ns");
-  ASSERT_NE(relax_ns, nullptr);
-  EXPECT_EQ(relax_ns->count, extras.relaxations);
-  EXPECT_EQ(report.coreness, seq::coreness_bz(g));
+  for (const unsigned threads : {1U, 4U}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    api::RunOptions options;
+    options.threads = threads;
+    options.obs.metrics = true;
+    api::Session session(g, "bsp-async", options);
+    api::DecomposeReport report;
+    for (int run = 0; run < 3; ++run) report = session.run();
+    ASSERT_NE(report.telemetry, nullptr);
+    ASSERT_TRUE(report.telemetry->has_metrics);
+    const auto& metrics = report.telemetry->metrics;
+    const auto& extras = std::get<api::AsyncExtras>(report.extras);
+    EXPECT_EQ(extras.relaxations, metrics.value("async.relaxations"));
+    EXPECT_EQ(extras.steals, metrics.value("async.steals"));
+    EXPECT_EQ(extras.pop_scans, metrics.value("async.pop_scans"));
+    EXPECT_EQ(extras.skipped_recomputes,
+              metrics.value("async.skipped_recomputes"));
+    EXPECT_EQ(extras.detector_passes,
+              metrics.value("async.detector_passes"));
+    // Every node still relaxes at least once per run — a registry that
+    // leaked from the previous runs would report ~3x this floor against
+    // an extras view of ~1x and fail the equalities above.
+    EXPECT_EQ(extras.re_enqueues,
+              metrics.value("async.relaxations") - g.num_nodes());
+    EXPECT_GE(extras.relaxations, g.num_nodes());
+    const auto* relax_ns = metrics.histogram("async.relax_ns");
+    ASSERT_NE(relax_ns, nullptr);
+    EXPECT_EQ(relax_ns->count, extras.relaxations);
+    EXPECT_EQ(report.coreness, seq::coreness_bz(g));
+  }
 }
 
 TEST(ObsEndToEnd, AsyncTraceIsStructurallySound) {
