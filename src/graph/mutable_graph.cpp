@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace kcore::graph {
 
 MutableGraph::MutableGraph(const Graph& initial)
@@ -9,6 +11,22 @@ MutableGraph::MutableGraph(const Graph& initial)
   for (NodeId u = 0; u < initial.num_nodes(); ++u) {
     const auto nbrs = initial.neighbors(u);
     adjacency_[u].assign(nbrs.begin(), nbrs.end());
+  }
+}
+
+MutableGraph::MutableGraph(NodeId num_nodes,
+                           std::span<const Edge> canonical_edges)
+    : adjacency_(num_nodes), num_edges_(canonical_edges.size()) {
+  std::vector<NodeId> degree(num_nodes, 0);
+  for (const Edge& e : canonical_edges) {
+    KCORE_DCHECK(e.u < e.v && e.v < num_nodes);
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  for (NodeId u = 0; u < num_nodes; ++u) adjacency_[u].reserve(degree[u]);
+  for (const Edge& e : canonical_edges) {
+    adjacency_[e.u].push_back(e.v);
+    adjacency_[e.v].push_back(e.u);
   }
 }
 

@@ -26,6 +26,16 @@ class MutableGraph {
  public:
   explicit MutableGraph(const Graph& initial);
 
+  /// Build straight from a CANONICAL edge list: u < v, (u, v) strictly
+  /// increasing (what edges() returns and the checkpoint decoder
+  /// enforces). One counting pass sizes every list, one push pass fills
+  /// them, and each comes out sorted because the edges are sorted by
+  /// their first endpoint: node x receives its smaller neighbours from
+  /// the edges (w, x) in increasing w, all before its larger ones from
+  /// (x, y) in increasing y. The order is the caller's contract; a
+  /// list out of order would break has_edge()'s binary search.
+  MutableGraph(NodeId num_nodes, std::span<const Edge> canonical_edges);
+
   [[nodiscard]] NodeId num_nodes() const noexcept {
     return static_cast<NodeId>(adjacency_.size());
   }

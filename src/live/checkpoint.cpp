@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 #include "live/wire.h"
@@ -39,24 +40,26 @@ bool parse_checkpoint_name(const std::string& name, std::uint64_t& epoch) {
   return true;
 }
 
-std::string encode(const CheckpointData& data) {
-  std::string payload;
-  payload.reserve(28 + data.edges.size() * 8 + data.coreness.size() * 4);
-  wire::put_u64(payload, data.epoch);
-  wire::put_u64(payload, data.wal_offset);
-  wire::put_u32(payload, data.num_nodes);
-  wire::put_u64(payload, data.edges.size());
-  for (const graph::Edge& e : data.edges) {
-    wire::put_u32(payload, e.u);
-    wire::put_u32(payload, e.v);
-  }
-  for (graph::NodeId c : data.coreness) wire::put_u32(payload, c);
+constexpr std::size_t kHeaderBytes = 8;           // magic | CRC
+constexpr std::size_t kPayloadHeaderBytes = 28;   // epoch .. num_edges
 
-  std::string file;
-  file.reserve(8 + payload.size());
-  wire::put_u32(file, kMagic);
-  wire::put_u32(file, util::crc32(payload));
-  file.append(payload);
+/// The whole file in one buffer sized once: header with a CRC slot, the
+/// payload stored in place, then the CRC of the payload into its slot.
+std::string encode(const CheckpointData& data) {
+  std::string file(kHeaderBytes + kPayloadHeaderBytes + data.edges.size() * 8 +
+                       data.coreness.size() * 4,
+                   '\0');
+  char* out = wire::store_u32(file.data(), kMagic) + 4;  // CRC slot
+  out = wire::store_u64(out, data.epoch);
+  out = wire::store_u64(out, data.wal_offset);
+  out = wire::store_u32(out, data.num_nodes);
+  out = wire::store_u64(out, data.edges.size());
+  for (const graph::Edge& e : data.edges) {
+    out = wire::store_u32(wire::store_u32(out, e.u), e.v);
+  }
+  for (graph::NodeId c : data.coreness) out = wire::store_u32(out, c);
+  wire::store_u32(file.data() + 4,
+                  util::crc32(std::string_view(file).substr(kHeaderBytes)));
   return file;
 }
 
@@ -74,7 +77,8 @@ std::optional<CheckpointData> decode(const std::string& bytes,
     reason = "truncated header";
     return std::nullopt;
   }
-  const std::string_view payload = std::string_view(bytes).substr(8);
+  const std::string_view payload =
+      std::string_view(bytes).substr(kHeaderBytes);
   if (util::crc32(payload) != crc) {
     reason = "CRC mismatch (torn or corrupt write)";
     return std::nullopt;
@@ -94,29 +98,43 @@ std::optional<CheckpointData> decode(const std::string& bytes,
     reason = "edge count exceeds the payload";
     return std::nullopt;
   }
-  data.edges.reserve(num_edges);
-  for (std::uint64_t i = 0; i < num_edges; ++i) {
-    graph::Edge e;
-    if (!body.get_u32(e.u) || !body.get_u32(e.v)) {
-      reason = "truncated edge list";
-      return std::nullopt;
-    }
+  std::string_view edge_bytes;
+  if (!body.get_bytes(num_edges * 8, edge_bytes)) {
+    reason = "truncated edge list";
+    return std::nullopt;
+  }
+  data.edges.resize(num_edges);
+  graph::Edge prev{0, 0};
+  for (std::size_t i = 0; i < num_edges; ++i) {
+    graph::Edge& e = data.edges[i];
+    e.u = wire::load_u32(edge_bytes.data() + 8 * i);
+    e.v = wire::load_u32(edge_bytes.data() + 8 * i + 4);
     if (e.u >= data.num_nodes || e.v >= data.num_nodes) {
       reason = "edge endpoint out of range";
       return std::nullopt;
     }
-    data.edges.push_back(e);
+    // Canonical means u < v and (u, v) strictly increasing: no self-loop,
+    // no duplicate, and what MutableGraph's edge-list constructor needs
+    // to lay out sorted neighbour lists without sorting them.
+    if (e.u >= e.v ||
+        (i > 0 && (e.u < prev.u || (e.u == prev.u && e.v <= prev.v)))) {
+      reason = "edge list not in canonical order";
+      return std::nullopt;
+    }
+    prev = e;
   }
   if (data.num_nodes > body.remaining() / 4) {
     reason = "node count exceeds the payload";
     return std::nullopt;
   }
+  std::string_view coreness_bytes;
+  if (!body.get_bytes(std::size_t{data.num_nodes} * 4, coreness_bytes)) {
+    reason = "truncated coreness table";
+    return std::nullopt;
+  }
   data.coreness.resize(data.num_nodes);
   for (graph::NodeId u = 0; u < data.num_nodes; ++u) {
-    if (!body.get_u32(data.coreness[u])) {
-      reason = "truncated coreness table";
-      return std::nullopt;
-    }
+    data.coreness[u] = wire::load_u32(coreness_bytes.data() + 4 * std::size_t{u});
   }
   if (body.remaining() != 0) {
     reason = "trailing bytes after coreness table";

@@ -11,7 +11,13 @@
 //
 // File format: u32 magic | u32 crc32(payload) | payload, with payload =
 // u64 epoch | u64 wal_offset | u32 num_nodes | u64 num_edges |
-// num_edges × (u32 u, u32 v) | num_nodes × (u32 coreness).
+// num_edges × (u32 u, u32 v) | num_nodes × (u32 coreness), all little-
+// endian. The edge list is CANONICAL: u < v, (u, v) strictly increasing
+// (no self-loop, no duplicate). The writer encodes into one buffer sized
+// once and fills the CRC in place; the loader refuses a list that is not
+// canonical ("edge list not in canonical order") even under a valid CRC,
+// so recovery can build the adjacency from it in two linear passes
+// (graph::MutableGraph's edge-list constructor) without sorting.
 //
 // Why persisting coreness is sound: the table is detector-confirmed
 // EXACT for the checkpointed topology, and the paper's Theorems 1–2 let
@@ -35,7 +41,7 @@ struct CheckpointData {
   std::uint64_t epoch = 0;       // last epoch published before the write
   std::uint64_t wal_offset = 0;  // durable WAL end at checkpoint time
   graph::NodeId num_nodes = 0;
-  std::vector<graph::Edge> edges;        // canonical u < v, sorted
+  std::vector<graph::Edge> edges;        // canonical: u < v, strictly sorted
   std::vector<graph::NodeId> coreness;   // exact for this topology
 };
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/options.h"
+#include "util/clock.h"
 
 namespace kcore::live {
 
@@ -48,11 +49,12 @@ const DurabilityOptions& fresh_state_dir(const DurabilityOptions& durability) {
 }  // namespace
 
 Service::Service(const graph::Graph& initial, const ServiceOptions& options)
-    : Service(initial, options, DurabilityOptions{}, nullptr) {}
+    : Service(LiveGraph(initial), options, DurabilityOptions{}, nullptr) {}
 
 Service::Service(const graph::Graph& initial, const ServiceOptions& options,
                  const DurabilityOptions& durability)
-    : Service(initial, options, fresh_state_dir(durability), nullptr) {
+    : Service(LiveGraph(initial), options, fresh_state_dir(durability),
+              nullptr) {
   // WAL first (its epoch mark pins the base), then the initial
   // checkpoint pointing at the WAL's durable end. A crash between the
   // two leaves wal.log without a checkpoint, which open() reports as
@@ -62,11 +64,11 @@ Service::Service(const graph::Graph& initial, const ServiceOptions& options,
   write_checkpoint_now();
 }
 
-Service::Service(const graph::Graph& initial, const ServiceOptions& options,
+Service::Service(LiveGraph initial, const ServiceOptions& options,
                  const DurabilityOptions& durability, const WarmStart* warm)
     : options_(options),
       durability_(durability),
-      graph_(initial),
+      graph_(std::move(initial)),
       engine_(graph_, RepairOptions{options.threads, options.sched,
                                     options.targeted_send}),
       epoch_(warm != nullptr ? warm->epoch : 0) {
@@ -113,6 +115,14 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
 
   RecoveryInfo local_info;
   RecoveryInfo& ri = info != nullptr ? *info : local_info;
+  util::SteadyClock::time_point mark = util::SteadyClock::now();
+  // Milliseconds since the previous phase ended; starts the next one.
+  const auto phase_ms = [&mark] {
+    const util::SteadyClock::time_point now = util::SteadyClock::now();
+    const double ms = util::ms_between(mark, now);
+    mark = now;
+    return ms;
+  };
 
   CheckpointLoadResult loaded = load_latest_checkpoint(storage, dir);
   ri.rejected_checkpoints = loaded.rejected;
@@ -129,6 +139,7 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
   CheckpointData ckpt = std::move(*loaded.data);
   ri.checkpoint_file = loaded.file;
   ri.checkpoint_epoch = ckpt.epoch;
+  ri.load_ms = phase_ms();
 
   // One read, one validating pass over the WAL. The pass starts at 0 so
   // the epoch mark is checked (a foreign or mismatched log is refused
@@ -159,11 +170,15 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
     }
     ri.torn_bytes_truncated = scan.torn_bytes;
   }
+  ri.scan_ms = phase_ms();
 
+  // The adjacency comes straight from the checkpoint's edge list, which
+  // the decoder has checked is canonical.
   const WarmStart warm{ckpt.coreness, loaded.file, ckpt.epoch};
   std::unique_ptr<Service> service(
-      new Service(graph::Graph::from_edges(ckpt.num_nodes, ckpt.edges),
-                  options, durability, &warm));
+      new Service(LiveGraph(ckpt.num_nodes, ckpt.edges), options, durability,
+                  &warm));
+  ri.build_ms = phase_ms();
 
   if (have_wal) {
     service->wal_.emplace(
@@ -175,32 +190,45 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
                                       wal_options_of(durability)));
   }
 
-  // Replay the tail through the normal apply() path — idempotent by
-  // epoch: duplicates (a retried append after a transient I/O error)
-  // are skipped, gaps are refused.
-  service->replaying_ = true;
-  for (const WalBatch& b : scan.batches) {
-    if (b.epoch < service->epoch_) {
+  // Gather the tail, idempotent by epoch: duplicates (a retried append
+  // after a transient I/O error) are skipped, gaps are refused.
+  std::uint64_t next_epoch = service->epoch_;
+  std::vector<graph::EdgeUpdate> tail;
+  for (WalBatch& b : scan.batches) {
+    if (b.epoch < next_epoch) {
       ++ri.skipped_duplicate_batches;
       continue;
     }
-    if (b.epoch > service->epoch_) {
-      service->replaying_ = false;
+    if (b.epoch > next_epoch) {
       throw util::IoError(wal_path + ": WAL epoch gap — expected a record for epoch " +
-                          std::to_string(service->epoch_) + ", found epoch " +
+                          std::to_string(next_epoch) + ", found epoch " +
                           std::to_string(b.epoch) +
                           " (records lost between checkpoints?)");
     }
-    ApplyResult r = service->apply(b.updates);
+    tail.insert(tail.end(), b.updates.begin(), b.updates.end());
+    ++next_epoch;
     ++ri.replayed_batches;
-    ri.replay_relaxations += r.repair.relaxations;
   }
-  service->replaying_ = false;
+  // ... and replay it as ONE batch through the normal apply() path. The
+  // coalesced concatenation is the net effect of the batches in order
+  // (the last op per edge decides), so one repair lands on the exact
+  // table the per-batch replay would, paying only for the net change.
+  // apply() publishes epoch_, so it is set to the last tail epoch; the
+  // epochs before it are never observable (the service is not returned
+  // yet).
+  if (ri.replayed_batches > 0) {
+    service->epoch_ = next_epoch - 1;
+    service->replaying_ = true;
+    const ApplyResult r = service->apply(tail);
+    service->replaying_ = false;
+    ri.replay_relaxations = r.repair.relaxations;
+  }
   service->batches_since_checkpoint_ = ri.replayed_batches;
   if (durability.checkpoint_every > 0 &&
       service->batches_since_checkpoint_ >= durability.checkpoint_every) {
     service->write_checkpoint_now();
   }
+  ri.replay_ms = phase_ms();
   ri.recovered_epoch = service->epoch_ - 1;
   return service;
 }

@@ -17,7 +17,9 @@
 //  * Every apply() publishes exactly ONE new final epoch (even for an
 //    empty or fully-ignored batch), so epoch numbers count apply()
 //    calls and the `live.epoch_publishes` counter equals applies + 1
-//    (the initial convergence publishes epoch 0).
+//    (the initial convergence publishes epoch 0). A recovered service
+//    counts from its own start: the checkpointed epoch, plus one publish
+//    for the whole replayed tail.
 //
 // Durability contract (when DurabilityOptions::dir is set):
 //  * WRITE-AHEAD: apply() appends the raw batch to `dir`/wal.log
@@ -37,7 +39,9 @@
 //    record in one pass (Wal::scan: CRC and framing checked from offset
 //    0, only the records past the checkpoint's epoch decoded), truncates
 //    any torn WAL tail, and replays the decoded tail through the normal
-//    apply() path.
+//    apply() path as ONE batch: the concatenated records coalesce to
+//    their net effect, so recovery pays one repair for the net change,
+//    not one per record, and publishes the last tail epoch directly.
 //    Replay is idempotent by epoch: duplicate records are skipped, a
 //    gap is refused with an actionable error.
 //  * A failed checkpoint write degrades gracefully: the error is
@@ -126,11 +130,21 @@ struct RecoveryInfo {
   std::string checkpoint_file;
   std::uint64_t checkpoint_epoch = 0;
   std::uint64_t recovered_epoch = 0;  // last epoch published after replay
-  std::uint64_t replayed_batches = 0;
+  std::uint64_t replayed_batches = 0;  // WAL records in the replayed tail
   std::uint64_t skipped_duplicate_batches = 0;
-  std::uint64_t replay_relaxations = 0;  // the warm-restart cost
+  /// The warm-restart cost: relaxations of the ONE repair that applies
+  /// the whole tail's net effect.
+  std::uint64_t replay_relaxations = 0;
   std::uint64_t torn_bytes_truncated = 0;
   std::vector<std::string> rejected_checkpoints;  // diagnostics
+  /// Wall time of open()'s phases (util::SteadyClock), back to back:
+  /// read and decode the newest valid checkpoint; read and validate the
+  /// WAL; build the adjacency and warm-start (which checks the table);
+  /// position the appender, replay the tail and any due checkpoint.
+  double load_ms = 0;
+  double scan_ms = 0;
+  double build_ms = 0;
+  double replay_ms = 0;
 };
 
 /// What query() hands out: immutable, shared. Final snapshots
@@ -172,10 +186,14 @@ class Service {
           const DurabilityOptions& durability);
 
   /// Recover a durable service from durability.dir (see the durability
-  /// contract above). Throws util::IoError with an actionable one-line
-  /// message when the directory holds nothing recoverable, or when the
-  /// newest valid checkpoint's coreness table is not the coreness of its
-  /// topology.
+  /// contract above): the adjacency is built straight from the newest
+  /// valid checkpoint's canonical edge list, and the WAL tail past it is
+  /// replayed as one net batch, so the cost follows the bytes checked
+  /// and the net change repaired. Throws util::IoError with an
+  /// actionable one-line message when the directory holds nothing
+  /// recoverable, when the WAL skips an epoch, or when the newest valid
+  /// checkpoint's coreness table is not the coreness of its topology.
+  /// `info` (optional) gets the counts and phase times.
   [[nodiscard]] static std::unique_ptr<Service> open(
       const ServiceOptions& options, const DurabilityOptions& durability,
       RecoveryInfo* info = nullptr);
@@ -226,10 +244,11 @@ class Service {
     std::uint64_t epoch;      // the epoch the table is exact for
   };
 
-  /// The one start-up body behind every constructor: metrics, then a
-  /// full convergence (warm == nullptr) or a warm start from the checked
-  /// table `warm->coreness` (recovery), then the publish of the epoch.
-  Service(const graph::Graph& initial, const ServiceOptions& options,
+  /// The one start-up body behind every constructor: takes the built
+  /// adjacency, then metrics, then a full convergence (warm == nullptr)
+  /// or a warm start from the checked table `warm->coreness` (recovery),
+  /// then the publish of the epoch.
+  Service(LiveGraph initial, const ServiceOptions& options,
           const DurabilityOptions& durability, const WarmStart* warm);
 
   // Registry lanes: every slot is single-writer (obs::Registry::add is a

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -38,6 +39,7 @@
 #include "live/wire.h"
 #include "seq/kcore_seq.h"
 #include "util/crc32.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "util/storage.h"
 
@@ -790,6 +792,67 @@ TEST_F(RecoveryDegenerate, CheckpointWithAWrongCorenessTableIsRefused) {
   }
 }
 
+TEST_F(RecoveryDegenerate, NonCanonicalEdgeListsAreRefusedAndFallBack) {
+  // The adjacency is built from the checkpoint's edge list on the
+  // promise that it is canonical (u < v, strictly increasing), so the
+  // decoder refuses any list that is not, even under a valid CRC, and
+  // recovery falls back to the older checkpoint plus the WAL.
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  const std::string original = fs_.read_file(loaded.file);
+  const std::vector<graph::Edge>& edges = loaded.data->edges;
+  ASSERT_GE(edges.size(), 4U);
+  const std::size_t k = edges.size() / 2;
+  std::vector<std::vector<graph::Edge>> mutants(4, edges);
+  std::swap(mutants[0][k], mutants[0][k + 1]);               // out of order
+  mutants[1].insert(mutants[1].begin() + static_cast<std::ptrdiff_t>(k),
+                    edges[k]);                                // duplicate
+  std::swap(mutants[2][k].u, mutants[2][k].v);               // u > v
+  mutants[3][k].v = mutants[3][k].u;                         // self-loop
+  for (std::size_t m = 0; m < mutants.size(); ++m) {
+    SCOPED_TRACE(::testing::Message() << "mutant " << m);
+    CheckpointData bad = *loaded.data;
+    bad.edges = mutants[m];
+    ASSERT_EQ(write_checkpoint(fs_, kDir, bad, 2), loaded.file);
+
+    RecoveryInfo info;
+    const auto service =
+        Service::open(fast_options(), mem_durability(fs_), &info);
+    ASSERT_EQ(info.rejected_checkpoints.size(), 1U);
+    EXPECT_NE(info.rejected_checkpoints[0].find(loaded.file),
+              std::string::npos);
+    EXPECT_NE(info.rejected_checkpoints[0].find("canonical order"),
+              std::string::npos)
+        << info.rejected_checkpoints[0];
+    EXPECT_LT(info.checkpoint_epoch, loaded.data->epoch);
+    EXPECT_GT(info.replayed_batches, 0U);
+    EXPECT_EQ(info.recovered_epoch, trace_.log.size());
+    EXPECT_EQ(service->query()->coreness, expected_);
+    EXPECT_EQ(service->query()->coreness,
+              seq::coreness_bz(service->graph().snapshot()));
+
+    fs_.write_file(loaded.file, original);
+    fs_.sync_file(loaded.file);
+  }
+}
+
+TEST_F(RecoveryDegenerate, PhaseTimesFitInTheWallTimeOfOpen) {
+  // Fall back to the older checkpoint so every phase has work to time.
+  corrupt(std::string(kDir) + "/" + checkpoint_files().back());
+  RecoveryInfo info;
+  const auto start = util::SteadyClock::now();
+  const auto service =
+      Service::open(fast_options(), mem_durability(fs_), &info);
+  const double wall_ms = util::ms_between(start, util::SteadyClock::now());
+  ASSERT_GT(info.replayed_batches, 0U);
+  EXPECT_GE(info.load_ms, 0.0);
+  EXPECT_GE(info.scan_ms, 0.0);
+  EXPECT_GE(info.build_ms, 0.0);
+  EXPECT_GE(info.replay_ms, 0.0);
+  EXPECT_LE(info.load_ms + info.scan_ms + info.build_ms + info.replay_ms,
+            wall_ms);
+}
+
 // --- the warm-restart argument, quantified ----------------------------------
 
 TEST(Recovery, WarmRestartPaysFarFewerRelaxationsThanFromScratch) {
@@ -853,6 +916,172 @@ TEST(Recovery, CurrentCheckpointMeansZeroReplay) {
   EXPECT_EQ(info.replay_relaxations, 0U);
   EXPECT_EQ(info.recovered_epoch, trace.log.size());
   EXPECT_EQ(service->query()->coreness, expected_final_coreness(trace));
+}
+
+
+// --- the tail replayed as one net batch -------------------------------------
+
+/// `count` distinct edges absent from `g`, u < v.
+std::vector<graph::Edge> absent_edges(const Graph& g, std::size_t count,
+                                      util::Xoshiro256& rng) {
+  std::vector<graph::Edge> out;
+  while (out.size() < count) {
+    auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    const graph::Edge e{u, v};
+    const auto nbrs = g.neighbors(u);
+    if (std::find(nbrs.begin(), nbrs.end(), v) != nbrs.end() ||
+        std::find(out.begin(), out.end(), e) != out.end()) {
+      continue;
+    }
+    out.push_back(e);
+  }
+  return out;
+}
+
+std::vector<EdgeUpdate> updates_of(EdgeOp op,
+                                   const std::vector<graph::Edge>& edges) {
+  std::vector<EdgeUpdate> out;
+  for (const graph::Edge& e : edges) out.push_back({op, e.u, e.v});
+  return out;
+}
+
+TEST(Recovery, OneNetReplayMatchesThePreCrashService) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const Graph base = gen::barabasi_albert(120, 3, seed);
+    const NodeId n = base.num_nodes();
+    util::Xoshiro256 rng(seed * 977);
+    const std::vector<graph::Edge> added = absent_edges(base, 16, rng);
+    std::vector<graph::Edge> dropped;  // present base edges
+    for (NodeId u = 0; u < n && dropped.size() < 10; u += 7) {
+      for (const NodeId v : base.neighbors(u)) {
+        if (u < v) {
+          dropped.push_back({u, v});
+          break;
+        }
+      }
+    }
+    const auto first_half = std::vector<graph::Edge>(added.begin(),
+                                                     added.begin() + 8);
+    const auto second_half = std::vector<graph::Edge>(added.begin() + 8,
+                                                      added.end());
+    auto random_mix = [&](std::size_t count) {
+      std::vector<EdgeUpdate> out;
+      for (std::size_t i = 0; i < count; ++i) {
+        out.push_back({rng.next_bool(0.5) ? EdgeOp::kInsert : EdgeOp::kRemove,
+                       static_cast<NodeId>(rng.next_below(n)),
+                       static_cast<NodeId>(rng.next_below(n))});
+      }
+      return out;
+    };
+
+    // The tail: inserts later removed, removed edges re-added, churn
+    // within a batch, self-loops, out-of-range ids and duplicates.
+    std::vector<std::vector<EdgeUpdate>> tail;
+    tail.push_back(updates_of(EdgeOp::kInsert, added));
+    tail.back().push_back({EdgeOp::kInsert, 5, 5});
+    tail.back().push_back({EdgeOp::kInsert, 0, n + 3});
+    tail.push_back(updates_of(EdgeOp::kRemove, dropped));
+    for (const EdgeUpdate& u : updates_of(EdgeOp::kRemove, first_half)) {
+      tail.back().push_back(u);
+    }
+    tail.push_back(updates_of(EdgeOp::kInsert, dropped));
+    tail.back().push_back({EdgeOp::kInsert, added[0].u, added[0].v});
+    tail.back().push_back({EdgeOp::kRemove, added[0].u, added[0].v});
+    tail.push_back(updates_of(EdgeOp::kRemove, second_half));  // retried
+    for (const EdgeUpdate& u : random_mix(12)) tail.back().push_back(u);
+    tail.push_back(random_mix(20));
+    tail.back().push_back(tail.back().front());  // a duplicate update
+    tail.push_back(random_mix(10));
+    tail.back().push_back({EdgeOp::kRemove, 7, 7});
+    tail.back().push_back({EdgeOp::kRemove, n, 1});
+    tail.push_back(updates_of(EdgeOp::kInsert, first_half));
+    constexpr std::size_t kRetried = 3;
+
+    util::MemStorage fs;
+    DurabilityOptions durability = mem_durability(fs);
+    durability.checkpoint_every = 1000;
+    std::shared_ptr<const Snapshot> before;
+    {
+      Service service(base, fast_options(), durability);
+      service.apply(random_mix(10));
+      service.apply(random_mix(10));
+      service.checkpoint();  // the tail starts here
+      for (std::size_t b = 0; b < tail.size(); ++b) {
+        if (b == kRetried) {
+          // The append lands but its sync fails: the apply is refused
+          // before any mutation, and the retry appends the record again.
+          fs.set_fault({FaultPlan::Kind::kFail, fs.op_count() + 1});
+          EXPECT_THROW(service.apply(tail[b]), util::IoError);
+        }
+        service.apply(tail[b]);
+      }
+      before = service.query();
+    }
+    fs.crash();
+
+    RecoveryInfo info;
+    const auto recovered = Service::open(fast_options(), durability, &info);
+    EXPECT_EQ(info.checkpoint_epoch, 2U);
+    EXPECT_EQ(info.replayed_batches, tail.size());
+    EXPECT_EQ(info.skipped_duplicate_batches, 1U);
+    const auto after = recovered->query();
+    EXPECT_EQ(after->epoch, before->epoch);
+    EXPECT_EQ(info.recovered_epoch, before->epoch);
+    EXPECT_EQ(after->num_edges, before->num_edges);
+    EXPECT_EQ(after->coreness, before->coreness);
+    EXPECT_EQ(after->coreness, seq::coreness_bz(recovered->graph().snapshot()));
+    // And it goes on as the pre-crash service would have.
+    const std::vector<EdgeUpdate> next = random_mix(16);
+    const ApplyResult r = recovered->apply(next);
+    EXPECT_EQ(r.epoch, before->epoch + 1);
+    EXPECT_EQ(recovered->query()->coreness,
+              seq::coreness_bz(recovered->graph().snapshot()));
+  }
+}
+
+TEST(Recovery, OneNetReplayPaysLessThanThePerBatchRepairs) {
+  // A churn-burst-like excursion: each batch inserts a fresh set of
+  // edges and removes the set the batch before inserted, so four batches
+  // net out to one set in and one set out. The per-batch repairs pay for
+  // all eight sets; the one net repair pays for two.
+  const Graph base = gen::barabasi_albert(1500, 4, 3);
+  util::Xoshiro256 rng(17);
+  const std::vector<graph::Edge> pool = absent_edges(base, 5 * 96, rng);
+  auto set = [&](std::size_t i) {
+    return std::vector<graph::Edge>(pool.begin() + static_cast<std::ptrdiff_t>(96 * i),
+                                    pool.begin() + static_cast<std::ptrdiff_t>(96 * (i + 1)));
+  };
+
+  util::MemStorage fs;
+  DurabilityOptions durability = mem_durability(fs);
+  durability.checkpoint_every = 1000;
+  std::uint64_t per_batch_relaxations = 0;
+  std::vector<NodeId> before;
+  {
+    Service service(base, fast_options(), durability);
+    service.apply(updates_of(EdgeOp::kInsert, set(0)));
+    service.checkpoint();
+    for (std::size_t b = 1; b <= 4; ++b) {
+      std::vector<EdgeUpdate> batch = updates_of(EdgeOp::kInsert, set(b));
+      for (const EdgeUpdate& u : updates_of(EdgeOp::kRemove, set(b - 1))) {
+        batch.push_back(u);
+      }
+      per_batch_relaxations += service.apply(batch).repair.relaxations;
+    }
+    before = service.query()->coreness;
+  }
+  fs.crash();
+
+  RecoveryInfo info;
+  const auto recovered = Service::open(fast_options(), durability, &info);
+  EXPECT_EQ(info.replayed_batches, 4U);
+  EXPECT_EQ(recovered->query()->coreness, before);
+  EXPECT_GT(info.replay_relaxations, 0U);
+  EXPECT_LT(info.replay_relaxations, per_batch_relaxations);
 }
 
 }  // namespace

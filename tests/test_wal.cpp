@@ -268,6 +268,62 @@ TEST(WireFormat, CheckpointBytesAreUnchanged) {
   EXPECT_EQ(fs.read_file(path), golden);
 }
 
+// Payloads over 64 B take the folded CRC (the two goldens above are
+// 56 B and reach only the table loop). Bytes recorded from the build
+// before the fold existed.
+TEST(WireFormat, LongWalRecordBytesAreUnchanged) {
+  util::MemStorage fs;
+  Wal wal = Wal::create(fs, "wal.log", /*epoch=*/5, {});
+  WalBatch batch;
+  batch.epoch = 6;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    batch.updates.push_back({i % 3 == 2 ? EdgeOp::kRemove : EdgeOp::kInsert,
+                             i * 0x01010101u + 1, 1000 - i * 37});
+  }
+  wal.append(batch);
+  const std::string golden(
+      "\x09\x00\x00\x00\x4c\x32\x1f\x80\x02\x05\x00\x00\x00\x00\x00\x00"
+      "\x00\x67\x00\x00\x00\x35\xac\x9f\xaa\x01\x06\x00\x00\x00\x00\x00"
+      "\x00\x00\x0a\x00\x00\x00\x00\x01\x00\x00\x00\xe8\x03\x00\x00\x00"
+      "\x02\x01\x01\x01\xc3\x03\x00\x00\x01\x03\x02\x02\x02\x9e\x03\x00"
+      "\x00\x00\x04\x03\x03\x03\x79\x03\x00\x00\x00\x05\x04\x04\x04\x54"
+      "\x03\x00\x00\x01\x06\x05\x05\x05\x2f\x03\x00\x00\x00\x07\x06\x06"
+      "\x06\x0a\x03\x00\x00\x00\x08\x07\x07\x07\xe5\x02\x00\x00\x01\x09"
+      "\x08\x08\x08\xc0\x02\x00\x00\x00\x0a\x09\x09\x09\x9b\x02\x00\x00",
+      128);
+  EXPECT_EQ(fs.read_file("wal.log"), golden);
+}
+
+TEST(WireFormat, LongCheckpointBytesAreUnchanged) {
+  util::MemStorage fs;
+  fs.make_dir("d");
+  CheckpointData data;
+  data.epoch = 9;
+  data.wal_offset = 0x0102030405060708ull;
+  data.num_nodes = 6;
+  data.edges = {{0, 1}, {0, 2}, {1, 2}, {1, 5}, {2, 3}, {3, 4}, {4, 5}};
+  data.coreness = {2, 2, 2, 2, 2, 2};
+  const std::string path = write_checkpoint(fs, "d", data, 2);
+  EXPECT_EQ(path, "d/checkpoint-0000000009.ckpt");
+  const std::string golden(
+      "\x70\x6b\x63\x6b\x21\x8e\x90\xb4\x09\x00\x00\x00\x00\x00\x00\x00"
+      "\x08\x07\x06\x05\x04\x03\x02\x01\x06\x00\x00\x00\x07\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x02\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00"
+      "\x05\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x03\x00\x00\x00"
+      "\x04\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x00\x02\x00\x00\x00"
+      "\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
+      "\x02\x00\x00\x00",
+      116);
+  EXPECT_EQ(fs.read_file(path), golden);
+  // And it decodes back to what was written.
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs, "d");
+  ASSERT_TRUE(loaded.data.has_value());
+  EXPECT_EQ(loaded.data->edges, data.edges);
+  EXPECT_EQ(loaded.data->coreness, data.coreness);
+  EXPECT_EQ(loaded.data->wal_offset, data.wal_offset);
+}
+
 // --- fsync policies against the durability model ----------------------------
 
 TEST(Wal, EveryBatchPolicySurvivesACrashWithNothingLost) {

@@ -629,7 +629,11 @@ int cmd_stream(const util::Args& args) {
         std::cout << ", " << recovery.torn_bytes_truncated
                   << " torn bytes truncated";
       }
-      std::cout << "); resuming at batch " << first_batch << "\n";
+      std::cout << "; phases: load " << util::fmt_double(recovery.load_ms, 2)
+                << "ms scan " << util::fmt_double(recovery.scan_ms, 2)
+                << "ms build " << util::fmt_double(recovery.build_ms, 2)
+                << "ms replay " << util::fmt_double(recovery.replay_ms, 2)
+                << "ms); resuming at batch " << first_batch << "\n";
       if (verify) {
         std::cout << "verify: recovered snapshot "
                   << (mismatched_epochs == 0 ? "matches" : "MISMATCHES")
