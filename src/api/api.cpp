@@ -363,14 +363,6 @@ const char* to_string(ObserverGranularity granularity) {
   return "?";
 }
 
-std::optional<ExecutionKind> parse_execution_kind(std::string_view name) {
-  if (name == "sequential") return ExecutionKind::kSequential;
-  if (name == "simulated") return ExecutionKind::kSimulated;
-  if (name == "threaded-rounds") return ExecutionKind::kThreadedRounds;
-  if (name == "async") return ExecutionKind::kAsync;
-  return std::nullopt;
-}
-
 std::vector<std::string_view> consumed_knobs(
     const Capabilities& capabilities) {
   std::vector<std::string_view> knobs;

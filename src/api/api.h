@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -221,8 +220,6 @@ enum class ObserverGranularity {
 
 [[nodiscard]] const char* to_string(ExecutionKind kind);
 [[nodiscard]] const char* to_string(ObserverGranularity granularity);
-[[nodiscard]] std::optional<ExecutionKind> parse_execution_kind(
-    std::string_view name);
 
 /// Self-describing execution profile of a protocol: how it runs, which
 /// RunOptions knobs it consumes, and whether its report is a pure

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "seq/kcore_seq.h"
+
 namespace kcore::core {
 
 using graph::NodeId;
@@ -111,58 +113,14 @@ void OrderList::relabel_around(NodeId x) {
 
 void CoreOrder::build() {
   const NodeId n = graph_.num_nodes();
-  level_.assign(n, 0);
-  deg_plus_.assign(n, 0);
+  seq::BzPeel peel = seq::bz_peel</*kCountDegPlus=*/true>(graph_);
+  level_ = std::move(peel.level);
+  deg_plus_ = std::move(peel.deg_plus);
   deg_star_.assign(n, 0);
   state_.assign(n, kIdle);
   unsettled_ = false;
-
-  // Batagelj–Zaversnik bucket peel. level_ holds the bucket key (the
-  // coreness once removed); deg_plus_ counts the neighbors not removed
-  // yet, which is exactly deg+ at removal.
-  NodeId max_degree = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    level_[v] = deg_plus_[v] = graph_.degree(v);
-    max_degree = std::max(max_degree, level_[v]);
-  }
-  std::vector<NodeId> start(static_cast<std::size_t>(max_degree) + 1, 0);
-  std::vector<NodeId> pos(n);
-  std::vector<NodeId> order(n);
-  for (NodeId v = 0; v < n; ++v) ++start[level_[v]];
-  NodeId sum = 0;
-  for (NodeId& s : start) {
-    const NodeId count = s;
-    s = sum;
-    sum += count;
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    pos[v] = start[level_[v]]++;
-    order[pos[v]] = v;
-  }
-  for (NodeId d = max_degree; d > 0; --d) start[d] = start[d - 1];
-  start[0] = 0;
-  for (NodeId i = 0; i < n; ++i) {
-    const NodeId v = order[i];
-    for (const NodeId u : graph_.neighbors(v)) {
-      if (pos[u] < i) continue;  // removed already
-      --deg_plus_[u];
-      if (level_[u] > level_[v]) {
-        // Move u to the front of its bucket, then shrink its key.
-        const NodeId du = level_[u];
-        const NodeId pu = pos[u];
-        const NodeId pw = start[du];
-        const NodeId w = order[pw];
-        order[pu] = w;
-        pos[w] = pu;
-        order[pw] = u;
-        pos[u] = pw;
-        ++start[du];
-        --level_[u];
-      }
-    }
-  }
   lists_.reset(n);
-  for (const NodeId v : order) lists_.push_back(level_[v], v);
+  for (const NodeId v : peel.order) lists_.push_back(level_[v], v);
 }
 
 void CoreOrder::push(NodeId x) {

@@ -9,10 +9,12 @@
 // Maintenance", ICDE 2017; simplified by Guo and Sekerinski,
 // arXiv:2201.07103). A k-order is a peel order of the graph: nodes sorted
 // by level (= coreness), and each node v keeps deg+(v), the number of its
-// neighbors later in the order, with deg+(v) <= level(v). An insertion
-// only visits nodes of level K after the earlier endpoint that gained a
-// candidate neighbor before them, in order, and settles each one as it
-// is reached.
+// neighbors later in the order, with deg+(v) <= level(v). build() lays
+// out the removal order of seq::bz_peel, the repo's one
+// Batagelj–Zaveršnik bucket peel, which counts deg+ as it peels. An
+// insertion only visits nodes of level K after the earlier endpoint that
+// gained a candidate neighbor before them, in order, and settles each one
+// as it is reached.
 //
 // Order queries are (level, label) comparisons: each level is a doubly
 // linked list whose 64-bit labels increase along it, relabelled locally
@@ -96,9 +98,10 @@ class CoreOrder {
   /// The graph must outlive the order. Call build() before anything else.
   explicit CoreOrder(const graph::MutableGraph& graph) : graph_(graph) {}
 
-  /// One O(n + m) bucket peel of the current graph: its removal order is
-  /// the k-order, a node's level is its coreness and its deg+ is its
-  /// degree at removal.
+  /// One O(n + m) bucket peel of the current graph (seq::bz_peel, the
+  /// one Batagelj–Zaveršnik peel): its removal order is the k-order, a
+  /// node's level is its coreness and its deg+ is its number of
+  /// neighbors still unpeeled at its removal.
   void build();
 
   /// The edge {u,v} was just added to the graph and every level is still

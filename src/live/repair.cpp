@@ -19,11 +19,8 @@ RepairEngine::RepairEngine(const LiveGraph& graph,
                                  options.sched,
                                  {}},
               graph.num_nodes()) {
-  const NodeId n = graph.num_nodes();
-  for (NodeId u = 0; u < n; ++u) {
-    tables_.est[u].store(graph.degree(u), std::memory_order_relaxed);
-  }
-  in_pending_.assign(n, 0);
+  // The estimate table is filled by initialize() or warm_start().
+  in_pending_.assign(graph.num_nodes(), 0);
 }
 
 void RepairEngine::mark_pending(NodeId u) {

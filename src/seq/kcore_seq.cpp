@@ -1,62 +1,13 @@
 #include "seq/kcore_seq.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.h"
 
 namespace kcore::seq {
 
 std::vector<NodeId> coreness_bz(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> degree(n);
-  NodeId max_degree = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    degree[u] = g.degree(u);
-    max_degree = std::max(max_degree, degree[u]);
-  }
-
-  // Bucket sort nodes by degree: pos[u] is u's index in `order`, which is
-  // sorted by current degree; bucket_start[d] is the first index of bucket d.
-  std::vector<std::uint64_t> bucket_start(
-      static_cast<std::size_t>(max_degree) + 2, 0);
-  for (NodeId u = 0; u < n; ++u) ++bucket_start[degree[u] + 1];
-  for (std::size_t d = 1; d < bucket_start.size(); ++d) {
-    bucket_start[d] += bucket_start[d - 1];
-  }
-  std::vector<NodeId> order(n);
-  std::vector<std::uint64_t> pos(n);
-  {
-    std::vector<std::uint64_t> cursor(bucket_start.begin(),
-                                      bucket_start.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      pos[u] = cursor[degree[u]]++;
-      order[pos[u]] = u;
-    }
-  }
-
-  // Peel in non-decreasing degree order. When u is peeled its current
-  // degree is its coreness; each unpeeled neighbor with larger current
-  // degree is swapped down into the next-lower bucket.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const NodeId u = order[i];
-    for (NodeId v : g.neighbors(u)) {
-      if (degree[v] <= degree[u]) continue;
-      // Swap v with the first element of its bucket, then shrink bucket.
-      const std::uint64_t v_pos = pos[v];
-      const std::uint64_t head_pos = bucket_start[degree[v]];
-      const NodeId head = order[head_pos];
-      if (head != v) {
-        order[v_pos] = head;
-        order[head_pos] = v;
-        pos[head] = v_pos;
-        pos[v] = head_pos;
-      }
-      ++bucket_start[degree[v]];
-      --degree[v];
-    }
-  }
-  return degree;  // degree[u] at peel time == coreness
+  return bz_peel(g).level;
 }
 
 std::vector<NodeId> coreness_peeling(const Graph& g) {
@@ -70,11 +21,8 @@ std::vector<NodeId> coreness_peeling(const Graph& g) {
   NodeId k = 0;
   std::vector<NodeId> worklist;
   while (remaining > 0) {
-    // Remove every node of degree < k until none remains, assigning
-    // coreness k-1... we instead assign coreness = current k level when a
-    // node survives all removals below k. Classic formulation: for
-    // increasing k, cascade-delete nodes with degree < k+1? Clearer: a node
-    // removed while threshold is k has coreness k.
+    // Cascade-remove every node of degree <= k; a node removed while the
+    // threshold is k has coreness k. When none is left, raise k.
     worklist.clear();
     for (NodeId u = 0; u < n; ++u) {
       if (!removed[u] && degree[u] <= k) worklist.push_back(u);
@@ -151,48 +99,7 @@ CoreSubgraph kcore_subgraph(const Graph& g,
 }
 
 std::vector<NodeId> degeneracy_order(const Graph& g) {
-  // Re-run the bucket peel, recording removal order.
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> degree(n);
-  NodeId max_degree = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    degree[u] = g.degree(u);
-    max_degree = std::max(max_degree, degree[u]);
-  }
-  std::vector<std::uint64_t> bucket_start(
-      static_cast<std::size_t>(max_degree) + 2, 0);
-  for (NodeId u = 0; u < n; ++u) ++bucket_start[degree[u] + 1];
-  for (std::size_t d = 1; d < bucket_start.size(); ++d) {
-    bucket_start[d] += bucket_start[d - 1];
-  }
-  std::vector<NodeId> order(n);
-  std::vector<std::uint64_t> pos(n);
-  {
-    std::vector<std::uint64_t> cursor(bucket_start.begin(),
-                                      bucket_start.end() - 1);
-    for (NodeId u = 0; u < n; ++u) {
-      pos[u] = cursor[degree[u]]++;
-      order[pos[u]] = u;
-    }
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const NodeId u = order[i];
-    for (NodeId v : g.neighbors(u)) {
-      if (degree[v] <= degree[u]) continue;
-      const std::uint64_t v_pos = pos[v];
-      const std::uint64_t head_pos = bucket_start[degree[v]];
-      const NodeId head = order[head_pos];
-      if (head != v) {
-        order[v_pos] = head;
-        order[head_pos] = v;
-        pos[head] = v_pos;
-        pos[v] = head_pos;
-      }
-      ++bucket_start[degree[v]];
-      --degree[v];
-    }
-  }
-  return order;
+  return bz_peel(g).order;
 }
 
 std::vector<NodeId> degeneracy_coloring(const Graph& g) {

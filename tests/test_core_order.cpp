@@ -7,6 +7,8 @@
 //    neighbors later in the order, and deg+ <= level. Rmat, G(n,m), BA
 //    and cliques-plus-paths graphs, including removal batches that drop
 //    a node two or more levels;
+//  * build() lays out seq::degeneracy_order, the one bucket peel's
+//    removal order, with deg+ counted against it;
 //  * insert() returns exactly the nodes whose coreness rises;
 //  * the label list survives an adversarial run of insertions into one
 //    gap with amortized logarithmic relabelling;
@@ -104,6 +106,36 @@ TEST(CoreOrder, BuildIsAValidKOrder) {
     CoreOrder order(g);
     order.build();
     expect_valid(order, g, family.name);
+  }
+}
+
+TEST(CoreOrder, BuildLaysOutTheBzRemovalOrder) {
+  // build() and seq::degeneracy_order run the same peel: the lists, read
+  // from level 0 upward, are its removal order, and deg+ counts the
+  // neighbors later in that order.
+  for (const Family& family : kFamilies) {
+    const MutableGraph g(family.make(3));
+    CoreOrder order(g);
+    order.build();
+    const std::vector<NodeId> peel = seq::degeneracy_order(g.snapshot());
+    std::vector<NodeId> laid_out;
+    const OrderList& lists = order.lists();
+    for (NodeId k = 0; k < lists.num_lists(); ++k) {
+      for (NodeId v = lists.head(k); v != OrderList::kNone;
+           v = lists.next(v)) {
+        laid_out.push_back(v);
+      }
+    }
+    ASSERT_EQ(laid_out, peel) << family.name;
+    std::vector<NodeId> rank(g.num_nodes());
+    for (NodeId i = 0; i < g.num_nodes(); ++i) rank[peel[i]] = i;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      NodeId later = 0;
+      for (const NodeId w : g.neighbors(v)) {
+        if (rank[w] > rank[v]) ++later;
+      }
+      EXPECT_EQ(order.deg_plus(v), later) << family.name << ": node " << v;
+    }
   }
 }
 

@@ -184,6 +184,9 @@ TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
   // over its batches. Recorded from the pool-backed kernel, whose
   // support counters carried over between repairs; the histogram kernel
   // rebuilds its histograms every run and must spend the same work.
+  // The insertion passes' visits and raises are pinned too: unlike the
+  // relaxations they depend on the k-order's initial layout, so they
+  // change if the bucket peel that lays it out changes its tie-breaks.
   const Graph g = gen::barabasi_albert(3000, 4, 21);
   for (const SchedPolicy sched : {SchedPolicy::kLifo, SchedPolicy::kBound}) {
     ServiceOptions options;
@@ -192,6 +195,8 @@ TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
     Service service(g, options);
     util::Xoshiro256 rng(5);
     std::uint64_t relaxations = 0;
+    std::uint64_t region_visited = 0;
+    std::uint64_t raised = 0;
     for (int step = 0; step < 40; ++step) {
       std::vector<EdgeUpdate> batch;
       while (batch.size() < 128) {
@@ -206,9 +211,14 @@ TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
         batch.push_back(
             {EdgeOp::kRemove, u, nbrs[rng.next_below(nbrs.size())]});
       }
-      relaxations += service.apply(batch).repair.relaxations;
+      const RepairStats repair = service.apply(batch).repair;
+      relaxations += repair.relaxations;
+      region_visited += repair.region_visited;
+      raised += repair.raised;
     }
     EXPECT_EQ(relaxations, 13983U) << core::to_string(sched);
+    EXPECT_EQ(region_visited, 9379U) << core::to_string(sched);
+    EXPECT_EQ(raised, 4166U) << core::to_string(sched);
     EXPECT_EQ(service.query()->coreness,
               seq::coreness_bz(service.graph().snapshot()));
   }
