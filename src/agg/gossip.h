@@ -2,7 +2,7 @@
 //
 // §3.3 proposes detecting termination with "epidemic protocols for
 // aggregation [that] enable the decentralized computation of global
-// properties in O(log |H|) rounds". Two protocols are provided:
+// properties in O(log |H|) rounds". The detector needs only the maximum:
 //
 //  * MaxGossipHost — push gossip with stale-reply: every round each host
 //    pushes its current maximum to one uniformly random overlay neighbor;
@@ -11,13 +11,7 @@
 //    go quiet after `quiet_window` rounds without change, so the engine's
 //    quiescence detection terminates the run.
 //
-//  * PushSumHost — Kempe-style push-sum averaging: each host maintains a
-//    (value, weight) pair, keeps half and pushes half each round. The sum
-//    of values and of weights over all hosts is invariant (mass
-//    conservation — property-tested), and value/weight converges to the
-//    global average everywhere.
-//
-// Both plug into sim::Engine like the k-core protocols.
+// It plugs into sim::Engine like the k-core protocols.
 #pragma once
 
 #include <cstdint>
@@ -82,70 +76,6 @@ class MaxGossipHost {
   std::uint32_t quiet_window_;
   std::uint32_t rounds_since_change_ = 0;
   sim::HostId reply_to_ = sim::HostId(-1);
-  util::Xoshiro256 rng_;
-};
-
-/// Push-sum averaging (value, weight) host.
-class PushSumHost {
- public:
-  struct Share {
-    double value = 0.0;
-    double weight = 0.0;
-  };
-  using Message = Share;
-
-  PushSumHost(const graph::Graph* overlay, sim::HostId self,
-              double initial_value, double epsilon, std::uint32_t quiet_window,
-              std::uint64_t seed)
-      : overlay_(overlay),
-        self_(self),
-        value_(initial_value),
-        weight_(1.0),
-        epsilon_(epsilon),
-        quiet_window_(quiet_window),
-        rng_(util::SplitMix64(seed ^ (0xbf58476d1ce4e5b9ULL * (self + 1)))
-                 .next()) {}
-
-  void on_message(sim::HostId /*from*/, const Message& m) {
-    value_ += m.value;
-    weight_ += m.weight;
-  }
-
-  void on_round(sim::Context<Message>& ctx) {
-    const auto nbrs = overlay_->neighbors(self_);
-    if (nbrs.empty()) return;
-    const double current = estimate();
-    if (std::abs(current - last_estimate_) < epsilon_) {
-      ++stable_rounds_;
-    } else {
-      stable_rounds_ = 0;
-    }
-    last_estimate_ = current;
-    if (stable_rounds_ >= quiet_window_) return;  // converged locally
-    // Keep half, push half.
-    const Share out{value_ / 2.0, weight_ / 2.0};
-    value_ /= 2.0;
-    weight_ /= 2.0;
-    const auto peer = nbrs[rng_.next_below(nbrs.size())];
-    ctx.send(peer, out);
-  }
-
-  /// Current average estimate value/weight.
-  [[nodiscard]] double estimate() const noexcept {
-    return weight_ > 0.0 ? value_ / weight_ : 0.0;
-  }
-  [[nodiscard]] double value() const noexcept { return value_; }
-  [[nodiscard]] double weight() const noexcept { return weight_; }
-
- private:
-  const graph::Graph* overlay_;
-  sim::HostId self_;
-  double value_;
-  double weight_;
-  double epsilon_;
-  std::uint32_t quiet_window_;
-  std::uint32_t stable_rounds_ = 0;
-  double last_estimate_ = -1.0e300;
   util::Xoshiro256 rng_;
 };
 

@@ -22,11 +22,6 @@ std::int64_t checked(const char* name, std::int64_t value, std::int64_t max) {
   return value;
 }
 
-std::int64_t get_checked(const util::Args& args, const char* name,
-                         std::int64_t fallback, std::int64_t max) {
-  return checked(name, args.get_int(name, fallback), max);
-}
-
 core::SchedPolicy parse_sched(const char* name, const std::string& text) {
   const auto parsed = core::parse_sched_policy(text);
   KCORE_CHECK_MSG(parsed.has_value(),
@@ -37,6 +32,11 @@ core::SchedPolicy parse_sched(const char* name, const std::string& text) {
 }
 
 }  // namespace
+
+std::int64_t get_checked(const util::Args& args, const char* name,
+                         std::int64_t fallback, std::int64_t max) {
+  return checked(name, args.get_int(name, fallback), max);
+}
 
 core::RunOptions run_options_from_args(const util::Args& args,
                                        const core::RunOptions& defaults) {

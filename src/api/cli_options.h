@@ -26,6 +26,8 @@
 // whose items are checked exactly like --threads, --sched and --seed.
 #pragma once
 
+#include <cstdint>
+
 #include "api/session.h"
 #include "core/run_options.h"
 #include "util/args.h"
@@ -37,6 +39,13 @@ namespace kcore::api {
 /// value (listing the accepted names for enum flags).
 [[nodiscard]] core::RunOptions run_options_from_args(
     const util::Args& args, const core::RunOptions& defaults = {});
+
+/// The integer flag `name` (`fallback` when absent), checked to lie in
+/// [0, max] before the caller's unsigned cast. Throws util::CheckError
+/// naming the flag, so `--checkpoint-every -1` fails instead of wrapping.
+[[nodiscard]] std::int64_t get_checked(const util::Args& args,
+                                       const char* name, std::int64_t fallback,
+                                       std::int64_t max);
 
 /// Append the sweep axes given in `args` (--thread-counts, --scheds,
 /// --seeds) to `spec`. Throws util::CheckError naming the flag on an

@@ -102,29 +102,6 @@ std::vector<NodeId> degeneracy_order(const Graph& g) {
   return bz_peel(g).order;
 }
 
-std::vector<NodeId> degeneracy_coloring(const Graph& g) {
-  const auto order = degeneracy_order(g);
-  std::vector<NodeId> color(g.num_nodes(), graph::kInvalidNode);
-  std::vector<bool> used;  // scratch: colors taken by colored neighbors
-  // Color in REVERSE peel order: when u is colored, its already-colored
-  // neighbors are exactly those later in the peel, and there are at most
-  // coreness(u) <= degeneracy of them — so some color in
-  // [0, degeneracy] is always free.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    used.assign(g.degree(u) + 1, false);
-    for (const NodeId v : g.neighbors(u)) {
-      if (color[v] != graph::kInvalidNode && color[v] <= g.degree(u)) {
-        used[color[v]] = true;
-      }
-    }
-    NodeId c = 0;
-    while (c < used.size() && used[c]) ++c;
-    color[u] = c;
-  }
-  return color;
-}
-
 bool satisfies_locality(const Graph& g,
                         const std::vector<NodeId>& coreness) {
   if (coreness.size() != g.num_nodes()) return false;

@@ -141,9 +141,4 @@ struct CoreSubgraph {
 [[nodiscard]] bool satisfies_locality(const Graph& g,
                                       const std::vector<NodeId>& coreness);
 
-/// Greedy graph coloring along the reverse degeneracy order — the classic
-/// application of the decomposition: uses at most (degeneracy + 1) =
-/// (max coreness + 1) colors. Returns color[u] in [0, max_coreness].
-[[nodiscard]] std::vector<NodeId> degeneracy_coloring(const Graph& g);
-
 }  // namespace kcore::seq

@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace kcore::util {
 
@@ -12,59 +13,12 @@ SampleSummary SampleSummary::of(std::span<const double> values) {
   std::sort(sorted.begin(), sorted.end());
   summary.min = sorted.front();
   summary.max = sorted.back();
-  // Nearest-rank median, matching Sample::percentile(50).
+  // Nearest-rank median: the lower middle of an even count.
   summary.median = sorted[(sorted.size() + 1) / 2 - 1];
   double sum = 0.0;
   for (const double v : sorted) sum += v;
   summary.mean = sum / static_cast<double>(sorted.size());
   return summary;
-}
-
-std::size_t Histogram::quantile(double q) const {
-  KCORE_CHECK_MSG(q > 0.0 && q <= 1.0, "q=" << q);
-  KCORE_CHECK(total_ > 0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cum += buckets_[i];
-    if (cum >= target) return i;
-  }
-  return buckets_.size() - 1;
-}
-
-void Sample::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-}
-
-double Sample::percentile(double p) const {
-  KCORE_CHECK_MSG(!values_.empty(), "percentile of empty sample");
-  KCORE_CHECK_MSG(p >= 0.0 && p <= 100.0, "p=" << p);
-  ensure_sorted();
-  if (p == 0.0) return values_.front();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values_.size())));
-  return values_[std::min(rank, values_.size()) - 1];
-}
-
-double Sample::mean() const {
-  KCORE_CHECK(!values_.empty());
-  double sum = 0.0;
-  for (double v : values_) sum += v;
-  return sum / static_cast<double>(values_.size());
-}
-
-double Sample::max() const {
-  KCORE_CHECK(!values_.empty());
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Sample::min() const {
-  KCORE_CHECK(!values_.empty());
-  return *std::min_element(values_.begin(), values_.end());
 }
 
 }  // namespace kcore::util

@@ -3,12 +3,8 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
-
-#include "util/check.h"
 
 namespace kcore::util {
 
@@ -80,61 +76,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bucket integer histogram for degree / coreness distributions.
-/// Values above the configured cap are clamped into the final bucket.
-class Histogram {
- public:
-  explicit Histogram(std::size_t num_buckets) : buckets_(num_buckets, 0) {
-    KCORE_CHECK(num_buckets > 0);
-  }
-
-  void add(std::size_t value) noexcept {
-    const std::size_t idx =
-        value < buckets_.size() ? value : buckets_.size() - 1;
-    ++buckets_[idx];
-    ++total_;
-  }
-
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    KCORE_CHECK(i < buckets_.size());
-    return buckets_[i];
-  }
-  [[nodiscard]] std::size_t num_buckets() const noexcept {
-    return buckets_.size();
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-
-  /// Smallest value v such that at least `q` (0..1] of the mass is <= v.
-  [[nodiscard]] std::size_t quantile(double q) const;
-
- private:
-  std::vector<std::uint64_t> buckets_;
-  std::uint64_t total_ = 0;
-};
-
-/// Exact percentile over a stored sample (used for per-node message counts,
-/// where the harness wants exact p50/p95/max over ~1e6 values).
-class Sample {
- public:
-  void add(double x) {
-    values_.push_back(x);
-    sorted_ = false;
-  }
-  void reserve(std::size_t n) { values_.reserve(n); }
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-
-  /// Percentile by nearest-rank (p in [0,100]); requires non-empty sample.
-  [[nodiscard]] double percentile(double p) const;
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double min() const;
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
-  void ensure_sorted() const;
 };
 
 }  // namespace kcore::util

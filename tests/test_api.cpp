@@ -806,5 +806,35 @@ TEST(ApiCliOptions, BadSweepAxisItemNamesItsFlag) {
   }
 }
 
+TEST(ApiCliOptions, GetCheckedHoldsAnIntegerFlagToItsRange) {
+  // kcore stream reads --window, --fsync-every, --checkpoint-every, ...
+  // through this before an unsigned cast: -1 must fail, not wrap.
+  const util::Args absent({"stream"});
+  EXPECT_EQ(api::get_checked(absent, "checkpoint-every", 64, 100), 64);
+  for (const char* ok : {"0", "7", "100"}) {
+    const util::Args args({"stream", "--checkpoint-every", ok});
+    EXPECT_EQ(api::get_checked(args, "checkpoint-every", 64, 100),
+              std::stoll(ok));
+  }
+  const struct {
+    const char* value;
+    const char* expected;
+  } cases[] = {
+      {"-1", "--checkpoint-every must be in [0, 100], got -1"},
+      {"101", "--checkpoint-every must be in [0, 100], got 101"},
+      {"abc", "--checkpoint-every='abc' is not an integer"},
+  };
+  for (const auto& c : cases) {
+    const util::Args args({"stream", "--checkpoint-every", c.value});
+    try {
+      (void)api::get_checked(args, "checkpoint-every", 64, 100);
+      ADD_FAILURE() << c.value << " was accepted";
+    } catch (const util::CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.expected), std::string::npos) << what;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kcore

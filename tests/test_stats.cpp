@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace kcore::util {
@@ -81,62 +81,37 @@ TEST(RunningStats, MergeWithEmptySides) {
   EXPECT_EQ(a.mean(), 5.0);
 }
 
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(5);
-  h.add(0);
-  h.add(1);
-  h.add(1);
-  h.add(4);
-  h.add(99);  // clamped into last bucket
-  EXPECT_EQ(h.total(), 5U);
-  EXPECT_EQ(h.bucket(0), 1U);
-  EXPECT_EQ(h.bucket(1), 2U);
-  EXPECT_EQ(h.bucket(2), 0U);
-  EXPECT_EQ(h.bucket(4), 2U);
+TEST(SampleSummary, OddCountTakesTheMiddle) {
+  const std::vector<double> values{9.0, 1.0, 4.0, 3.0, 8.0};
+  const auto s = SampleSummary::of(values);
+  EXPECT_EQ(s.count, 5U);
+  EXPECT_EQ(s.min, 1.0);
+  EXPECT_EQ(s.median, 4.0);
+  EXPECT_EQ(s.max, 9.0);
+  EXPECT_DOUBLE_EQ(s.mean, 5.0);
 }
 
-TEST(Histogram, Quantile) {
-  Histogram h(10);
-  for (std::size_t v = 0; v < 10; ++v) {
-    for (std::size_t i = 0; i <= v; ++i) h.add(v);  // weight v+1 at v
-  }
-  EXPECT_EQ(h.quantile(1.0), 9U);
-  EXPECT_LE(h.quantile(0.5), 7U);
-  EXPECT_GE(h.quantile(0.5), 5U);
+TEST(SampleSummary, EvenCountTakesTheLowerMiddle) {
+  // Nearest rank: rank ceil(n/2), so 1..100 has median 50, not 50.5.
+  std::vector<double> values;
+  for (int i = 100; i >= 1; --i) values.push_back(i);
+  const auto s = SampleSummary::of(values);
+  EXPECT_EQ(s.count, 100U);
+  EXPECT_EQ(s.min, 1.0);
+  EXPECT_EQ(s.median, 50.0);
+  EXPECT_EQ(s.max, 100.0);
+  EXPECT_DOUBLE_EQ(s.mean, 50.5);
+  const std::vector<double> pair{7.0, 2.0};
+  EXPECT_EQ(SampleSummary::of(pair).median, 2.0);
 }
 
-TEST(Histogram, QuantileValidation) {
-  Histogram h(3);
-  h.add(1);
-  EXPECT_THROW((void)h.quantile(0.0), CheckError);
-  EXPECT_THROW((void)h.quantile(1.5), CheckError);
-}
-
-TEST(Sample, PercentilesNearestRank) {
-  Sample s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_EQ(s.percentile(0), 1.0);
-  EXPECT_EQ(s.percentile(50), 50.0);
-  EXPECT_EQ(s.percentile(95), 95.0);
-  EXPECT_EQ(s.percentile(100), 100.0);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 100.0);
-  EXPECT_NEAR(s.mean(), 50.5, 1e-12);
-}
-
-TEST(Sample, EmptyThrows) {
-  Sample s;
-  EXPECT_THROW((void)s.percentile(50), CheckError);
-  EXPECT_THROW((void)s.mean(), CheckError);
-}
-
-TEST(Sample, AddAfterPercentileStillCorrect) {
-  Sample s;
-  s.add(10);
-  s.add(20);
-  EXPECT_EQ(s.percentile(100), 20.0);
-  s.add(5);
-  EXPECT_EQ(s.min(), 5.0);
+TEST(SampleSummary, EmptyInputHasCountZeroAndNaNs) {
+  const auto s = SampleSummary::of({});
+  EXPECT_EQ(s.count, 0U);
+  EXPECT_TRUE(std::isnan(s.min));
+  EXPECT_TRUE(std::isnan(s.median));
+  EXPECT_TRUE(std::isnan(s.max));
+  EXPECT_TRUE(std::isnan(s.mean));
 }
 
 }  // namespace

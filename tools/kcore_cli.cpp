@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <variant>
@@ -105,6 +106,10 @@ int usage() {
             << "            [--provisional-deadline MS] (publish sound "
                "upper-bound snapshots\n"
             << "                            when a repair overruns MS)\n"
+            << "            [--metrics]    (print the live.* counters after "
+               "the final line)\n"
+            << "            [--sched lifo|bound] (default here: bound, the "
+               "service's default)\n"
             << "            [run options] [--json]  (NDJSON: one object "
                "per batch)\n"
             << "  generate  --family "
@@ -172,6 +177,14 @@ std::string detail_of(const api::DecomposeReport& report) {
     }
   };
   return std::visit(Visitor{report}, report.extras);
+}
+
+void print_counters(const obs::MetricsSnapshot& metrics) {
+  util::TableWriter counters({"counter", "value"});
+  for (const auto& [name, value] : metrics.counters) {
+    counters.add_row({name, util::fmt_grouped(value)});
+  }
+  counters.print(std::cout);
 }
 
 int cmd_decompose(const util::Args& args) {
@@ -281,11 +294,7 @@ int cmd_decompose(const util::Args& args) {
     // Aggregated registry snapshot of the final repeat (counters sum
     // over all workers; histograms merge bucket-wise).
     const auto& metrics = report.telemetry->metrics;
-    util::TableWriter counters({"counter", "value"});
-    for (const auto& [name, value] : metrics.counters) {
-      counters.add_row({name, util::fmt_grouped(value)});
-    }
-    counters.print(std::cout);
+    print_counters(metrics);
     if (!metrics.histograms.empty()) {
       util::TableWriter hists({"histogram", "count", "mean", "max"});
       for (const auto& hist : metrics.histograms) {
@@ -538,22 +547,36 @@ int cmd_stream(const util::Args& args) {
   KCORE_CHECK_MSG(updates_path.has_value(), "--updates FILE is required");
   const graph::EdgeStream stream =
       graph::read_edge_stream_file(*updates_path);
-  const auto window =
-      static_cast<std::uint64_t>(args.get_int("window", 0));
+  // Integer flags are range-checked before the unsigned cast, so a
+  // negative value fails naming its flag instead of wrapping.
+  constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMaxUnsigned =
+      static_cast<std::int64_t>(std::numeric_limits<unsigned>::max());
+  const auto window = static_cast<std::uint64_t>(
+      api::get_checked(args, "window", 0, kMaxI64));
   const std::vector<graph::EdgeUpdateBatch> batches =
       graph::batch_by_window(stream, window);
   const bool verify = args.has("verify");
   const bool json = args.has("json");
   const bool recover = args.has("recover");
 
-  const auto run = api::run_options_from_args(args);
+  // The run-option parser starts from the service's defaults, so a flag
+  // left out keeps ServiceOptions' value (sched=bound), not RunOptions'.
   live::ServiceOptions options;
+  core::RunOptions service_defaults;
+  service_defaults.threads = options.threads;
+  service_defaults.sched = options.sched;
+  service_defaults.targeted_send = options.targeted_send;
+  const auto run = api::run_options_from_args(args, service_defaults);
   options.threads = run.threads;
   options.sched = run.sched;
   options.targeted_send = run.targeted_send;
   options.metrics = run.obs.metrics;
   options.provisional_deadline_ms =
-      static_cast<std::uint64_t>(args.get_int("provisional-deadline", 0));
+      static_cast<std::uint64_t>(api::get_checked(
+          args, "provisional-deadline",
+          static_cast<std::int64_t>(options.provisional_deadline_ms),
+          kMaxI64));
 
   // --wal DIR turns on durability (--checkpoint-dir is a synonym).
   live::DurabilityOptions durability;
@@ -561,12 +584,13 @@ int cmd_stream(const util::Args& args) {
   if (const auto dir = args.get("checkpoint-dir")) durability.dir = *dir;
   durability.fsync =
       live::parse_fsync_policy(args.get_string("fsync", "every-batch"));
-  durability.fsync_every =
-      static_cast<unsigned>(args.get_int("fsync-every", 8));
-  durability.checkpoint_every =
-      static_cast<std::uint64_t>(args.get_int("checkpoint-every", 64));
-  durability.keep_checkpoints =
-      static_cast<unsigned>(args.get_int("keep-checkpoints", 2));
+  durability.fsync_every = static_cast<unsigned>(api::get_checked(
+      args, "fsync-every", durability.fsync_every, kMaxUnsigned));
+  durability.checkpoint_every = static_cast<std::uint64_t>(api::get_checked(
+      args, "checkpoint-every",
+      static_cast<std::int64_t>(durability.checkpoint_every), kMaxI64));
+  durability.keep_checkpoints = static_cast<unsigned>(api::get_checked(
+      args, "keep-checkpoints", durability.keep_checkpoints, kMaxUnsigned));
   if (recover && durability.dir.empty()) {
     throw util::IoError(
         "--recover needs --wal DIR (the state directory to recover from)");
@@ -741,6 +765,12 @@ int cmd_stream(const util::Args& args) {
                                           snapshot->coreness.end()))
               << ", " << total_relax
               << " incremental relaxations across the stream\n";
+    if (service->metrics_enabled()) {
+      print_counters(service->metrics());
+    } else if (options.metrics) {
+      std::cerr << "warning: --metrics has no effect: built with "
+                   "KCORE_OBS=OFF\n";
+    }
     if (durable) {
       std::cout << "durability: " << total_wal_bytes << " WAL bytes, "
                 << checkpoints << " cadence checkpoints + 1 final";
