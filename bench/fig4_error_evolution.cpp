@@ -25,7 +25,7 @@ int main() {
 
   // The asynchronous counterpart: bsp-async has no rounds to observe, so
   // the error curve comes from the obs sampler (error vs wall-clock
-  // time; empty under KCORE_OBS=OFF).
+  // time).
   std::cout << "\n== Figure 4, async edition (error vs time, obs sampler) =="
             << "\n\n";
   const auto async_series = run_fig4_async(options);

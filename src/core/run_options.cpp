@@ -33,11 +33,6 @@ std::vector<std::string> RunOptions::validate() const {
         "obs.trace_capacity must be >= 1 when tracing is on "
         "(events per worker ring)");
   }
-  if (!obs::kEnabled && obs.any()) {
-    problems.push_back(
-        "this build has KCORE_OBS=OFF: telemetry (obs.metrics / obs.trace / "
-        "obs.sample_period_ms) cannot be enabled; rebuild with -DKCORE_OBS=ON");
-  }
   return problems;
 }
 

@@ -85,8 +85,7 @@ struct RunOptions : sim::EngineConfig {
   /// Runtime telemetry selection (obs/options.h): per-worker metrics,
   /// Chrome-trace span rings, background convergence sampler. Default:
   /// record nothing. Only the real-execution protocols consume it
-  /// (policed by api::validate); requires a KCORE_OBS=ON build to turn
-  /// on. The harvested telemetry rides back in
+  /// (policed by api::validate). The harvested telemetry rides back in
   /// api::DecomposeReport::telemetry.
   obs::ObsOptions obs;
 

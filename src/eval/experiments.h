@@ -112,7 +112,7 @@ void print_fig4(std::span<const ErrorSeries> series, std::ostream& os);
 // it runs: by Theorem 2 every estimate is a non-increasing upper bound
 // on the coreness, so sum(estimates) - sum(coreness) is a monotone
 // non-increasing error proxy — the Fig. 4 curve with wall-clock time on
-// the x axis. Requires KCORE_OBS=ON; returns an empty vector otherwise.
+// the x axis. One series per dataset_registry() profile.
 
 struct AsyncErrorPoint {
   double t_ms = 0.0;        // since the sampler started

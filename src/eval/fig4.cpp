@@ -120,7 +120,6 @@ void print_error_table(std::span<const ErrorSeries> series, bool use_max,
 
 std::vector<AsyncErrorSeries> run_fig4_async(const ExperimentOptions& options) {
   std::vector<AsyncErrorSeries> all;
-  if (!obs::kEnabled) return all;
 
   // One seeded run per profile. The period is a compromise: fine enough
   // to catch a handful of points on the small CI-scale profiles, coarse
@@ -196,11 +195,6 @@ std::string fig4_async_json(std::span<const AsyncErrorSeries> series) {
 
 void print_fig4_async(std::span<const AsyncErrorSeries> series,
                       std::ostream& os) {
-  if (series.empty()) {
-    os << "(KCORE_OBS=OFF build: the sampler-based async error curve "
-          "needs the telemetry layer)\n";
-    return;
-  }
   util::TableWriter table({"profile", "threads", "samples", "run ms",
                            "first err", "last err", "monotone"});
   for (const auto& s : series) {

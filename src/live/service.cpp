@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "obs/options.h"
 #include "util/clock.h"
 
 namespace kcore::live {
@@ -234,7 +233,7 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
 }
 
 void Service::setup_metrics() {
-  if (!(obs::kEnabled && options_.metrics)) return;
+  if (!options_.metrics) return;
   // Two single-writer lanes — see the slot constants in service.h.
   registry_ = std::make_unique<obs::Registry>(2);
   c_repairs_ = registry_->counter("live.repairs");

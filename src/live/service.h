@@ -61,9 +61,9 @@
 //    see live/repair.h), then one relaxation run re-converges the whole
 //    batch and the k-order settles the nodes that dropped.
 //
-// Metric glossary (enabled via ServiceOptions::metrics in KCORE_OBS
-// builds; all counters are exposed through metrics() and must equal the
-// sums over the returned ApplyResults — the parity test pins this):
+// Metric glossary (enabled via ServiceOptions::metrics; all counters are
+// exposed through metrics() and must equal the sums over the returned
+// ApplyResults — the parity test pins this):
 //   live.repairs               repair runs that actually relaxed something
 //   live.epoch_publishes       final snapshots published (applies + 1)
 //   live.relaxations           vertex recomputations across all repairs
@@ -103,8 +103,7 @@ struct ServiceOptions {
   unsigned threads = 0;  // repair width; 0 = hardware concurrency
   core::SchedPolicy sched = core::SchedPolicy::kBound;
   bool targeted_send = true;
-  /// Keep a live.* metric registry (no-op unless the build has
-  /// KCORE_OBS=ON; see metrics_enabled()).
+  /// Keep a live.* metric registry (see metrics_enabled()).
   bool metrics = false;
   /// When > 0, a repair running longer than this publishes a provisional
   /// upper-bound snapshot every deadline interval (graceful degradation:
@@ -219,8 +218,7 @@ class Service {
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] bool durable() const noexcept { return wal_.has_value(); }
 
-  /// True when the build compiled the obs layer in AND options.metrics
-  /// asked for the registry.
+  /// True when options.metrics asked for the registry.
   [[nodiscard]] bool metrics_enabled() const noexcept {
     return registry_ != nullptr;
   }

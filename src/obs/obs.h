@@ -15,13 +15,10 @@
 //                     OBS_* macros take a possibly-null pointer to one.
 //   * RunTelemetry  — the harvested result, carried by DecomposeReport.
 //
-// Cost discipline (mirrors chk::RealSync): with KCORE_OBS=OFF every
-// OBS_* macro expands to nothing and obs::kEnabled is a compile-time
-// false, so engine hot loops contain zero telemetry code. With
-// KCORE_OBS=ON but telemetry not requested (ObsOptions::any() false —
-// the default), no Recorder is built and every macro's null check is a
-// never-taken branch on a pointer that is pinned null. The kernel-bench
-// exit gate pins both.
+// Cost discipline: with telemetry not requested (ObsOptions::any()
+// false — the default), no Recorder is built and every OBS_* macro's
+// null check is a never-taken branch on a pointer that is pinned null.
+// The kernel-bench exit gate pins that cost.
 #pragma once
 
 #include <cstdint>
@@ -166,11 +163,11 @@ class Recorder {
  public:
   Recorder(unsigned workers, const ObsOptions& options);
 
-  /// Null unless the build has telemetry AND `options.obs` asks for some
-  /// — the one check engines need.
+  /// Null unless `options` asks for some telemetry — the one check
+  /// engines need.
   [[nodiscard]] static std::unique_ptr<Recorder> make(
       unsigned workers, const ObsOptions& options) {
-    if (!kEnabled || !options.any()) return nullptr;
+    if (!options.any()) return nullptr;
     return std::make_unique<Recorder>(workers, options);
   }
 
@@ -204,10 +201,8 @@ class Recorder {
 }  // namespace kcore::obs
 
 // --- hot-path macros --------------------------------------------------------
-// `ctx` is always a (possibly null) obs::WorkerContext*. With
-// KCORE_OBS=OFF each macro expands to a no-op statement so instrumented
-// loops compile to exactly the uninstrumented code.
-#if KCORE_OBS_ENABLED
+// `ctx` is always a (possibly null) obs::WorkerContext*; a null ctx
+// makes each macro a no-op.
 
 #define KCORE_OBS_CONCAT_IMPL(a, b) a##b
 #define KCORE_OBS_CONCAT(a, b) KCORE_OBS_CONCAT_IMPL(a, b)
@@ -236,14 +231,3 @@ class Recorder {
   do {                                                       \
     if ((ctx) != nullptr) (ctx)->observe((hist), (value));   \
   } while (0)
-
-#else  // KCORE_OBS_ENABLED
-
-// Compiled out: `sizeof` keeps the ctx expression "used" (suppressing
-// unused-variable/-capture warnings) without evaluating it — zero code.
-#define OBS_SPAN(ctx, ...) static_cast<void>(sizeof((ctx)))
-#define OBS_INSTANT(ctx, name) static_cast<void>(sizeof((ctx)))
-#define OBS_COUNT(ctx, counter, n) static_cast<void>(sizeof((ctx)))
-#define OBS_OBSERVE(ctx, hist, value) static_cast<void>(sizeof((ctx)))
-
-#endif  // KCORE_OBS_ENABLED

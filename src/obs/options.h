@@ -1,25 +1,14 @@
 // Runtime telemetry knobs (kcore::obs).
 //
 // This header is deliberately tiny and dependency-free: it is included
-// by core/run_options.h, so every layer sees the SAME ObsOptions struct
-// whether the telemetry implementation is compiled in or not. The
-// compile-time gate is the KCORE_OBS_ENABLED macro (set by the
-// KCORE_OBS CMake option, default ON); when it is 0 the OBS_* macros in
-// obs/obs.h expand to nothing, the engines never construct a Recorder,
-// and api::validate() rejects any options that ask for telemetry — the
-// knobs still parse, they just can't be turned on.
+// by core/run_options.h, so every layer sees the ObsOptions struct
+// without pulling in the telemetry implementation (obs/obs.h).
+// Telemetry is always compiled in; these knobs select it per run.
 #pragma once
 
 #include <cstdint>
 
-#ifndef KCORE_OBS_ENABLED
-#define KCORE_OBS_ENABLED 1
-#endif
-
 namespace kcore::obs {
-
-/// True when the telemetry layer is compiled in (KCORE_OBS=ON).
-inline constexpr bool kEnabled = KCORE_OBS_ENABLED != 0;
 
 /// Per-run telemetry selection, carried inside core::RunOptions. The
 /// default-constructed value means "record nothing" and is free: engines

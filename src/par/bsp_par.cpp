@@ -168,7 +168,7 @@ BspParResult run_bsp_par_prepared(const graph::Graph& g,
         }
       }
     }
-    if (obs::kEnabled && octx != nullptr && octx->metrics()) {
+    if (octx != nullptr && octx->metrics()) {
       octx->add(c_relaxed, tally.changed);
       octx->add(c_emitted, tally.emitted);
       octx->add(c_cross, tally.cross_worker);

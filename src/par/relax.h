@@ -148,12 +148,11 @@ static AsyncStats relax_one_worker(const Adjacency& g,
   counts.reset_histograms();
   const std::uint64_t seeded = queue.enqueues();
 
-  // Every hot-path hook below is an OBS_* macro (empty when compiled
-  // out) or a branch on a condition that constant-folds to false, so the
-  // uninstrumented run is unchanged.
+  // Every hot-path hook below is an OBS_* macro or a branch on
+  // metrics_on; without a recorder both are never-taken null checks.
   const RelaxMetrics m(recorder);
   obs::WorkerContext* const octx = recorder ? recorder->worker(0) : nullptr;
-  const bool metrics_on = obs::kEnabled && octx != nullptr && octx->metrics();
+  const bool metrics_on = octx != nullptr && octx->metrics();
   std::uint64_t prev_scans = 0;
   std::uint64_t skipped = 0;
   std::uint64_t reads = 0;
@@ -294,10 +293,7 @@ static AsyncStats relax_pool(const Adjacency& g, AsyncRunContext& tables,
       core::IndexScratch& scratch = tables.scratch[w].index;
       obs::WorkerContext* const octx =
           recorder ? recorder->worker(w) : nullptr;
-      // obs::kEnabled folds the whole metrics path away at compile time
-      // when the telemetry layer is off.
-      const bool metrics_on =
-          obs::kEnabled && octx != nullptr && octx->metrics();
+      const bool metrics_on = octx != nullptr && octx->metrics();
       // A woken neighbor's estimate feeds the targeted filter and is its
       // priority; a one-bucket pool with the filter off needs neither
       // load. Worker-local: read through the lambda's capture it cost

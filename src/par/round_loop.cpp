@@ -48,7 +48,7 @@ void run_round_loop(unsigned workers, const RoundBody& body,
   // "round.completion" span per barrier phase (see round_loop.h for why
   // that cross-thread record is race-free), then recurse without the
   // recorder so the loop logic below stays single-copy.
-  if (obs::kEnabled && recorder != nullptr) {
+  if (recorder != nullptr) {
     const RoundBody traced_body = [&recorder, &body](unsigned w,
                                                      std::uint64_t round) {
       OBS_SPAN(recorder->worker(w), "round");

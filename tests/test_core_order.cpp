@@ -267,7 +267,9 @@ TEST(OrderList, RelabelStressHundredThousandInsertionsAfterOneNode) {
   NodeId prev = OrderList::kNone;
   for (NodeId x = list.head(0); x != OrderList::kNone; x = list.next(x)) {
     ASSERT_EQ(x, expected);
-    if (prev != OrderList::kNone) ASSERT_LT(list.label(prev), list.label(x));
+    if (prev != OrderList::kNone) {
+      ASSERT_LT(list.label(prev), list.label(x));
+    }
     prev = x;
     expected = expected == 0 ? kInserts : expected - 1;
   }

@@ -10,6 +10,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "eval/datasets.h"
+#include "seq/kcore_seq.h"
+
 namespace kcore::eval {
 namespace {
 
@@ -106,6 +109,34 @@ TEST(Fig4, ErrorSeriesDecayToZero) {
   std::ostringstream os;
   print_fig4(series, os);
   EXPECT_NE(os.str().find("Figure 4"), std::string::npos);
+}
+
+TEST(Fig4Async, SamplerSeriesAreMonotoneErrorCurves) {
+  const auto options = tiny_options();
+  const auto series = run_fig4_async(options);
+  const auto& profiles = dataset_registry();
+  ASSERT_EQ(series.size(), profiles.size());
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const auto& s = series[i];
+    EXPECT_EQ(s.name, profiles[i].name);
+    const auto truth =
+        seq::coreness_bz(profiles[i].build(options.scale, options.base_seed));
+    double truth_sum = 0.0;
+    for (const auto k : truth) truth_sum += static_cast<double>(k);
+    EXPECT_EQ(s.truth_sum, truth_sum) << s.name;
+    // A run may beat the first sampler period: an empty curve is legal.
+    // Estimates are non-increasing upper bounds (Theorem 2), so every
+    // sampled error is >= 0 and never grows.
+    for (std::size_t p = 0; p < s.points.size(); ++p) {
+      EXPECT_GE(s.points[p].sum_error, 0.0) << s.name << " point " << p;
+      if (p == 0) continue;
+      EXPECT_GE(s.points[p].t_ms, s.points[p - 1].t_ms) << s.name;
+      EXPECT_LE(s.points[p].sum_error, s.points[p - 1].sum_error) << s.name;
+    }
+  }
+  std::ostringstream os;
+  print_fig4_async(series, os);
+  EXPECT_NE(os.str().find(series.front().name), std::string::npos);
 }
 
 TEST(Fig5, OverheadInvariants) {

@@ -328,9 +328,7 @@ TEST(LiveService, MetricsMatchApplyResults) {
   ServiceOptions options;
   options.metrics = true;
   Service service(gen::barabasi_albert(120, 3, 19), options);
-  if (!service.metrics_enabled()) {
-    GTEST_SKIP() << "KCORE_OBS=OFF build: the live.* registry compiles out";
-  }
+  ASSERT_TRUE(service.metrics_enabled());
   util::Xoshiro256 rng(53);
   std::uint64_t relaxations = service.initial_stats().relaxations;
   std::uint64_t seeded = service.initial_stats().seeded;
@@ -381,9 +379,7 @@ TEST(LiveService, DurabilityMetricsMatchApplyResults) {
   durability.storage = &fs;
   durability.checkpoint_every = 3;
   Service service(gen::barabasi_albert(120, 3, 31), options, durability);
-  if (!service.metrics_enabled()) {
-    GTEST_SKIP() << "KCORE_OBS=OFF build: the live.* registry compiles out";
-  }
+  ASSERT_TRUE(service.metrics_enabled());
 
   util::Xoshiro256 rng(67);
   std::uint64_t wal_bytes = 0;
@@ -489,10 +485,9 @@ TEST(LiveService, ProvisionalSnapshotsAreSoundUpperBounds) {
   // contract above. provisional_seen is deliberately not bounded against
   // provisional_published: the poll loop can observe one snapshot twice.
   (void)provisional_seen;
-  if (service.metrics_enabled()) {
-    EXPECT_EQ(service.metrics().value("live.provisional_publishes"),
-              provisional_published);
-  }
+  ASSERT_TRUE(service.metrics_enabled());
+  EXPECT_EQ(service.metrics().value("live.provisional_publishes"),
+            provisional_published);
 }
 
 // --- one kernel, one region routine ----------------------------------------

@@ -3,10 +3,6 @@
 // boundaries, trace-ring drop accounting, Chrome-trace well-formedness,
 // sampler timing semantics, and the end-to-end plumbing through
 // RunOptions -> api::decompose -> DecomposeReport::telemetry.
-//
-// The engine-level tests are guarded on KCORE_OBS_ENABLED so the same
-// file compiles (and the structural tests still run) in the
-// -DKCORE_OBS=OFF CI leg.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -411,6 +407,17 @@ TEST(ObsRecorder, MakeReturnsNullWhenNothingRequested) {
   EXPECT_EQ(obs::Recorder::make(4, obs::ObsOptions{}), nullptr);
 }
 
+TEST(ObsMacros, NullContextIsNoOp) {
+  // The uninstrumented path: no Recorder, a null context, and every
+  // macro compiles and does nothing.
+  obs::WorkerContext* ctx = nullptr;
+  OBS_SPAN(ctx, "noop");
+  OBS_INSTANT(ctx, "noop");
+  OBS_COUNT(ctx, obs::Counter{}, 1);
+  OBS_OBSERVE(ctx, obs::HistogramId{}, 1);
+  SUCCEED();
+}
+
 TEST(ObsValidate, ObsKnobsRejectedForUninstrumentedProtocols) {
   const graph::Graph g = graph::gen::clique(8);
   api::DecomposeRequest request;
@@ -419,9 +426,6 @@ TEST(ObsValidate, ObsKnobsRejectedForUninstrumentedProtocols) {
   request.options.obs.metrics = true;
   const auto problems = api::validate(request);
   ASSERT_FALSE(problems.empty());
-  // In an OBS=OFF build a "rebuild with -DKCORE_OBS=ON" problem is also
-  // reported (first); the protocol-capability one must be there in both
-  // modes.
   bool names_protocol = false;
   for (const auto& p : problems) {
     if (p.find("'bz'") != std::string::npos) names_protocol = true;
@@ -434,8 +438,6 @@ TEST(ObsValidate, NegativeSamplePeriodRejected) {
   options.obs.sample_period_ms = -1.0;
   EXPECT_FALSE(options.validate().empty());
 }
-
-#if KCORE_OBS_ENABLED
 
 // --- end-to-end through the facade ------------------------------------------
 
@@ -672,30 +674,6 @@ TEST(ObsEndToEnd, ReportJsonIsWellFormed) {
   EXPECT_TRUE(is_valid_json(os.str())) << os.str();
   EXPECT_NE(os.str().find("\"telemetry\""), std::string::npos);
 }
-
-#else  // KCORE_OBS_ENABLED
-
-TEST(ObsDisabled, RequestingTelemetryFailsValidation) {
-  // The OFF build must refuse loudly, not silently return empty
-  // telemetry.
-  core::RunOptions options;
-  options.obs.metrics = true;
-  EXPECT_FALSE(options.validate().empty());
-  EXPECT_EQ(obs::Recorder::make(4, options.obs), nullptr);
-}
-
-TEST(ObsDisabled, MacrosExpandToNothing) {
-  // Compiles with a null context and no Recorder — the macros must not
-  // evaluate their arguments.
-  obs::WorkerContext* ctx = nullptr;
-  OBS_SPAN(ctx, "noop");
-  OBS_INSTANT(ctx, "noop");
-  OBS_COUNT(ctx, obs::Counter{}, 1);
-  OBS_OBSERVE(ctx, obs::HistogramId{}, 1);
-  SUCCEED();
-}
-
-#endif  // KCORE_OBS_ENABLED
 
 }  // namespace
 }  // namespace kcore

@@ -25,14 +25,10 @@
 // Examples:
 //   kcore generate --family ba --n 10000 --m 3 --output ba.txt
 //   kcore decompose --input ba.txt --algo one-to-many --hosts 16 --summary
-//   kcore decompose --input ba.txt --algo one-to-many-par --threads 4 \
-//         --hosts 16 --repeat 5       # real threads, amortized via Session
-//   kcore decompose --input ba.txt --algo one-to-one --mode sync \
-//         --max-extra-delay 2 --dup-prob 0.2
-//   kcore sweep --input ba.txt --algos bz,bsp-par,bsp-async \
-//         --thread-counts 1,2,4 --repeat 3
-//   kcore stream --input ba.txt --updates churn.txt --window 10 \
-//         --threads 4 --sched bound --verify   # live service replay
+//   kcore decompose --input ba.txt --algo bsp-par --threads 4 --repeat 5
+//   kcore decompose --input ba.txt --algo one-to-one --max-extra-delay 2
+//   kcore sweep --input ba.txt --algos bz,bsp-async --thread-counts 1,2,4
+//   kcore stream --input ba.txt --updates churn.txt --window 10 --verify
 //   kcore dot --input ba.txt --output ba.dot
 #include <algorithm>
 #include <fstream>
@@ -64,6 +60,14 @@
 namespace {
 
 using namespace kcore;
+
+// Bounds for api::get_checked: integer flags are range-checked before
+// the unsigned cast, so a negative value fails naming its flag instead
+// of wrapping.
+constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
+constexpr auto kMaxInt =
+    static_cast<std::int64_t>(std::numeric_limits<int>::max());
+constexpr auto kMaxNode = static_cast<std::int64_t>(graph::kInvalidNode) - 1;
 
 int usage() {
   std::string algos;
@@ -204,7 +208,8 @@ int cmd_decompose(const util::Args& args) {
   // capability descriptor says whether the protocol streams at all.
   const auto& capabilities =
       api::ProtocolRegistry::instance().entry(algo).capabilities;
-  const auto progress_every = args.get_int("progress", 0);
+  const auto progress_every =
+      api::get_checked(args, "progress", 0, kMaxI64);
   api::ProgressObserver observer;
   if (progress_every > 0 &&
       capabilities.observer == api::ObserverGranularity::kNone) {
@@ -231,7 +236,8 @@ int cmd_decompose(const util::Args& args) {
   // One Session serves every repeat: the assignment/host/table derivation
   // happens once, each run() replays from it (warm-run reports are
   // bit-identical to one-shot decompose).
-  const auto repeat = static_cast<int>(args.get_int("repeat", 1));
+  const auto repeat =
+      static_cast<int>(api::get_checked(args, "repeat", 1, kMaxInt));
   KCORE_CHECK_MSG(repeat >= 1, "--repeat must be >= 1, got " << repeat);
   api::Session session(g, algo, options);
   std::vector<double> wall_ms;
@@ -245,7 +251,7 @@ int cmd_decompose(const util::Args& args) {
   }
   if (trace_path.has_value()) {
     KCORE_CHECK_MSG(report.telemetry != nullptr && report.telemetry->has_trace,
-                    "run produced no trace (is this build KCORE_OBS=ON?)");
+                    "run produced no trace");
     std::ofstream trace_out(*trace_path);
     KCORE_CHECK_MSG(trace_out.good(), "cannot open " << *trace_path);
     obs::write_chrome_trace(trace_out, *report.telemetry);
@@ -321,8 +327,16 @@ int cmd_decompose(const util::Args& args) {
 int cmd_generate(const util::Args& args) {
   const auto out_path = args.get("output");
   KCORE_CHECK_MSG(out_path.has_value(), "--output FILE is required");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const auto n = static_cast<graph::NodeId>(args.get_int("n", 1000));
+  const auto seed =
+      static_cast<std::uint64_t>(api::get_checked(args, "seed", 1, kMaxI64));
+  const auto n = static_cast<graph::NodeId>(
+      api::get_checked(args, "n", 1000, kMaxNode));
+  // A per-node count (--m for ba, --k, --d); the generator checks it
+  // against n.
+  const auto node_count = [&args](const char* name, std::int64_t fallback) {
+    return static_cast<graph::NodeId>(
+        api::get_checked(args, name, fallback, kMaxNode));
+  };
   graph::Graph g;
   if (const auto profile = args.get("profile")) {
     const auto& spec = eval::dataset_by_name(*profile);
@@ -339,27 +353,29 @@ int cmd_generate(const util::Args& args) {
     } else if (family == "star") {
       g = gen::star(n);
     } else if (family == "grid") {
+      // side * side nodes must stay below graph::kInvalidNode.
       const auto side = static_cast<graph::NodeId>(
-          args.get_int("side", static_cast<std::int64_t>(32)));
+          api::get_checked(args, "side", 32, 65535));
       g = gen::grid(side, side);
     } else if (family == "er") {
       g = gen::erdos_renyi_gnm(
-          n, static_cast<std::uint64_t>(args.get_int("m", 4 * n)), seed);
+          n,
+          static_cast<std::uint64_t>(api::get_checked(
+              args, "m", 4 * static_cast<std::int64_t>(n), kMaxI64)),
+          seed);
     } else if (family == "ba") {
-      g = gen::barabasi_albert(
-          n, static_cast<graph::NodeId>(args.get_int("m", 3)), seed);
+      g = gen::barabasi_albert(n, node_count("m", 3), seed);
     } else if (family == "ws") {
-      g = gen::watts_strogatz(
-          n, static_cast<graph::NodeId>(args.get_int("k", 6)),
-          args.get_double("beta", 0.1), seed);
+      g = gen::watts_strogatz(n, node_count("k", 6),
+                              args.get_double("beta", 0.1), seed);
     } else if (family == "rmat") {
       gen::RmatParams p;
-      p.scale = static_cast<std::uint32_t>(args.get_int("scale", 14));
+      p.scale =
+          static_cast<std::uint32_t>(api::get_checked(args, "scale", 14, 31));
       p.edge_factor = args.get_double("edge-factor", 8.0);
       g = gen::rmat(p, seed);
     } else if (family == "regular") {
-      g = gen::random_regular(
-          n, static_cast<graph::NodeId>(args.get_int("d", 4)), seed);
+      g = gen::random_regular(n, node_count("d", 4), seed);
     } else if (family == "worst") {
       g = gen::montresor_worst_case(n);
     } else {
@@ -414,8 +430,8 @@ int cmd_dot(const util::Args& args) {
   const graph::Graph g = load(args);
   const auto coreness = seq::coreness_bz(g);
   graph::DotOptions options;
-  options.max_nodes =
-      static_cast<graph::NodeId>(args.get_int("max-nodes", 2000));
+  options.max_nodes = static_cast<graph::NodeId>(
+      api::get_checked(args, "max-nodes", 2000, kMaxNode));
   const std::string out_path = args.get_string("output", "graph.dot");
   graph::write_dot_file(out_path, g, coreness, options);
   std::cout << "wrote " << out_path << "\n";
@@ -467,7 +483,10 @@ int cmd_sweep(const util::Args& args) {
   const graph::Graph g = load(args);
   api::PlanSpec spec;
   spec.base = api::run_options_from_args(args);
-  spec.repeats = static_cast<int>(args.get_int("repeat", 3));
+  spec.repeats =
+      static_cast<int>(api::get_checked(args, "repeat", 3, kMaxInt));
+  KCORE_CHECK_MSG(spec.repeats >= 1,
+                  "--repeat must be >= 1, got " << spec.repeats);
 
   spec.protocols = args.has("algos")
                        ? args.get_list("algos")
@@ -547,9 +566,6 @@ int cmd_stream(const util::Args& args) {
   KCORE_CHECK_MSG(updates_path.has_value(), "--updates FILE is required");
   const graph::EdgeStream stream =
       graph::read_edge_stream_file(*updates_path);
-  // Integer flags are range-checked before the unsigned cast, so a
-  // negative value fails naming its flag instead of wrapping.
-  constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
   constexpr auto kMaxUnsigned =
       static_cast<std::int64_t>(std::numeric_limits<unsigned>::max());
   const auto window = static_cast<std::uint64_t>(
@@ -767,9 +783,6 @@ int cmd_stream(const util::Args& args) {
               << " incremental relaxations across the stream\n";
     if (service->metrics_enabled()) {
       print_counters(service->metrics());
-    } else if (options.metrics) {
-      std::cerr << "warning: --metrics has no effect: built with "
-                   "KCORE_OBS=OFF\n";
     }
     if (durable) {
       std::cout << "durability: " << total_wal_bytes << " WAL bytes, "
