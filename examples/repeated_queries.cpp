@@ -11,6 +11,8 @@
 // This example measures the difference on a scale-free graph for every
 // protocol that has real setup to amortize, then shows the declarative
 // sweep path (api::Plan) producing the same comparison in a few lines.
+// Every report's coreness is checked against a one-shot api::decompose();
+// a mismatch exits 1.
 //
 // Run: build/examples/repeated_queries [n]
 #include <iostream>
@@ -31,6 +33,17 @@ int main(int argc, char** argv) {
             << " edges\n\n";
 
   constexpr int kQueries = 8;
+  // Coreness is protocol-invariant, so one one-shot run is the reference
+  // for every report below.
+  const auto expected = api::decompose(g, "bz").coreness;
+  int mismatches = 0;
+  const auto check = [&](const std::string& protocol,
+                         const api::DecomposeReport& report) {
+    if (report.coreness != expected) {
+      std::cerr << protocol << ": coreness differs from one-shot decompose\n";
+      ++mismatches;
+    }
+  };
 
   // --- the Session path: one prepare, many runs --------------------------
   util::TableWriter table({"protocol", "prepare ms", "first run ms",
@@ -48,6 +61,7 @@ int main(int argc, char** argv) {
     for (int query = 0; query < kQueries; ++query) {
       const auto report = session.run();  // first call prepares on demand
       wall_ms.push_back(report.elapsed_ms);
+      check(protocol, report);
     }
     const auto warm = util::SampleSummary::of(
         std::vector<double>(wall_ms.begin() + 1, wall_ms.end()));
@@ -71,11 +85,17 @@ int main(int argc, char** argv) {
   std::cout << "api::Plan over {bz, bsp-async} x " << kQueries
             << " repeats:\n";
   api::Plan plan(g, spec);
-  for (const auto& cell : plan.run()) {
+  const auto results = plan.run(
+      [&](const api::PlanCell& cell, int, const api::DecomposeReport& report) {
+        check(cell.protocol, report);
+      });
+  for (const auto& cell : results) {
     std::cout << "  " << cell.cell.protocol << ": first "
               << util::fmt_double(cell.first_wall_ms, 2) << "ms, warm median "
               << util::fmt_double(cell.warm_wall_ms.median, 2)
               << "ms over " << cell.warm_wall_ms.count << " runs\n";
   }
-  return 0;
+  std::cout << "\nevery report matches one-shot decompose: "
+            << (mismatches == 0 ? "yes" : "NO") << "\n";
+  return mismatches == 0 ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 #include "api/api.h"
 
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -114,57 +114,10 @@ DecomposeReport report_of(par::AsyncResult result, core::SchedPolicy sched) {
 
 // --- prepared implementations ----------------------------------------------
 // One PreparedProtocol per built-in. The constructor is the amortizable
-// phase (the protocol layer's build step); run() is const and replays
-// from immutable shared state, so any number of threads can execute one
-// prepared instance concurrently. Per-run mutable state (estimate
-// tables, worklists) comes from a ContextPool: each run leases a private
-// context (allocating only when every pooled one is in use), so
-// sequential warm runs stay allocation-free and concurrent runs never
-// share a table.
-
-/// A free-list of per-run contexts. acquire() hands out a pooled context
-/// or mints a new one via the factory; the lease returns it on
-/// destruction. The pool only grows to the peak concurrency ever seen.
-template <typename Context>
-class ContextPool {
- public:
-  class Lease {
-   public:
-    Lease(ContextPool& pool, std::unique_ptr<Context> context)
-        : pool_(&pool), context_(std::move(context)) {}
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { pool_->release(std::move(context_)); }
-
-    Context& operator*() const { return *context_; }
-
-   private:
-    ContextPool* pool_;
-    std::unique_ptr<Context> context_;
-  };
-
-  template <typename Factory>
-  [[nodiscard]] Lease acquire(Factory&& make) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_.empty()) {
-        auto context = std::move(free_.back());
-        free_.pop_back();
-        return Lease(*this, std::move(context));
-      }
-    }
-    return Lease(*this, make());
-  }
-
- private:
-  void release(std::unique_ptr<Context> context) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(std::move(context));
-  }
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Context>> free_;
-};
+// phase (the protocol layer's build step); run() replays from that
+// state. The threaded runtimes keep their per-run tables (estimate
+// tables, worklists) in a run context built by the first run and reset
+// in place by every later one, so warm runs allocate no tables.
 
 class PreparedSequential final : public PreparedProtocol {
  public:
@@ -172,7 +125,7 @@ class PreparedSequential final : public PreparedProtocol {
   explicit PreparedSequential(Fn fn) : fn_(fn) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& /*observer*/) const override {
+                      const ProgressObserver& /*observer*/) override {
     DecomposeReport report;
     report.coreness = fn_(*request.graph);
     report.traffic.converged = true;
@@ -190,7 +143,7 @@ class PreparedOneToOne final : public PreparedProtocol {
                                            request.options.targeted_send)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
+                      const ProgressObserver& observer) override {
     // Copy the pristine nodes; the engine consumes its (private) copy.
     return report_of(core::run_one_to_one_prepared(*request.graph, nodes_,
                                                    request.options, observer));
@@ -207,7 +160,7 @@ class PreparedOneToMany final : public PreparedProtocol {
                                             request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
+                      const ProgressObserver& observer) override {
     return report_of(core::run_one_to_many_prepared(*request.graph, hosts_,
                                                     request.options, observer));
   }
@@ -225,7 +178,7 @@ class PreparedBsp final : public PreparedProtocol {
                                   request.options.seed)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
+                      const ProgressObserver& observer) override {
     const RunOptions& options = request.options;
     return report_of(core::run_pregel_kcore_prepared(
         *request.graph, owner_, options.num_hosts, options.targeted_send,
@@ -243,7 +196,7 @@ class PreparedOneToManyPar final : public PreparedProtocol {
                                             request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
+                      const ProgressObserver& observer) override {
     // The runner copies the pristine hosts into a private engine; the
     // prepared hosts are only read.
     return report_of(par::run_one_to_many_prepared(*request.graph, hosts_,
@@ -262,19 +215,17 @@ class PreparedBspPar final : public PreparedProtocol {
         prepared_(par::prepare_bsp_par(*request.graph, request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& observer) const override {
-    const auto lease = contexts_.acquire([this] {
-      return std::make_unique<par::BspParRunContext>(num_nodes_);
-    });
+                      const ProgressObserver& observer) override {
+    if (!context_) context_.emplace(num_nodes_);
     return report_of(par::run_bsp_par_prepared(*request.graph, prepared_,
-                                               *lease, request.options,
+                                               *context_, request.options,
                                                observer));
   }
 
  private:
   graph::NodeId num_nodes_;
   const par::BspParPrepared prepared_;
-  mutable ContextPool<par::BspParRunContext> contexts_;
+  std::optional<par::BspParRunContext> context_;
 };
 
 class PreparedBspAsync final : public PreparedProtocol {
@@ -284,22 +235,20 @@ class PreparedBspAsync final : public PreparedProtocol {
         prepared_(par::prepare_bsp_async(*request.graph, request.options)) {}
 
   DecomposeReport run(const DecomposeRequest& request,
-                      const ProgressObserver& /*observer*/) const override {
-    const auto lease = contexts_.acquire([this] {
-      return std::make_unique<par::AsyncRunContext>(prepared_, num_nodes_);
-    });
+                      const ProgressObserver& /*observer*/) override {
+    if (!context_) context_.emplace(prepared_, num_nodes_);
     DecomposeReport report =
         report_of(par::run_bsp_async_prepared(*request.graph, prepared_,
-                                              *lease, request.options),
+                                              *context_, request.options),
                   request.options.sched);
-    (*lease).copy_estimates(report.coreness);
+    context_->copy_estimates(report.coreness);
     return report;
   }
 
  private:
   graph::NodeId num_nodes_;
   const par::AsyncPrepared prepared_;
-  mutable ContextPool<par::AsyncRunContext> contexts_;
+  std::optional<par::AsyncRunContext> context_;
 };
 
 template <typename Prepared>

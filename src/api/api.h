@@ -271,25 +271,18 @@ struct Capabilities {
 /// host/shard construction, seed orders) happened at construction time;
 /// run() is repeatable and every run's report is bit-identical to a
 /// one-shot decompose() of the same request (timing fields and
-/// schedule-dependent extras excepted).
-///
-/// THREAD-SAFE BY CONTRACT: the prepared state is immutable after
-/// construction and run() is const — any number of threads may call
-/// run() on one shared PreparedProtocol concurrently, each call
-/// executing against a private per-run context (the built-ins keep a
-/// pool of contexts so sequential reuse stays allocation-free).
-/// Externally registered implementations must uphold the same contract —
-/// api::Session serves concurrent callers through this interface.
+/// schedule-dependent extras excepted). run() may keep per-run tables
+/// (estimate tables, worklists) between calls, so one instance serves
+/// one caller at a time, like a standard container.
 class PreparedProtocol {
  public:
   virtual ~PreparedProtocol() = default;
 
   /// Execute one run. setup-phase timings in the report cover only this
-  /// run's residual setup (run-context acquisition and reset); Session
+  /// run's residual setup (run-context construction or reset); Session
   /// adds the prepare cost to the run that triggered preparation.
   [[nodiscard]] virtual DecomposeReport run(
-      const DecomposeRequest& request,
-      const ProgressObserver& observer) const = 0;
+      const DecomposeRequest& request, const ProgressObserver& observer) = 0;
 };
 
 /// String-keyed protocol registry. Keys are stable CLI-facing names;

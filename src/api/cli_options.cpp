@@ -1,6 +1,7 @@
 #include "api/cli_options.h"
 
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "util/check.h"
@@ -12,22 +13,25 @@ namespace {
 constexpr auto kMaxI64 = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kMaxThreads = 4096;
 
-/// A non-negative integer flag, bounds-checked BEFORE the unsigned cast —
-/// `--hosts -1` must die with a message naming the flag, not wrap to 4e9
-/// and fail deep inside a protocol runner.
-std::int64_t checked(const char* name, std::int64_t value, std::int64_t max) {
-  KCORE_CHECK_MSG(value >= 0 && value <= max,
-                  "--" << name << " must be in [0, " << max << "], got "
-                       << value);
+/// An integer flag, bounds-checked BEFORE the unsigned cast — `--hosts
+/// -1` must die with a message naming the flag, not wrap to 4e9 and fail
+/// deep inside a protocol runner.
+std::int64_t checked(const char* name, std::int64_t value, std::int64_t min,
+                     std::int64_t max) {
+  if (value < min || value > max) {
+    throw util::IoError("--" + std::string(name) + " must be in [" +
+                        std::to_string(min) + ", " + std::to_string(max) +
+                        "], got " + std::to_string(value));
+  }
   return value;
 }
 
 core::SchedPolicy parse_sched(const char* name, const std::string& text) {
   const auto parsed = core::parse_sched_policy(text);
-  KCORE_CHECK_MSG(parsed.has_value(),
-                  "--" << name << " '" << text
-                       << "' is not a scheduling policy; accepted: lifo, "
-                       << "bound");
+  if (!parsed) {
+    throw util::IoError("--" + std::string(name) + " '" + text +
+                        "' is not a scheduling policy; accepted: lifo, bound");
+  }
   return *parsed;
 }
 
@@ -35,7 +39,26 @@ core::SchedPolicy parse_sched(const char* name, const std::string& text) {
 
 std::int64_t get_checked(const util::Args& args, const char* name,
                          std::int64_t fallback, std::int64_t max) {
-  return checked(name, args.get_int(name, fallback), max);
+  return get_checked(args, name, fallback, 0, max);
+}
+
+std::int64_t get_checked(const util::Args& args, const char* name,
+                         std::int64_t fallback, std::int64_t min,
+                         std::int64_t max) {
+  return checked(name, args.get_int(name, fallback), min, max);
+}
+
+double get_checked_double(const util::Args& args, const char* name,
+                          double fallback, double min, double max) {
+  const double value = args.get_double(name, fallback);
+  // Negated so NaN fails too; infinities fail the finite bounds.
+  if (!(value >= min && value <= max)) {
+    std::ostringstream message;
+    message << "--" << name << " must be in [" << min << ", " << max
+            << "], got " << value;
+    throw util::IoError(message.str());
+  }
+  return value;
 }
 
 core::RunOptions run_options_from_args(const util::Args& args,
@@ -43,9 +66,10 @@ core::RunOptions run_options_from_args(const util::Args& args,
   core::RunOptions options = defaults;
   if (const auto mode = args.get("mode")) {
     const auto parsed = core::parse_delivery_mode(*mode);
-    KCORE_CHECK_MSG(parsed.has_value(),
-                    "--mode '" << *mode << "' is not a delivery mode; "
-                               << "accepted: sync, cycle");
+    if (!parsed) {
+      throw util::IoError("--mode '" + *mode +
+                          "' is not a delivery mode; accepted: sync, cycle");
+    }
     options.mode = *parsed;
   }
   options.seed = static_cast<std::uint64_t>(get_checked(
@@ -61,11 +85,11 @@ core::RunOptions run_options_from_args(const util::Args& args,
       kMaxThreads));
   if (const auto assignment = args.get("assignment")) {
     const auto parsed = core::parse_assignment_policy(*assignment);
-    KCORE_CHECK_MSG(parsed.has_value(),
-                    "--assignment '" << *assignment
-                                     << "' is not an assignment policy; "
-                                     << "accepted: modulo, block, random, "
-                                     << "hash");
+    if (!parsed) {
+      throw util::IoError("--assignment '" + *assignment +
+                          "' is not an assignment policy; accepted: modulo, "
+                          "block, random, hash");
+    }
     options.assignment = *parsed;
   }
   if (const auto sched = args.get("sched")) {
@@ -73,9 +97,11 @@ core::RunOptions run_options_from_args(const util::Args& args,
   }
   if (const auto comm = args.get("comm")) {
     const auto parsed = core::parse_comm_policy(*comm);
-    KCORE_CHECK_MSG(parsed.has_value(),
-                    "--comm '" << *comm << "' is not a comm policy; "
-                               << "accepted: broadcast, point-to-point");
+    if (!parsed) {
+      throw util::IoError("--comm '" + *comm +
+                          "' is not a comm policy; accepted: broadcast, "
+                          "point-to-point");
+    }
     options.comm = *parsed;
   }
   options.faults.max_extra_delay = static_cast<std::uint32_t>(get_checked(
@@ -101,7 +127,7 @@ core::RunOptions run_options_from_args(const util::Args& args,
 void sweep_axes_from_args(const util::Args& args, PlanSpec& spec) {
   for (const auto& item : args.get_list("thread-counts")) {
     spec.threads.push_back(static_cast<unsigned>(checked(
-        "thread-counts", util::parse_int("thread-counts", item),
+        "thread-counts", util::parse_int("thread-counts", item), 0,
         kMaxThreads)));
   }
   for (const auto& item : args.get_list("scheds")) {
@@ -109,7 +135,7 @@ void sweep_axes_from_args(const util::Args& args, PlanSpec& spec) {
   }
   for (const auto& item : args.get_list("seeds")) {
     spec.seeds.push_back(static_cast<std::uint64_t>(
-        checked("seeds", util::parse_int("seeds", item), kMaxI64)));
+        checked("seeds", util::parse_int("seeds", item), 0, kMaxI64)));
   }
 }
 

@@ -35,20 +35,31 @@
 namespace kcore::api {
 
 /// Parse the RunOptions flags out of `args`, starting from `defaults`.
-/// Throws util::CheckError with an actionable message on an unparsable
+/// Throws util::IoError with an actionable message on an unparsable
 /// value (listing the accepted names for enum flags).
 [[nodiscard]] core::RunOptions run_options_from_args(
     const util::Args& args, const core::RunOptions& defaults = {});
 
 /// The integer flag `name` (`fallback` when absent), checked to lie in
-/// [0, max] before the caller's unsigned cast. Throws util::CheckError
+/// [0, max] before the caller's unsigned cast. Throws util::IoError
 /// naming the flag, so `--checkpoint-every -1` fails instead of wrapping.
 [[nodiscard]] std::int64_t get_checked(const util::Args& args,
                                        const char* name, std::int64_t fallback,
                                        std::int64_t max);
+/// As above, on [min, max].
+[[nodiscard]] std::int64_t get_checked(const util::Args& args,
+                                       const char* name, std::int64_t fallback,
+                                       std::int64_t min, std::int64_t max);
+
+/// The floating-point flag `name` (`fallback` when absent), checked to
+/// lie in [min, max] before the caller casts a count from it; NaN and
+/// infinities fail. Throws util::IoError naming the flag.
+[[nodiscard]] double get_checked_double(const util::Args& args,
+                                        const char* name, double fallback,
+                                        double min, double max);
 
 /// Append the sweep axes given in `args` (--thread-counts, --scheds,
-/// --seeds) to `spec`. Throws util::CheckError naming the flag on an
+/// --seeds) to `spec`. Throws util::IoError naming the flag on an
 /// item that --threads, --sched or --seed would reject.
 void sweep_axes_from_args(const util::Args& args, PlanSpec& spec);
 

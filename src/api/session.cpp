@@ -1,9 +1,7 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <utility>
 
 #include "util/check.h"
@@ -65,27 +63,20 @@ const Capabilities& Session::capabilities() const noexcept {
   return ProtocolRegistry::instance().entry(request_.protocol).capabilities;
 }
 
-Session::State& Session::state() const {
+Session::State& Session::state() {
   KCORE_CHECK_MSG(state_ != nullptr,
                   "Session used after being moved from; construct a new one");
   return *state_;
 }
 
-const PreparedProtocol& Session::ensure_prepared(double* prepared_cost) const {
+PreparedProtocol& Session::ensure_prepared(double* prepared_cost) {
   State& state = this->state();
   *prepared_cost = 0.0;
-  // Fast path: the release-store below pairs with this acquire, so a
-  // true `ready` publishes both the prepared pointer and prepare_ms.
-  if (state.ready.load(std::memory_order_acquire)) return *state.prepared;
-  std::lock_guard<std::mutex> lock(state.mutex);
-  if (!state.ready.load(std::memory_order_relaxed)) {
+  if (!state.prepared) {
     const auto& entry = ProtocolRegistry::instance().entry(request_.protocol);
     const auto start = Clock::now();
     state.prepared = entry.prepare(request_);
     state.prepare_ms = ms_between(start, Clock::now());
-    state.ready.store(true, std::memory_order_release);
-    // Only the caller that performed the derivation absorbs its cost;
-    // racers that waited on the mutex start their clocks afterwards.
     *prepared_cost = state.prepare_ms;
   }
   return *state.prepared;
@@ -97,7 +88,7 @@ void Session::prepare() {
 }
 
 bool Session::prepared() const noexcept {
-  return state_ != nullptr && state_->ready.load(std::memory_order_acquire);
+  return state_ != nullptr && state_->prepared != nullptr;
 }
 
 double Session::prepare_ms() const noexcept {
@@ -105,16 +96,14 @@ double Session::prepare_ms() const noexcept {
 }
 
 std::uint64_t Session::runs_completed() const noexcept {
-  return state_ != nullptr
-             ? state_->runs_completed.load(std::memory_order_relaxed)
-             : 0;
+  return state_ != nullptr ? state_->runs_completed : 0;
 }
 
-DecomposeReport Session::run(const ProgressObserver& observer) const {
+DecomposeReport Session::run(const ProgressObserver& observer) {
   // A run that triggers preparation absorbs the prepare cost into its
   // setup accounting; warm runs report only their residual setup.
   double prepare_cost = 0.0;
-  const PreparedProtocol& prepared = ensure_prepared(&prepare_cost);
+  PreparedProtocol& prepared = ensure_prepared(&prepare_cost);
   const auto start = Clock::now();
   DecomposeReport report = prepared.run(request_, observer);
   const double run_wall_ms = ms_between(start, Clock::now());
@@ -131,7 +120,7 @@ DecomposeReport Session::run(const ProgressObserver& observer) const {
   } else {
     report.elapsed_ms = prepare_cost + run_wall_ms;
   }
-  state_->runs_completed.fetch_add(1, std::memory_order_relaxed);
+  ++state_->runs_completed;
   return report;
 }
 

@@ -1,8 +1,7 @@
 // kcore::api::Session and kcore::api::Plan — amortized, repeatable
 // execution on top of the decompose facade.
 //
-// The paper's pitch is one problem served by interchangeable runtimes;
-// the ROADMAP's is a production system serving heavy repeated traffic.
+// The paper's pitch is one problem served by interchangeable runtimes.
 // One-shot decompose() re-derives everything per call — assignment,
 // host/shard construction, estimate-table allocation — even though none
 // of it depends on anything but (graph, protocol, options). Session
@@ -19,15 +18,10 @@
 // excepted per Capabilities::deterministic_extras — is pinned for every
 // registered protocol by tests/test_session.cpp.
 //
-// SERVING: a prepared Session is safe to share across threads. The
-// prepared state is immutable (see PreparedProtocol's thread-safety
-// contract in api/api.h); every run() leases a private per-run context,
-// so N threads calling session.run() concurrently each get a report
-// bit-identical to a one-shot decompose() (pinned, under TSan, by
-// tests/test_serving.cpp). Lazy preparation is race-safe: runs that
-// arrive while another thread prepares wait for it, and only the run
-// that actually performed the preparation absorbs its cost into the
-// setup accounting.
+// THREADING: a Session has the contract of a standard container.
+// Distinct Sessions on distinct threads share no mutable state; one
+// Session is used by one thread at a time. The parallelism of a run
+// lives inside it (RunOptions::threads), not across callers.
 //
 // Plan turns repeated Sessions into declarative sweeps: the cross
 // product of protocols × threads × seeds, each cell prepared once and
@@ -36,11 +30,9 @@
 // hand-rolled loops.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,8 +44,7 @@ namespace kcore::api {
 
 /// A prepared, repeatable decomposition: binds (graph, protocol,
 /// options) once, derives the amortizable state in prepare(), and serves
-/// any number of run() calls from it — including CONCURRENT run() calls
-/// from many threads over the one shared prepared state. The graph must
+/// any number of run() calls from it, one at a time. The graph must
 /// outlive the Session.
 class Session {
  public:
@@ -63,15 +54,12 @@ class Session {
           RunOptions options = {});
   explicit Session(const DecomposeRequest& request);
 
-  /// Movable: the shared state lives behind a stable heap allocation
-  /// that never points back into the Session object, so moving a
+  /// Movable: the state lives behind one heap allocation, so moving a
   /// prepared Session transfers it wholesale — runs on the destination
-  /// stay bit-identical, nothing dangles. The moved-from Session is
-  /// empty: prepare()/run() on it throw util::CheckError (pinned by
-  /// tests/test_session.cpp's use-after-move regression), the observers
-  /// below report unprepared/zero. Not movable mid-run: moving while
-  /// another thread executes prepare()/run() on the same object is a
-  /// data race, like any std:: container.
+  /// stay bit-identical. The moved-from Session is empty: prepare()/run()
+  /// on it throw util::CheckError (pinned by tests/test_session.cpp's
+  /// use-after-move regression), the observers below report
+  /// unprepared/zero.
   Session(Session&&) noexcept = default;
   Session& operator=(Session&&) noexcept = default;
 
@@ -87,9 +75,8 @@ class Session {
   [[nodiscard]] const Capabilities& capabilities() const noexcept;
 
   /// Build the amortizable state (assignment, host/shard construction,
-  /// seed orders — the protocol layer's build step). Idempotent and
-  /// race-safe: concurrent callers (including runs preparing on demand)
-  /// serialize, one performs the derivation, the rest observe it.
+  /// seed orders — the protocol layer's build step). Idempotent: a
+  /// prepared Session keeps its state.
   void prepare();
   [[nodiscard]] bool prepared() const noexcept;
   /// Wall-clock cost of the prepare() that built the current state
@@ -99,33 +86,28 @@ class Session {
   /// Execute one run. Warm runs (state already prepared) report only
   /// their residual setup in the phase timings; the run that triggers
   /// preparation absorbs the prepare cost, so a one-shot
-  /// Session(...).run() equals decompose() in accounting too. Safe to
-  /// call from any number of threads concurrently; each call executes
-  /// against a private per-run context.
-  [[nodiscard]] DecomposeReport run(const ProgressObserver& observer = {}) const;
+  /// Session(...).run() equals decompose() in accounting too. Warm
+  /// bsp-par and bsp-async runs reuse the first run's tables instead of
+  /// allocating their own.
+  [[nodiscard]] DecomposeReport run(const ProgressObserver& observer = {});
 
   [[nodiscard]] std::uint64_t runs_completed() const noexcept;
 
  private:
-  /// Everything mutable-under-concurrency, heap-pinned so Session moves
-  /// cannot invalidate references held by in-flight state: the prepared
-  /// pointer + its build cost (guarded by `mutex`, with `ready` as the
-  /// lock-free fast-path flag) and the run counter.
+  /// Heap-held so a moved-from Session has none: the prepared protocol
+  /// (null until prepared), its build cost and the run counter.
   struct State {
-    std::mutex mutex;
-    std::atomic<bool> ready{false};
-    std::unique_ptr<const PreparedProtocol> prepared;
+    std::unique_ptr<PreparedProtocol> prepared;
     double prepare_ms = 0.0;
-    std::atomic<std::uint64_t> runs_completed{0};
+    std::uint64_t runs_completed = 0;
   };
 
   /// Throws util::CheckError when this Session was moved from.
-  [[nodiscard]] State& state() const;
-  /// Returns the prepared state, building it on first need; *prepared_cost
-  /// is the prepare time to bill to this caller (0 when it was already
-  /// built or another thread built it).
-  [[nodiscard]] const PreparedProtocol& ensure_prepared(
-      double* prepared_cost) const;
+  [[nodiscard]] State& state();
+  /// Returns the prepared protocol, building it on first need;
+  /// *prepared_cost is the prepare time to bill to this caller (0 when
+  /// it was already built).
+  [[nodiscard]] PreparedProtocol& ensure_prepared(double* prepared_cost);
 
   DecomposeRequest request_;
   std::unique_ptr<State> state_;

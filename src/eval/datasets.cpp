@@ -15,8 +15,14 @@ using graph::NodeId;
 namespace gen = graph::gen;
 
 /// Scaled node count with a sane floor so tiny scales stay meaningful.
+/// Refuses a scale whose count does not fit below graph::kInvalidNode
+/// (NaN included), since the cast would be undefined.
 NodeId scaled(double base, double scale, double floor_nodes = 256) {
-  return static_cast<NodeId>(std::max(floor_nodes, base * scale));
+  const double nodes = base * scale;
+  KCORE_CHECK_MSG(nodes < static_cast<double>(graph::kInvalidNode),
+                  "scale " << scale << " gives " << nodes
+                           << " nodes, past the node id range");
+  return static_cast<NodeId>(std::max(floor_nodes, nodes));
 }
 
 /// Largest power-of-two exponent with 2^e <= n.
@@ -144,8 +150,9 @@ std::vector<DatasetSpec> make_registry() {
       "roadNet-TX",
       {1379922, 1921664, 1049, 12, 3, 1.79, 98.60, 94, 103, 4.45, 19.30},
       [](double scale, std::uint64_t seed) {
+        // About 57600 * scale nodes, at least 24 x 24.
         const auto side = static_cast<NodeId>(
-            std::max(24.0, std::sqrt(57600.0 * scale)));
+            std::sqrt(static_cast<double>(scaled(57600, scale, 576))));
         Graph g = gen::grid(side, side);
         // Real road networks are partial meshes (avg degree ~2.8, not the
         // grid's 4) with long dead-end corridors (rural roads). Deleting a

@@ -3,9 +3,10 @@
 // The SNAP files are not available offline, so each dataset is replaced by
 // a generator tuned to reproduce the structural character that drives the
 // paper's results (degree-distribution shape, coreness profile, diameter
-// regime) at a tractable scale. The full mapping and its rationale live in
-// DESIGN.md §2; the paper's measured numbers are embedded here so every
-// bench binary can print paper-vs-ours side by side.
+// regime) at a tractable scale. The mapping and its rationale live in the
+// per-profile comments in eval/datasets.cpp; the paper's measured numbers
+// are embedded here so every bench binary can print paper-vs-ours side
+// by side.
 #pragma once
 
 #include <cstdint>

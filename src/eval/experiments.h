@@ -1,5 +1,6 @@
 // Experiment runners regenerating every table and figure of §5, plus the
-// §4.2 worst-case study and the ablations listed in DESIGN.md §3.
+// §4.2 worst-case study and the ablations the bench/ablation_* binaries
+// print.
 //
 // Each runner is a pure function of (options, seeds); bench/ binaries are
 // thin wrappers that call a runner and print its rows (ASCII + CSV).

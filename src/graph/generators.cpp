@@ -193,13 +193,20 @@ Graph barabasi_albert(NodeId n, NodeId edges_per_node, std::uint64_t seed) {
 }
 
 Graph rmat(const RmatParams& p, std::uint64_t seed) {
-  KCORE_CHECK_MSG(p.scale >= 1 && p.scale <= 30, "scale out of range");
+  KCORE_CHECK_MSG(p.scale >= 1 && p.scale <= 30,
+                  "scale must be in [1, 30], got " << p.scale);
   const double prob_sum = p.a + p.b + p.c + p.d;
   KCORE_CHECK_MSG(prob_sum > 0.99 && prob_sum < 1.01,
                   "quadrant probabilities must sum to 1, got " << prob_sum);
   const NodeId n = NodeId{1} << p.scale;
-  const auto m = static_cast<std::uint64_t>(p.edge_factor *
-                                            static_cast<double>(n));
+  // The edge count must be a finite value std::uint64_t holds, or the
+  // cast below is undefined; NaN fails the comparison too.
+  const double edges = p.edge_factor * static_cast<double>(n);
+  KCORE_CHECK_MSG(p.edge_factor >= 0.0 && edges < 0x1p64,
+                  "edge_factor must be finite and >= 0 with edge_factor * "
+                  "2^scale < 2^64, got "
+                      << p.edge_factor);
+  const auto m = static_cast<std::uint64_t>(edges);
   Xoshiro256 rng(seed);
   GraphBuilder b(n);
   b.reserve(m);

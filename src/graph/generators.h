@@ -84,8 +84,8 @@ namespace kcore::graph::gen {
 /// skewed, hub-dominated degree profile typical of web graphs. Node ids
 /// are randomly relabeled so id order carries no structure.
 struct RmatParams {
-  std::uint32_t scale = 16;     // n = 2^scale
-  double edge_factor = 8.0;     // m = edge_factor * n
+  std::uint32_t scale = 16;     // n = 2^scale, scale in [1, 30]
+  double edge_factor = 8.0;     // m = edge_factor * n, >= 0, m < 2^64
   double a = 0.57, b = 0.19, c = 0.19, d = 0.05;
 };
 [[nodiscard]] Graph rmat(const RmatParams& params, std::uint64_t seed);

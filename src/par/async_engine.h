@@ -72,16 +72,16 @@ struct AsyncResult {
   std::shared_ptr<const obs::RunTelemetry> telemetry;
 };
 
-/// Amortizable, SHAREABLE state of an async run, for api::Session's
-/// prepare-once / run-many (and serve-many-concurrently) contract —
-/// everything that is a pure function of (graph, options) and is
-/// immutable after prepare:
+/// Amortizable state of an async run, built once by prepare_bsp_async —
+/// everything that is a pure function of (graph, options) and that runs
+/// only read:
 ///  * the per-worker SEED ORDER (the §3.2.2 assignment materialized as
 ///    one vertex list per lane, so warm runs never re-walk the owner
 ///    array),
 ///  * the resolved worker count and scheduling policy.
-/// Any number of concurrent runs may read one AsyncPrepared; each run
-/// brings its own AsyncRunContext for the mutable tables.
+/// The mutable tables live apart, in an AsyncRunContext, so callers
+/// without a prepared run (live::RepairEngine, bench/kernel_bench) can
+/// build and keep one of their own.
 struct AsyncPrepared {
   unsigned workers = 0;
   core::SchedPolicy sched = core::SchedPolicy::kLifo;
@@ -166,8 +166,8 @@ struct AsyncRunContext {
 [[nodiscard]] AsyncPrepared prepare_bsp_async(const graph::Graph& g,
                                               const core::RunOptions& options);
 
-/// Run the async chaotic-relaxation decomposition from shared prepared
-/// state and a private context. prepare_bsp_async consumes threads
+/// Run the async chaotic-relaxation decomposition from prepared state and
+/// a run context. prepare_bsp_async consumes threads
 /// (0 = hardware concurrency), sched (pop-order policy — pure
 /// performance, coreness is policy-invariant), assignment + seed (initial
 /// distribution of vertices over worker lanes — a pure function of the

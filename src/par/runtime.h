@@ -75,18 +75,15 @@ struct BspParResult {
 };
 
 // --- prepared execution -----------------------------------------------------
-// The prepared split serves api::Session's prepare-once / run-many
-// contract, and its CONCURRENT serving contract: the build step performs
-// the graph-dependent derivation (assignment, host construction, shards)
-// once into state that is IMMUTABLE afterwards, and run_*_prepared
-// executes repeatably from it, every run bit-identical under the same
-// options. All per-run mutable state (estimate tables, activation flags,
-// worklists) lives in a separate *RunContext that each run owns
-// privately, so N threads may execute run_*_prepared over ONE shared
-// prepared state concurrently, each with its own context. A context is
-// reset in place at the start of every run (O(N) stores, zero
-// reallocation), so reusing one across sequential runs is both safe and
-// allocation-free.
+// The build step performs the graph-dependent derivation (assignment,
+// host construction, shards) once, and run_*_prepared executes
+// repeatably from it, every run bit-identical under the same options.
+// Per-run mutable state (estimate tables, activation flags, worklists)
+// lives in a separate *RunContext owned by the caller: api::Session keeps
+// one across its runs, and live::RepairEngine and bench/kernel_bench
+// build the async one without a Session. A context is reset in place at
+// the start of every run (O(N) stores, zero reallocation), so reusing
+// one across runs is allocation-free.
 
 /// Run the §3.2 one-to-many protocol on real threads from pristine hosts
 /// (core::make_one_to_many_hosts, which consumed num_hosts, assignment,
@@ -120,14 +117,12 @@ struct WorkerShards {
 [[nodiscard]] WorkerShards shard_vertices(const graph::Graph& g,
                                           const core::RunOptions& options);
 
-/// bsp-par, shareable half: the shards. Immutable after prepare — safe to
-/// read from any number of concurrent runs.
+/// bsp-par, prepared half: the shards. Runs only read it.
 using BspParPrepared = WorkerShards;
 
-/// bsp-par, per-run half: the two shared atomic tables (estimate epochs,
-/// activation flags). Each concurrent run needs its own context; a
-/// context is reset in place per run, so sequential reuse never
-/// reallocates.
+/// bsp-par, per-run half: the two atomic tables the workers share
+/// (estimate epochs, activation flags). One run at a time uses a
+/// context; it is reset in place per run, so reuse never reallocates.
 struct BspParRunContext {
   explicit BspParRunContext(graph::NodeId n)
       : est_a(n), est_b(n), act_a(n), act_b(n) {}

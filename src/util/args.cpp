@@ -21,8 +21,9 @@ void Args::parse(const std::vector<std::string>& tokens) {
       continue;
     }
     const std::string body = tok.substr(2);
-    KCORE_CHECK_MSG(!body.empty() && body[0] != '=',
-                    "malformed option '" << tok << "'");
+    if (body.empty() || body[0] == '=') {
+      throw IoError("malformed option '" + tok + "'");
+    }
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
       options_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -48,8 +49,7 @@ std::optional<std::string> Args::get(const std::string& name) const {
   queried_[name] = true;
   const auto it = options_.find(name);
   if (it == options_.end()) return std::nullopt;
-  KCORE_CHECK_MSG(it->second.has_value(),
-                  "option --" << name << " needs a value");
+  if (!it->second) throw IoError("option --" + name + " needs a value");
   return it->second;
 }
 
@@ -75,8 +75,9 @@ double Args::get_double(const std::string& name, double fallback) const {
   } catch (const std::exception&) {
     pos = 0;
   }
-  KCORE_CHECK_MSG(pos == v->size() && pos > 0,
-                  "option --" << name << "='" << *v << "' is not a number");
+  if (pos != v->size() || pos == 0) {
+    throw IoError("option --" + name + "='" + *v + "' is not a number");
+  }
   return value;
 }
 
@@ -111,8 +112,9 @@ std::int64_t parse_int(const std::string& name, const std::string& text) {
   } catch (const std::exception&) {
     pos = 0;
   }
-  KCORE_CHECK_MSG(pos == text.size() && pos > 0,
-                  "option --" << name << "='" << text << "' is not an integer");
+  if (pos != text.size() || pos == 0) {
+    throw IoError("option --" + name + "='" + text + "' is not an integer");
+  }
   return value;
 }
 

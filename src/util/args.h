@@ -2,7 +2,8 @@
 //
 // Supports subcommand-style CLIs: positional arguments plus --key=value /
 // --key value options and --flag switches. No external dependencies; the
-// grammar is intentionally tiny but the error messages are real.
+// grammar is intentionally tiny but the error messages are real: every
+// malformed input throws util::IoError, whose message a CLI prints as is.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +16,7 @@ namespace kcore::util {
 
 class Args {
  public:
-  /// Parse argv[1..); throws CheckError on malformed input ("--=x").
+  /// Parse argv[1..); throws IoError on malformed input ("--=x").
   Args(int argc, const char* const* argv);
 
   /// Construct from a plain vector (tests).
@@ -30,12 +31,12 @@ class Args {
   /// for bare flags.
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Value of --name; nullopt if absent. Throws CheckError when --name was
+  /// Value of --name; nullopt if absent. Throws IoError when --name was
   /// given without a value: an option that needs one must not silently
   /// fall back to its default.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
 
-  /// Typed getters with defaults; throw CheckError when present but
+  /// Typed getters with defaults; throw IoError when present but
   /// valueless or unparsable (silently ignoring a typo would corrupt an
   /// experiment).
   [[nodiscard]] std::string get_string(const std::string& name,
@@ -46,7 +47,7 @@ class Args {
                                   double fallback) const;
 
   /// Items of the comma list --name ("1,2,4"; empty items are dropped);
-  /// empty when absent. Throws CheckError when present but valueless.
+  /// empty when absent. Throws IoError when present but valueless.
   [[nodiscard]] std::vector<std::string> get_list(
       const std::string& name) const;
 
@@ -63,7 +64,7 @@ class Args {
 };
 
 /// `text`, the value (or one list item) of option --name, as an integer;
-/// throws CheckError naming the option when the whole of `text` is not
+/// throws IoError naming the option when the whole of `text` is not
 /// one.
 [[nodiscard]] std::int64_t parse_int(const std::string& name,
                                      const std::string& text);

@@ -33,7 +33,7 @@ api::ProtocolRegistry::Preparer constant_preparer(NodeId value) {
   struct Constant final : api::PreparedProtocol {
     explicit Constant(NodeId v) : value(v) {}
     api::DecomposeReport run(const api::DecomposeRequest& request,
-                             const api::ProgressObserver&) const override {
+                             const api::ProgressObserver&) override {
       api::DecomposeReport report;
       report.coreness.assign(request.graph->num_nodes(), value);
       report.traffic.converged = true;
@@ -758,8 +758,8 @@ TEST(ApiCliOptions, BadEnumValueThrowsActionably) {
   const util::Args args({"decompose", "--mode", "warp"});
   try {
     (void)api::run_options_from_args(args);
-    FAIL() << "expected CheckError";
-  } catch (const util::CheckError& e) {
+    FAIL() << "expected IoError";
+  } catch (const util::IoError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("warp"), std::string::npos) << what;
     EXPECT_NE(what.find("cycle"), std::string::npos) << what;
@@ -799,7 +799,7 @@ TEST(ApiCliOptions, BadSweepAxisItemNamesItsFlag) {
     try {
       api::sweep_axes_from_args(args, spec);
       ADD_FAILURE() << c.flag << " " << c.value << " was accepted";
-    } catch (const util::CheckError& e) {
+    } catch (const util::IoError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(c.expected), std::string::npos) << what;
     }
@@ -829,9 +829,49 @@ TEST(ApiCliOptions, GetCheckedHoldsAnIntegerFlagToItsRange) {
     try {
       (void)api::get_checked(args, "checkpoint-every", 64, 100);
       ADD_FAILURE() << c.value << " was accepted";
-    } catch (const util::CheckError& e) {
+    } catch (const util::IoError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(c.expected), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(ApiCliOptions, GetCheckedHonorsALowerBound) {
+  // kcore generate --family rmat reads --scale on [1, 30], the range
+  // gen::rmat accepts.
+  const util::Args ok({"generate", "--scale", "1"});
+  EXPECT_EQ(api::get_checked(ok, "scale", 14, 1, 30), 1);
+  for (const char* value : {"0", "31"}) {
+    const util::Args args({"generate", "--scale", value});
+    try {
+      (void)api::get_checked(args, "scale", 14, 1, 30);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const util::IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--scale must be in [1, 30], got " +
+                          std::string(value)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(ApiCliOptions, GetCheckedDoubleRefusesNanInfinityAndRange) {
+  const util::Args absent({"generate"});
+  EXPECT_EQ(api::get_checked_double(absent, "edge-factor", 8.0, 0.0, 100.0),
+            8.0);
+  const util::Args ok({"generate", "--edge-factor", "0.5"});
+  EXPECT_EQ(api::get_checked_double(ok, "edge-factor", 8.0, 0.0, 100.0), 0.5);
+  for (const char* value : {"-1", "nan", "inf", "1e30"}) {
+    const util::Args args({"generate", "--edge-factor", value});
+    try {
+      (void)api::get_checked_double(args, "edge-factor", 8.0, 0.0, 100.0);
+      ADD_FAILURE() << value << " was accepted";
+    } catch (const util::IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--edge-factor must be in [0, 100], got "),
+                std::string::npos)
+          << what;
     }
   }
 }

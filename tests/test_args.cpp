@@ -36,7 +36,7 @@ TEST(Args, BareFlags) {
   const auto args = make({"--summary", "--exact-diameter"});
   EXPECT_TRUE(args.has("summary"));
   EXPECT_TRUE(args.has("exact-diameter"));
-  EXPECT_THROW((void)args.get("summary"), CheckError);
+  EXPECT_THROW((void)args.get("summary"), IoError);
   EXPECT_FALSE(args.has("missing"));
 }
 
@@ -44,7 +44,7 @@ TEST(Args, FlagFollowedByOption) {
   // "--summary --algo bz": summary must remain a bare flag.
   const auto args = make({"--summary", "--algo", "bz"});
   EXPECT_TRUE(args.has("summary"));
-  EXPECT_THROW((void)args.get("summary"), CheckError);
+  EXPECT_THROW((void)args.get("summary"), IoError);
   EXPECT_EQ(args.get("algo").value(), "bz");
 }
 
@@ -52,10 +52,10 @@ TEST(Args, ValuelessOptionIsRejectedByEveryValueGetter) {
   // "--wal --threads": both options need a value, neither got one. Each
   // read must fail loudly instead of running with the default.
   const auto args = make({"--wal", "--threads", "--trace"});
-  EXPECT_THROW((void)args.get("wal"), CheckError);
-  EXPECT_THROW((void)args.get_string("wal", "state"), CheckError);
-  EXPECT_THROW((void)args.get_int("threads", 4), CheckError);
-  EXPECT_THROW((void)args.get_double("trace", 1.0), CheckError);
+  EXPECT_THROW((void)args.get("wal"), IoError);
+  EXPECT_THROW((void)args.get_string("wal", "state"), IoError);
+  EXPECT_THROW((void)args.get_int("threads", 4), IoError);
+  EXPECT_THROW((void)args.get_double("trace", 1.0), IoError);
   EXPECT_TRUE(args.has("wal"));
   EXPECT_TRUE(args.unused().empty());
 }
@@ -64,8 +64,8 @@ TEST(Args, ValuelessOptionErrorNamesTheOption) {
   const auto args = make({"--threads"});
   try {
     (void)args.get_int("threads", 0);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
+    FAIL() << "expected IoError";
+  } catch (const IoError& e) {
     EXPECT_NE(std::string(e.what()).find("option --threads needs a value"),
               std::string::npos)
         << e.what();
@@ -82,13 +82,13 @@ TEST(Args, TypedGettersWithDefaults) {
 
 TEST(Args, TypedGettersRejectGarbage) {
   const auto args = make({"--n", "12x", "--d", "1.2.3"});
-  EXPECT_THROW((void)args.get_int("n", 0), CheckError);
-  EXPECT_THROW((void)args.get_double("d", 0.0), CheckError);
+  EXPECT_THROW((void)args.get_int("n", 0), IoError);
+  EXPECT_THROW((void)args.get_double("d", 0.0), IoError);
 }
 
 TEST(Args, MalformedOptionThrows) {
-  EXPECT_THROW(make({"--=x"}), CheckError);
-  EXPECT_THROW(make({"--"}), CheckError);
+  EXPECT_THROW(make({"--=x"}), IoError);
+  EXPECT_THROW(make({"--"}), IoError);
 }
 
 TEST(Args, UnusedTracksUnqueriedOptions) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/stats.h"
 #include "seq/kcore_seq.h"
 #include "util/check.h"
@@ -59,6 +61,18 @@ TEST_P(DatasetBuild, ScaleGrowsGraph) {
   const auto small = spec.build(kTinyScale, 3);
   const auto large = spec.build(kTinyScale * 4, 3);
   EXPECT_GT(large.num_nodes(), small.num_nodes()) << spec.name;
+}
+
+TEST_P(DatasetBuild, RefusesAScalePastTheNodeIdRange) {
+  // KCORE_SCALE=1e12 or `kcore generate --scale 1e12` would otherwise
+  // cast a node count past 2^32 to graph::NodeId.
+  const auto& spec = dataset_registry()[GetParam()];
+  for (const double scale :
+       {1e12, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)spec.build(scale, 1), util::CheckError)
+        << spec.name << " scale " << scale;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProfiles, DatasetBuild,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 #include "graph/stats.h"
 #include "util/check.h"
@@ -163,6 +164,27 @@ TEST(Rmat, RejectsBadProbabilities) {
   p.a = 0.9;
   p.b = 0.5;  // sums to > 1 with c, d
   EXPECT_THROW(rmat(p, 1), util::CheckError);
+}
+
+TEST(Rmat, RejectsAnEdgeCountThatDoesNotFit) {
+  // Each value would reach an undefined double -> std::uint64_t cast.
+  // All are refused before anything is allocated.
+  for (const double edge_factor :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e30}) {
+    RmatParams p;
+    p.scale = 30;
+    p.edge_factor = edge_factor;
+    EXPECT_THROW(rmat(p, 1), util::CheckError) << edge_factor;
+  }
+}
+
+TEST(Rmat, RejectsAScaleOutsideOneToThirty) {
+  for (const std::uint32_t scale : {0U, 31U}) {
+    RmatParams p;
+    p.scale = scale;
+    EXPECT_THROW(rmat(p, 1), util::CheckError) << scale;
+  }
 }
 
 TEST(WattsStrogatz, DegreesPreservedInExpectation) {

@@ -482,7 +482,7 @@ TEST(ObsEndToEnd, AsyncMetricsMatchStatsView) {
 }
 
 TEST(ObsEndToEnd, WarmRunTelemetryNeverAccumulatesAcrossRuns) {
-  // Regression pin for the serving path: the obs Recorder (and the
+  // Regression pin for the warm-run path: the obs Recorder (and the
   // worklist tallies feeding it) is created/reset per run, so the THIRD
   // warm run over one prepared Session must still satisfy the exact
   // metrics == extras parity a one-shot does — any cross-run leak of

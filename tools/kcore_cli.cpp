@@ -53,6 +53,7 @@
 #include "live/service.h"
 #include "seq/kcore_seq.h"
 #include "util/args.h"
+#include "util/check.h"
 #include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -132,7 +133,7 @@ int usage() {
 
 graph::Graph load(const util::Args& args) {
   const auto path = args.get("input");
-  KCORE_CHECK_MSG(path.has_value(), "--input FILE is required");
+  if (!path) throw util::IoError("--input FILE is required");
   return graph::read_edge_list_file(*path).graph;
 }
 
@@ -238,7 +239,10 @@ int cmd_decompose(const util::Args& args) {
   // bit-identical to one-shot decompose).
   const auto repeat =
       static_cast<int>(api::get_checked(args, "repeat", 1, kMaxInt));
-  KCORE_CHECK_MSG(repeat >= 1, "--repeat must be >= 1, got " << repeat);
+  if (repeat < 1) {
+    throw util::IoError("--repeat must be >= 1, got " +
+                        std::to_string(repeat));
+  }
   api::Session session(g, algo, options);
   std::vector<double> wall_ms;
   wall_ms.reserve(static_cast<std::size_t>(repeat));
@@ -326,7 +330,7 @@ int cmd_decompose(const util::Args& args) {
 
 int cmd_generate(const util::Args& args) {
   const auto out_path = args.get("output");
-  KCORE_CHECK_MSG(out_path.has_value(), "--output FILE is required");
+  if (!out_path) throw util::IoError("--output FILE is required");
   const auto seed =
       static_cast<std::uint64_t>(api::get_checked(args, "seed", 1, kMaxI64));
   const auto n = static_cast<graph::NodeId>(
@@ -370,9 +374,11 @@ int cmd_generate(const util::Args& args) {
                               args.get_double("beta", 0.1), seed);
     } else if (family == "rmat") {
       gen::RmatParams p;
-      p.scale =
-          static_cast<std::uint32_t>(api::get_checked(args, "scale", 14, 31));
-      p.edge_factor = args.get_double("edge-factor", 8.0);
+      p.scale = static_cast<std::uint32_t>(
+          api::get_checked(args, "scale", 14, 1, 30));
+      // A per-node count, like --m for ba.
+      p.edge_factor = api::get_checked_double(
+          args, "edge-factor", 8.0, 0.0, static_cast<double>(kMaxNode));
       g = gen::rmat(p, seed);
     } else if (family == "regular") {
       g = gen::random_regular(n, node_count("d", 4), seed);
@@ -485,8 +491,10 @@ int cmd_sweep(const util::Args& args) {
   spec.base = api::run_options_from_args(args);
   spec.repeats =
       static_cast<int>(api::get_checked(args, "repeat", 3, kMaxInt));
-  KCORE_CHECK_MSG(spec.repeats >= 1,
-                  "--repeat must be >= 1, got " << spec.repeats);
+  if (spec.repeats < 1) {
+    throw util::IoError("--repeat must be >= 1, got " +
+                        std::to_string(spec.repeats));
+  }
 
   spec.protocols = args.has("algos")
                        ? args.get_list("algos")
@@ -563,7 +571,7 @@ int cmd_sweep(const util::Args& args) {
 
 int cmd_stream(const util::Args& args) {
   const auto updates_path = args.get("updates");
-  KCORE_CHECK_MSG(updates_path.has_value(), "--updates FILE is required");
+  if (!updates_path) throw util::IoError("--updates FILE is required");
   const graph::EdgeStream stream =
       graph::read_edge_stream_file(*updates_path);
   constexpr auto kMaxUnsigned =
