@@ -10,12 +10,13 @@
 #include <variant>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/stats.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   using kcore::api::AssignmentPolicy;
   const auto options = ExperimentOptions::from_env();
@@ -60,3 +61,5 @@ int main() {
                "noise of each other.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -9,13 +9,14 @@
 #include <variant>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "bsp/programs.h"
 #include "core/assignment.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: ablation — BSP (Pregel) port ==\n"
@@ -79,3 +80,5 @@ int main() {
                "worker (Algorithm 3) is the paper's answer.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "core/dynamic.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
@@ -15,7 +16,7 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   const int updates = options.quick ? 20 : 200;
@@ -72,3 +73,5 @@ int main() {
                "bounds.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -7,13 +7,14 @@
 #include <iostream>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "seq/kcore_seq.h"
 #include "util/stats.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: ablation — channel faults (delay / duplication) "
@@ -67,3 +68,5 @@ int main() {
                "timing-independent, Theorem 2).\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -4,12 +4,13 @@
 #include <iostream>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/stats.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: ablation — §3.1.2 targeted-send optimization ==\n"
@@ -52,3 +53,5 @@ int main() {
                "affecting convergence.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -7,13 +7,14 @@
 
 #include "agg/termination.h"
 #include "api/api.h"
+#include "bench_main.h"
 #include "core/assignment.h"
 #include "core/termination.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: §3.3 termination detection ==\n\n";
@@ -81,3 +82,5 @@ int main() {
                "logarithmically in\nthe number of hosts, not linearly.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -2,9 +2,10 @@
 // (right) estimate error over rounds, for all nine dataset profiles.
 #include <iostream>
 
+#include "bench_main.h"
 #include "eval/experiments.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: Figure 4 (error evolution) ==\n"
@@ -32,3 +33,5 @@ int main() {
   print_fig4_async(async_series, std::cout);
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

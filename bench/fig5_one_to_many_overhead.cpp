@@ -6,10 +6,11 @@
 #include <iostream>
 #include <string>
 
+#include "bench_main.h"
 #include "eval/experiments.h"
 #include "util/env.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   auto options = ExperimentOptions::from_env();
   // The paper uses 20 experiments for this figure; the sweep is the most
@@ -39,3 +40,5 @@ int main() {
       << "    one-to-one m_avg regime\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

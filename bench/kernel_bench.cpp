@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_main.h"
 #include "core/compute_index.h"
 #include "eval/datasets.h"
 #include "graph/edge_list.h"
@@ -58,16 +59,23 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, so the compiler pairs each call with its own operator
+// delete instead of seeing the malloc inside one and the free inside the
+// other (gcc's -Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -300,7 +308,7 @@ void bench_attribution(bool quick, std::vector<Record>& records,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   const bool quick = util::env_bool("KCORE_QUICK", false);
   std::cout << "== bench: kernel microbench (epoch-stamped compute_index, "
                "gather-free relaxation) ==\n"
@@ -355,3 +363,5 @@ int main() {
   }
   return gate_passed ? 0 : 1;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -49,15 +49,16 @@
 #include <vector>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "eval/experiments.h"
 #include "graph/edge_list.h"
 #include "graph/graph.h"
 #include "live/service.h"
 #include "util/check.h"
 #include "util/env.h"
-#include "util/storage.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/storage.h"
 #include "util/table.h"
 
 namespace {
@@ -325,7 +326,7 @@ Record run_cell(const graph::Graph& g, const std::string& dataset,
 
 }  // namespace
 
-int main() {
+static int bench_main() {
   const auto options = eval::ExperimentOptions::from_env();
   std::cout << "== bench: stream study — incremental live repair vs full "
                "recompute under churn ==\n"
@@ -395,3 +396,5 @@ int main() {
   }
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -4,9 +4,10 @@
 // Environment: KCORE_SCALE, KCORE_RUNS, KCORE_SEED, KCORE_QUICK.
 #include <iostream>
 
+#include "bench_main.h"
 #include "eval/experiments.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: Table 1 (one-to-one) ==\n"
@@ -20,3 +21,5 @@ int main() {
             << "  * m_avg tracks the average degree\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

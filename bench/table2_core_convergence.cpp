@@ -3,9 +3,10 @@
 // lagging after the dense high cores have converged.
 #include <iostream>
 
+#include "bench_main.h"
 #include "eval/experiments.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
   std::cout << "== bench: Table 2 (per-core convergence, berkstan-like) ==\n"
@@ -17,3 +18,5 @@ int main() {
                "1-shell is the last to finish.\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

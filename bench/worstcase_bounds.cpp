@@ -6,12 +6,13 @@
 #include <iostream>
 
 #include "api/api.h"
+#include "bench_main.h"
 #include "core/bounds.h"
 #include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/table.h"
 
-int main() {
+static int bench_main() {
   using namespace kcore::eval;
   const auto options = ExperimentOptions::from_env();
 
@@ -48,3 +49,5 @@ int main() {
                "N-1 (Cor. 1 gives N there: near-tight).\n";
   return 0;
 }
+
+int main() { return kcore::bench::run_main(bench_main); }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 #include "seq/kcore_seq.h"
 
@@ -121,6 +122,71 @@ void CoreOrder::build() {
   unsettled_ = false;
   lists_.reset(n);
   for (const NodeId v : peel.order) lists_.push_back(level_[v], v);
+}
+
+std::optional<std::string> CoreOrder::adopt(std::span<const NodeId> levels,
+                                            std::span<const NodeId> order) {
+  const NodeId n = graph_.num_nodes();
+  KCORE_CHECK_MSG(levels.size() == n && order.size() == n,
+                  "adopt: " << levels.size() << " levels and " << order.size()
+                            << " order entries for " << n << " nodes");
+  const auto node = [](NodeId x) { return "node " + std::to_string(x); };
+  // Pass 1: positions, and levels never decrease along the order.
+  std::vector<NodeId> pos(n, OrderList::kNone);
+  for (NodeId i = 0; i < n; ++i) {
+    const NodeId x = order[i];
+    if (x >= n || pos[x] != OrderList::kNone) {
+      return "order entry " + std::to_string(i) + " (" + node(x) +
+             ") is out of range or repeated: the order is not a permutation";
+    }
+    if (i > 0 && levels[x] < levels[order[i - 1]]) {
+      return node(x) + " at level " + std::to_string(levels[x]) +
+             " follows " + node(order[i - 1]) + " at level " +
+             std::to_string(levels[order[i - 1]]) +
+             ": levels decrease along the order";
+    }
+    pos[x] = i;
+  }
+  // Pass 2: checks (b) and (a) at every node; (b)'s count is its deg+.
+  deg_plus_.resize(n);
+  for (NodeId u = 0; u < n; ++u) {
+    const NodeId k = levels[u];
+    NodeId later = 0;
+    NodeId support = 0;
+    for (const NodeId v : graph_.neighbors(u)) {
+      later += pos[v] > pos[u] ? 1 : 0;
+      support += levels[v] >= k ? 1 : 0;
+    }
+    if (later > k) {
+      return node(u) + " has " + std::to_string(later) +
+             " neighbors after it in the order, more than its level " +
+             std::to_string(k) + " (check b)";
+    }
+    if (support < k) {
+      return node(u) + " has " + std::to_string(support) +
+             " neighbors at level " + std::to_string(k) +
+             " or above, fewer than its level (check a)";
+    }
+    deg_plus_[u] = later;
+  }
+  level_.assign(levels.begin(), levels.end());
+  deg_star_.assign(n, 0);
+  state_.assign(n, kIdle);
+  unsettled_ = false;
+  lists_.reset(n);
+  for (const NodeId v : order) lists_.push_back(level_[v], v);
+  return std::nullopt;
+}
+
+void CoreOrder::copy_order(std::vector<NodeId>& out) const {
+  out.clear();
+  out.reserve(level_.size());
+  for (NodeId k = 0; k < lists_.num_lists(); ++k) {
+    for (NodeId x = lists_.head(k); x != OrderList::kNone;
+         x = lists_.next(x)) {
+      out.push_back(x);
+    }
+  }
 }
 
 void CoreOrder::push(NodeId x) {

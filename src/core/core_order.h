@@ -11,10 +11,12 @@
 // by level (= coreness), and each node v keeps deg+(v), the number of its
 // neighbors later in the order, with deg+(v) <= level(v). build() lays
 // out the removal order of seq::bz_peel, the repo's one
-// Batagelj–Zaveršnik bucket peel, which counts deg+ as it peels. An
-// insertion only visits nodes of level K after the earlier endpoint that
-// gained a candidate neighbor before them, in order, and settles each one
-// as it is reached.
+// Batagelj–Zaveršnik bucket peel, which counts deg+ as it peels. adopt()
+// takes a stored order instead (a recovery checkpoint's) and checks it
+// with an O(n + m) certificate that proves the stored levels are the
+// coreness, as the peel would. An insertion only visits nodes of level K
+// after the earlier endpoint that gained a candidate neighbor before
+// them, in order, and settles each one as it is reached.
 //
 // Order queries are (level, label) comparisons: each level is a doubly
 // linked list whose 64-bit labels increase along it, relabelled locally
@@ -27,6 +29,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -103,6 +108,25 @@ class CoreOrder {
   /// node's level is its coreness and its deg+ is its number of
   /// neighbors still unpeeled at its removal.
   void build();
+
+  /// Adopt a stored k-order in place of build()'s peel: `levels[x]`
+  /// claims x's coreness and `order` lists every node once, a k-order for
+  /// those levels. Checks the claim in O(n + m): levels never decrease
+  /// along `order`, and every node u has
+  ///  (b) at most levels[u] neighbors later in `order` (its deg+), and
+  ///  (a) at least levels[u] neighbors v with levels[v] >= levels[u].
+  /// (a) puts each node in the levels[u]-core, so levels <= coreness.
+  /// Under (b) the first node of the k-core in `order` has at least k
+  /// later neighbors, so its level, and every level after it, is >= k:
+  /// levels >= coreness. Returns the node and the check that failed, or
+  /// nullopt once the order is laid out; after a failure the order must
+  /// not be used.
+  [[nodiscard]] std::optional<std::string> adopt(
+      std::span<const graph::NodeId> levels,
+      std::span<const graph::NodeId> order);
+
+  /// Append the order, level by level, to `out` (cleared first).
+  void copy_order(std::vector<graph::NodeId>& out) const;
 
   /// The edge {u,v} was just added to the graph and every level is still
   /// exact. Returns the rising set V*: the nodes whose coreness rises

@@ -18,15 +18,17 @@ std::vector<std::string> RunOptions::validate() const {
                        std::to_string(threads) +
                        " (0 means one worker per hardware thread)");
   }
-  if (faults.duplicate_probability < 0.0 ||
-      faults.duplicate_probability > 1.0) {
-    problems.push_back("faults.duplicate_probability must be in [0, 1], got " +
-                       std::to_string(faults.duplicate_probability));
+  // Negated comparisons, so NaN fails too.
+  if (!(faults.duplicate_probability >= 0.0 &&
+        faults.duplicate_probability <= 1.0)) {
+    problems.push_back(
+        "faults.duplicate_probability (--dup-prob) must be in [0, 1], got " +
+        std::to_string(faults.duplicate_probability));
   }
-  if (obs.sample_period_ms < 0.0) {
-    problems.push_back("obs.sample_period_ms must be >= 0, got " +
-                       std::to_string(obs.sample_period_ms) +
-                       " (0 disables the sampler)");
+  if (!(obs.sample_period_ms >= 0.0)) {
+    problems.push_back(
+        "obs.sample_period_ms (--sample-period) must be >= 0, got " +
+        std::to_string(obs.sample_period_ms) + " (0 disables the sampler)");
   }
   if (obs.trace && obs.trace_capacity < 1) {
     problems.push_back(

@@ -15,14 +15,13 @@ using graph::NodeId;
 namespace gen = graph::gen;
 
 /// Scaled node count with a sane floor so tiny scales stay meaningful.
-/// Refuses a scale whose count does not fit below graph::kInvalidNode
-/// (NaN included), since the cast would be undefined.
+/// Refuses a scale above kMaxScale (NaN included), whose count could
+/// reach past graph::kInvalidNode, where the cast would be undefined.
 NodeId scaled(double base, double scale, double floor_nodes = 256) {
-  const double nodes = base * scale;
-  KCORE_CHECK_MSG(nodes < static_cast<double>(graph::kInvalidNode),
-                  "scale " << scale << " gives " << nodes
-                           << " nodes, past the node id range");
-  return static_cast<NodeId>(std::max(floor_nodes, nodes));
+  KCORE_CHECK_MSG(scale <= kMaxScale && base * kMaxScale < graph::kInvalidNode,
+                  "scale " << scale << " is past the largest profile scale "
+                           << kMaxScale);
+  return static_cast<NodeId>(std::max(floor_nodes, base * scale));
 }
 
 /// Largest power-of-two exponent with 2^e <= n.

@@ -44,6 +44,12 @@ struct DatasetSpec {
   std::function<graph::Graph(double scale, std::uint64_t seed)> build;
 };
 
+/// The largest `scale` a profile builds. No profile has more than 57,600
+/// nodes at scale 1, so every node count up to this scale stays well
+/// below graph::kInvalidNode; front ends (`kcore generate --scale`,
+/// KCORE_SCALE) refuse larger values before building.
+inline constexpr double kMaxScale = 1e4;
+
 /// All nine profiles, in the paper's Table 1 order.
 [[nodiscard]] const std::vector<DatasetSpec>& dataset_registry();
 

@@ -1,6 +1,8 @@
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "eval/datasets.h"
 #include "eval/experiments.h"
 #include "util/env.h"
 
@@ -13,8 +15,16 @@ ExperimentOptions ExperimentOptions::from_env() {
   options.base_seed = static_cast<std::uint64_t>(
       util::env_int("KCORE_SEED", static_cast<std::int64_t>(options.base_seed)));
   options.quick = util::env_bool("KCORE_QUICK", options.quick);
-  KCORE_CHECK_MSG(options.scale > 0.0, "KCORE_SCALE must be positive");
-  KCORE_CHECK_MSG(options.runs >= 1, "KCORE_RUNS must be >= 1");
+  // Settings are the user's to fix: refuse them by name, NaN included.
+  if (!(options.scale > 0.0 && options.scale <= kMaxScale)) {
+    throw util::IoError("KCORE_SCALE must be in (0, " +
+                        std::to_string(static_cast<int>(kMaxScale)) +
+                        "], got " + std::to_string(options.scale));
+  }
+  if (options.runs < 1) {
+    throw util::IoError("KCORE_RUNS must be >= 1, got " +
+                        std::to_string(options.runs));
+  }
   if (options.quick) {
     options.runs = std::min(options.runs, 2);
     options.scale = std::min(options.scale, 0.05);

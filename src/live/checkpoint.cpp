@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <utility>
 
 #include "live/wire.h"
+#include "util/check.h"
 #include "util/crc32.h"
 
 namespace kcore::live {
@@ -46,8 +48,12 @@ constexpr std::size_t kPayloadHeaderBytes = 28;   // epoch .. num_edges
 /// The whole file in one buffer sized once: header with a CRC slot, the
 /// payload stored in place, then the CRC of the payload into its slot.
 std::string encode(const CheckpointData& data) {
+  KCORE_CHECK_MSG(data.order.empty() || data.order.size() == data.num_nodes,
+                  "checkpoint order has " << data.order.size()
+                                          << " entries for " << data.num_nodes
+                                          << " nodes");
   std::string file(kHeaderBytes + kPayloadHeaderBytes + data.edges.size() * 8 +
-                       data.coreness.size() * 4,
+                       data.coreness.size() * 4 + data.order.size() * 4,
                    '\0');
   char* out = wire::store_u32(file.data(), kMagic) + 4;  // CRC slot
   out = wire::store_u64(out, data.epoch);
@@ -58,6 +64,7 @@ std::string encode(const CheckpointData& data) {
     out = wire::store_u32(wire::store_u32(out, e.u), e.v);
   }
   for (graph::NodeId c : data.coreness) out = wire::store_u32(out, c);
+  for (graph::NodeId x : data.order) out = wire::store_u32(out, x);
   wire::store_u32(file.data() + 4,
                   util::crc32(std::string_view(file).substr(kHeaderBytes)));
   return file;
@@ -136,9 +143,28 @@ std::optional<CheckpointData> decode(const std::string& bytes,
   for (graph::NodeId u = 0; u < data.num_nodes; ++u) {
     data.coreness[u] = wire::load_u32(coreness_bytes.data() + 4 * std::size_t{u});
   }
-  if (body.remaining() != 0) {
-    reason = "trailing bytes after coreness table";
+  if (body.remaining() == 0) return data;
+  // The optional order section: all of it or none of it.
+  std::string_view order_bytes;
+  if (body.remaining() != std::size_t{data.num_nodes} * 4 ||
+      !body.get_bytes(body.remaining(), order_bytes)) {
+    reason = "trailing bytes after coreness table (" +
+             std::to_string(body.remaining()) +
+             ", neither none nor an order section)";
     return std::nullopt;
+  }
+  data.order.resize(data.num_nodes);
+  std::vector<bool> seen(data.num_nodes, false);
+  for (graph::NodeId i = 0; i < data.num_nodes; ++i) {
+    const graph::NodeId x =
+        wire::load_u32(order_bytes.data() + 4 * std::size_t{i});
+    if (x >= data.num_nodes || seen[x]) {
+      reason = "order section is not a permutation of the nodes (entry " +
+               std::to_string(i) + ": node " + std::to_string(x) + ")";
+      return std::nullopt;
+    }
+    seen[x] = true;
+    data.order[i] = x;
   }
   return data;
 }

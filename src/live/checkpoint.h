@@ -11,19 +11,31 @@
 //
 // File format: u32 magic | u32 crc32(payload) | payload, with payload =
 // u64 epoch | u64 wal_offset | u32 num_nodes | u64 num_edges |
-// num_edges × (u32 u, u32 v) | num_nodes × (u32 coreness), all little-
-// endian. The edge list is CANONICAL: u < v, (u, v) strictly increasing
-// (no self-loop, no duplicate). The writer encodes into one buffer sized
-// once and fills the CRC in place; the loader refuses a list that is not
-// canonical ("edge list not in canonical order") even under a valid CRC,
-// so recovery can build the adjacency from it in two linear passes
-// (graph::MutableGraph's edge-list constructor) without sorting.
+// num_edges × (u32 u, u32 v) | num_nodes × (u32 coreness)
+// [| num_nodes × (u32 node)], all little-endian. The edge list is
+// CANONICAL: u < v, (u, v) strictly increasing (no self-loop, no
+// duplicate). The writer encodes into one buffer sized once and fills the
+// CRC in place; the loader refuses a list that is not canonical ("edge
+// list not in canonical order") even under a valid CRC, so recovery can
+// build the adjacency from it in two linear passes (graph::MutableGraph's
+// edge-list constructor) without sorting.
+//
+// The optional trailing section is the k-order the table was kept with
+// (core::CoreOrder, level by level): a permutation of the nodes. The
+// loader accepts exactly 0 or 4·num_nodes bytes after the table and
+// refuses an order that is not a permutation like any other structural
+// fault, so recovery falls back to an older checkpoint. Files written
+// without the section (older ones, or data with an empty `order`) keep
+// their bytes and load with an empty `order`; recovery then checks their
+// table with a bucket peel instead of the order's certificate.
 //
 // Why persisting coreness is sound: the table is detector-confirmed
 // EXACT for the checkpointed topology, and the paper's Theorems 1–2 let
 // repair re-converge from any sound upper bound — so recovery warm-
 // starts from this table and only pays relaxation for the WAL tail,
-// never a from-scratch recompute.
+// never a from-scratch recompute. A CRC only proves the bytes are the
+// ones written, so recovery still checks the table before serving it
+// (live::RepairEngine::warm_start).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +55,9 @@ struct CheckpointData {
   graph::NodeId num_nodes = 0;
   std::vector<graph::Edge> edges;        // canonical: u < v, strictly sorted
   std::vector<graph::NodeId> coreness;   // exact for this topology
+  /// A k-order for `coreness` (every node once, levels non-decreasing),
+  /// or empty: then no order section is written.
+  std::vector<graph::NodeId> order;
 };
 
 /// Outcome of scanning a state directory for checkpoints.

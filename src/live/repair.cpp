@@ -1,5 +1,7 @@
 #include "live/repair.h"
 
+#include <string>
+
 #include "par/engine.h"
 #include "par/relax.h"
 #include "util/check.h"
@@ -44,8 +46,8 @@ RepairStats RepairEngine::initialize() {
   return stats;
 }
 
-std::optional<NodeId> RepairEngine::warm_start(
-    const std::vector<NodeId>& coreness) {
+std::optional<std::string> RepairEngine::warm_start(
+    const std::vector<NodeId>& coreness, std::span<const NodeId> order) {
   KCORE_CHECK_MSG(coreness.size() == tables_.est.size(),
                   "warm_start table size " << coreness.size()
                                            << " != node count "
@@ -57,8 +59,14 @@ std::optional<NodeId> RepairEngine::warm_start(
   // Supports counted against the old table may overstate the adopted
   // one: restart from the trivial bound.
   if (tables_.one_worker) tables_.one_worker->counts.forget_support();
+  if (!order.empty()) return order_.adopt(coreness, order);
   order_.build();
-  return first_mismatch();
+  if (const std::optional<NodeId> bad = first_mismatch()) {
+    return "node " + std::to_string(*bad) + " is stored at " +
+           std::to_string(coreness[*bad]) + ", the bucket peel gives " +
+           std::to_string(order_.level(*bad));
+  }
+  return std::nullopt;
 }
 
 std::optional<NodeId> RepairEngine::first_mismatch() const {

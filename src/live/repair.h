@@ -38,6 +38,8 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/run_options.h"
@@ -88,13 +90,17 @@ class RepairEngine {
   /// Adopt `coreness` as the already-converged table without relaxing
   /// anything — the recovery path; Theorems 1–2 make every subsequent
   /// note_*/repair() cycle exact from here, so a restart pays zero
-  /// relaxations instead of a full recompute. The k-order's O(n + m)
-  /// bucket peel checks the table: returns the first node whose entry
-  /// is not its coreness in the CURRENT topology (nullopt when the table
-  /// is exact); the engine must not be used after a mismatch. Size must
+  /// relaxations instead of a full recompute. The table is checked
+  /// against the CURRENT topology first. With a stored k-order `order`
+  /// (copy_order() of the engine that wrote the table), the order is
+  /// adopted after CoreOrder::adopt's O(n + m) certificate; without one,
+  /// the k-order's bucket peel is rebuilt and compared entry by entry.
+  /// Returns the node and the check that failed (nullopt when the table
+  /// is exact); the engine must not be used after a failure. Sizes must
   /// match the node count.
-  std::optional<graph::NodeId> warm_start(
-      const std::vector<graph::NodeId>& coreness);
+  std::optional<std::string> warm_start(
+      const std::vector<graph::NodeId>& coreness,
+      std::span<const graph::NodeId> order = {});
 
   /// Record an insertion of {u,v} that was ALREADY applied to the graph:
   /// raises the rising set (CoreOrder::insert) and marks it dirty. Must
@@ -120,6 +126,10 @@ class RepairEngine {
   }
   /// Copy the converged table (between repairs).
   void copy_coreness(std::vector<graph::NodeId>& out) const;
+  /// Copy the k-order (between repairs): what warm_start() adopts.
+  void copy_order(std::vector<graph::NodeId>& out) const {
+    order_.copy_order(out);
+  }
 
  private:
   void mark_pending(graph::NodeId u);

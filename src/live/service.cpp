@@ -77,14 +77,15 @@ Service::Service(LiveGraph initial, const ServiceOptions& options,
     // An exact table for the checkpointed topology means recovery pays
     // ZERO up-front relaxations (vs initialize()'s full convergence) —
     // the paper's warm-restart argument, in one call. A CRC only proves
-    // the bytes are the ones written, so the k-order's peel checks the
-    // table before it is served.
-    if (const std::optional<NodeId> bad =
-            engine_.warm_start(warm->coreness)) {
-      throw util::IoError(
-          warm->file + ": checkpoint coreness table is not the coreness of " +
-          "its topology (first wrong entry: node " + std::to_string(*bad) +
-          ", stored " + std::to_string(warm->coreness[*bad]) + ")");
+    // the bytes are the ones written, so the table is checked before it
+    // is served: by the stored k-order's O(n + m) certificate, or by a
+    // bucket peel when the checkpoint has no order.
+    if (const std::optional<std::string> failed =
+            engine_.warm_start(warm->coreness, warm->order)) {
+      throw util::IoError(warm->file +
+                          ": checkpoint coreness table is not the coreness "
+                          "of its topology (" +
+                          *failed + ")");
     }
   } else {
     initial_stats_ = engine_.initialize();
@@ -173,11 +174,13 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
 
   // The adjacency comes straight from the checkpoint's edge list, which
   // the decoder has checked is canonical.
-  const WarmStart warm{ckpt.coreness, loaded.file, ckpt.epoch};
-  std::unique_ptr<Service> service(
-      new Service(LiveGraph(ckpt.num_nodes, ckpt.edges), options, durability,
-                  &warm));
+  LiveGraph graph(ckpt.num_nodes, ckpt.edges);
   ri.build_ms = phase_ms();
+  const WarmStart warm{ckpt.coreness, ckpt.order, loaded.file, ckpt.epoch};
+  std::unique_ptr<Service> service(
+      new Service(std::move(graph), options, durability, &warm));
+  ri.order_checked = !ckpt.order.empty();
+  ri.warm_ms = phase_ms();
 
   if (have_wal) {
     service->wal_.emplace(
@@ -400,6 +403,7 @@ void Service::write_checkpoint_now() {
   data.num_nodes = graph_.num_nodes();
   data.edges = graph_.edges();
   engine_.copy_coreness(data.coreness);
+  engine_.copy_order(data.order);
   write_checkpoint(*storage_, durability_.dir, data,
                    durability_.keep_checkpoints);
   batches_since_checkpoint_ = 0;

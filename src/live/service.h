@@ -33,9 +33,10 @@
 //  * RECOVERY: Service::open() loads the newest valid checkpoint,
 //    warm-starts the repair engine from its coreness table (zero
 //    relaxations — the paper's re-convergence theorems make this sound;
-//    the k-order's bucket peel checks the table, and a table that is not
-//    the coreness of its topology is refused with util::IoError naming
-//    the checkpoint file), reads wal.log once and validates every
+//    the checkpointed k-order's O(n + m) certificate checks the table,
+//    or a bucket peel when the file has no order section, and a table
+//    that fails the check is refused with util::IoError naming the
+//    checkpoint file, the node and the check), reads wal.log once and validates every
 //    record in one pass (Wal::scan: CRC and framing checked from offset
 //    0, only the records past the checkpoint's epoch decoded), truncates
 //    any torn WAL tail, and replays the decoded tail through the normal
@@ -136,13 +137,19 @@ struct RecoveryInfo {
   std::uint64_t replay_relaxations = 0;
   std::uint64_t torn_bytes_truncated = 0;
   std::vector<std::string> rejected_checkpoints;  // diagnostics
+  /// True when the warm start checked the table with the checkpoint's
+  /// stored k-order (its certificate); false when the checkpoint had no
+  /// order section and a bucket peel checked it.
+  bool order_checked = false;
   /// Wall time of open()'s phases (util::SteadyClock), back to back:
   /// read and decode the newest valid checkpoint; read and validate the
-  /// WAL; build the adjacency and warm-start (which checks the table);
-  /// position the appender, replay the tail and any due checkpoint.
+  /// WAL; build the adjacency; set up the engine and warm-start it
+  /// (which checks the table); position the appender, replay the tail
+  /// and any due checkpoint.
   double load_ms = 0;
   double scan_ms = 0;
   double build_ms = 0;
+  double warm_ms = 0;
   double replay_ms = 0;
 };
 
@@ -238,6 +245,7 @@ class Service {
   /// A checkpoint's coreness table to warm-start from (recovery).
   struct WarmStart {
     const std::vector<graph::NodeId>& coreness;
+    const std::vector<graph::NodeId>& order;  // its k-order, or empty
     const std::string& file;  // named when the table is refused
     std::uint64_t epoch;      // the epoch the table is exact for
   };

@@ -22,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -219,6 +220,131 @@ TEST(CoreOrder, MixedBatchesSettleToAValidOrder) {
     }
     EXPECT_GT(multi_level_drops, 0U) << family.name;
   }
+}
+
+std::string adopt_result(const std::optional<std::string>& failed) {
+  return failed.value_or("adopted");
+}
+
+/// The levels, read back from `order`.
+std::vector<NodeId> levels_of(const CoreOrder& order, NodeId n) {
+  std::vector<NodeId> levels(n);
+  for (NodeId v = 0; v < n; ++v) levels[v] = order.level(v);
+  return levels;
+}
+
+TEST(CoreOrder, AdoptTakesBackAMaintainedOrder) {
+  // A k-order kept through inserts, removes and settles, copied out and
+  // adopted by a second CoreOrder, is the same order: same layout, same
+  // deg+, and the same rising sets from then on.
+  for (const Family& family : kFamilies) {
+    MutableGraph g(family.make(5));
+    CoreOrder kept(g);
+    kept.build();
+    util::Xoshiro256 rng(41);
+    for (int i = 0; i < 60; ++i) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (g.apply({EdgeOp::kInsert, u, v})) (void)kept.insert(u, v);
+    }
+    for (int i = 0; i < 30; ++i) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (g.degree(u) == 0) continue;
+      const NodeId v = g.neighbors(u)[rng.next_below(g.degree(u))];
+      g.apply({EdgeOp::kRemove, u, v});
+      kept.note_remove(u, v);
+    }
+    const std::vector<NodeId> truth = seq::coreness_bz(g.snapshot());
+    kept.settle([&truth](NodeId x) { return truth[x]; });
+
+    std::vector<NodeId> stored;
+    kept.copy_order(stored);
+    CoreOrder adopted(g);
+    const auto failed = adopted.adopt(levels_of(kept, g.num_nodes()), stored);
+    ASSERT_FALSE(failed.has_value()) << family.name << ": " << *failed;
+    ASSERT_NO_FATAL_FAILURE(expect_valid(adopted, g, family.name));
+    std::vector<NodeId> again;
+    adopted.copy_order(again);
+    EXPECT_EQ(again, stored) << family.name;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(adopted.deg_plus(v), kept.deg_plus(v)) << family.name;
+    }
+    for (int inserted = 0; inserted < 40;) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (!g.apply({EdgeOp::kInsert, u, v})) continue;
+      ++inserted;
+      const std::vector<NodeId> a = kept.insert(u, v);
+      ASSERT_EQ(adopted.insert(u, v), a) << family.name;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_valid(adopted, g, family.name));
+  }
+}
+
+TEST(CoreOrder, AdoptAcceptsOnlyExactLevelsAndValidOrders) {
+  // The certificate is sound: every table with a wrong entry is refused
+  // whatever the order, and a shuffled order is either refused or is
+  // again a valid k-order of the exact levels.
+  for (const Family& family : kFamilies) {
+    const MutableGraph g(family.make(7));
+    CoreOrder built(g);
+    built.build();
+    const NodeId n = g.num_nodes();
+    const std::vector<NodeId> levels = levels_of(built, n);
+    std::vector<NodeId> stored;
+    built.copy_order(stored);
+    util::Xoshiro256 rng(53);
+    std::uint64_t accepted_shuffles = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::string context =
+          std::string(family.name) + " trial " + std::to_string(trial);
+      std::vector<NodeId> wrong = levels;
+      const auto x = static_cast<NodeId>(rng.next_below(n));
+      wrong[x] = wrong[x] == 0 || rng.next_bool(0.5) ? wrong[x] + 1
+                                                       : wrong[x] - 1;
+      CoreOrder refused(g);
+      ASSERT_TRUE(refused.adopt(wrong, stored).has_value()) << context;
+
+      // Swap two nodes a short distance apart in the order.
+      std::vector<NodeId> shuffled = stored;
+      const auto i = static_cast<NodeId>(rng.next_below(n));
+      const NodeId j = std::min<NodeId>(
+          n - 1, i + static_cast<NodeId>(rng.next_below(4)));
+      std::swap(shuffled[i], shuffled[j]);
+      CoreOrder maybe(g);
+      if (!maybe.adopt(levels, shuffled).has_value()) {
+        ++accepted_shuffles;
+        ASSERT_NO_FATAL_FAILURE(expect_valid(maybe, g, context));
+      }
+    }
+    EXPECT_GT(accepted_shuffles, 0U) << family.name;
+  }
+}
+
+TEST(CoreOrder, AdoptNamesTheNodeAndTheCheck) {
+  // K4 without the edge {2,3}: every node has coreness 2.
+  const std::vector<graph::Edge> edges = {
+      {0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}};
+  const MutableGraph g(Graph::from_edges(4, edges));
+  const auto adopt = [&g](const std::vector<NodeId>& levels,
+                          const std::vector<NodeId>& order) {
+    CoreOrder adopted(g);
+    return adopt_result(adopted.adopt(levels, order));
+  };
+  EXPECT_EQ(adopt({2, 2, 2, 2}, {3, 2, 0, 1}), "adopted");
+  EXPECT_NE(adopt({2, 2, 2, 2}, {3, 2, 2, 1}).find("not a permutation"),
+            std::string::npos);
+  EXPECT_NE(adopt({2, 2, 2, 2}, {3, 2, 0, 9}).find("not a permutation"),
+            std::string::npos);
+  EXPECT_EQ(adopt({1, 2, 2, 2}, {1, 0, 2, 3}),
+            "node 0 at level 1 follows node 1 at level 2: levels decrease "
+            "along the order");
+  EXPECT_EQ(adopt({2, 2, 2, 2}, {0, 1, 2, 3}),
+            "node 0 has 3 neighbors after it in the order, more than its "
+            "level 2 (check b)");
+  EXPECT_EQ(adopt({2, 2, 2, 3}, {2, 0, 1, 3}),
+            "node 3 has 0 neighbors at level 3 or above, fewer than its "
+            "level (check a)");
 }
 
 TEST(CoreOrder, CliqueLosingThreeEdgesAtOneNodeDropsThreeLevels) {

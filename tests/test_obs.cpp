@@ -439,6 +439,25 @@ TEST(ObsValidate, NegativeSamplePeriodRejected) {
   EXPECT_FALSE(options.validate().empty());
 }
 
+TEST(ObsValidate, NanSamplePeriodAndDuplicateProbabilityRejected) {
+  // Every comparison with NaN is false, so a check written as "< 0"
+  // lets it through; each NaN must be refused naming its flag.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  core::RunOptions options;
+  options.obs.sample_period_ms = nan;
+  std::vector<std::string> problems = options.validate();
+  ASSERT_EQ(problems.size(), 1U);
+  EXPECT_NE(problems[0].find("--sample-period"), std::string::npos)
+      << problems[0];
+
+  options = core::RunOptions{};
+  options.faults.duplicate_probability = nan;
+  problems = options.validate();
+  ASSERT_EQ(problems.size(), 1U);
+  EXPECT_NE(problems[0].find("--dup-prob"), std::string::npos)
+      << problems[0];
+}
+
 // --- end-to-end through the facade ------------------------------------------
 
 TEST(ObsEndToEnd, AsyncMetricsMatchStatsView) {

@@ -716,6 +716,10 @@ TEST(Recovery, MutatedCheckpointRecoversExactlyOrRefuses) {
   // magic, CRC | epoch, WAL offset, node count (u32), edge count (u64)
   constexpr std::size_t kHeader = 8 + 28;
   ASSERT_GT(ckpt.size(), kHeader);
+  // The order section is the file's last 4·num_nodes bytes; cut there,
+  // the file is a well-formed checkpoint without one.
+  ASSERT_EQ(loaded.data->order.size(), loaded.data->num_nodes);
+  const std::size_t order_at = ckpt.size() - 4 * loaded.data->order.size();
   // The node count and the two halves of the edge count.
   const std::vector<std::size_t> counts = {24, 28, 32};
   struct Case {
@@ -723,13 +727,16 @@ TEST(Recovery, MutatedCheckpointRecoversExactlyOrRefuses) {
     std::size_t lo, hi;
     bool reseal;  // recompute the CRC, so only the structure checks remain
   };
-  // No resealed flips: a flipped edge or epoch under a valid CRC can be a
-  // different but well-formed state, which no check can tell from a real
-  // one.
+  // No resealed flips before the order: a flipped edge or epoch under a
+  // valid CRC can be a different but well-formed state, which no check
+  // can tell from a real one. A flipped order entry repeats a node or
+  // leaves the range, so the decoder refuses it even resealed.
   const Case cases[] = {
-      {0, 0, kHeader, false},     {0, kHeader, ckpt.size(), false},
-      {1, 0, ckpt.size(), false}, {1, 8, ckpt.size(), true},
-      {2, 0, 0, false},           {2, 0, 0, true},
+      {0, 0, kHeader, false},           {0, kHeader, ckpt.size(), false},
+      {1, 0, ckpt.size(), false},       {1, 8, ckpt.size(), true},
+      {2, 0, 0, false},                 {2, 0, 0, true},
+      {0, order_at, ckpt.size(), false}, {0, order_at, ckpt.size(), true},
+      {1, order_at, ckpt.size(), true},
   };
 
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
@@ -749,7 +756,13 @@ TEST(Recovery, MutatedCheckpointRecoversExactlyOrRefuses) {
           recover_mutant(run, loaded.file, mutant, info);
       ASSERT_FALSE(refusal.has_value()) << *refusal;
       ASSERT_FALSE(::testing::Test::HasFailure());
-      if (mutant != ckpt) {
+      if (mutation.reseal && mutation.kind == 1 &&
+          mutant.size() == order_at) {
+        // Cut exactly before the order, under a valid CRC: the same state
+        // without the section, checked by the peel.
+        ASSERT_EQ(info.checkpoint_epoch, 4U);
+        ASSERT_FALSE(info.order_checked);
+      } else if (mutant != ckpt) {
         ASSERT_EQ(info.checkpoint_epoch, 0U);
         ASSERT_EQ(info.rejected_checkpoints.size(), 1U);
         ASSERT_NE(info.rejected_checkpoints[0].find(loaded.file),
@@ -789,6 +802,160 @@ TEST_F(RecoveryDegenerate, CheckpointWithAWrongCorenessTableIsRefused) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path), std::string::npos) << what;
     EXPECT_NE(what.find("not the coreness"), std::string::npos) << what;
+  }
+}
+
+// --- the stored k-order and its certificate --------------------------------
+
+TEST_F(RecoveryDegenerate, CheckpointsWithAndWithoutAnOrderRecoverExactly) {
+  // A Service's checkpoint carries its k-order, and recovery checks the
+  // table with the order's certificate.
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  ASSERT_EQ(loaded.data->order.size(), loaded.data->num_nodes);
+  {
+    RecoveryInfo info;
+    const auto service =
+        Service::open(fast_options(), mem_durability(fs_), &info);
+    EXPECT_TRUE(info.order_checked);
+    EXPECT_EQ(info.checkpoint_file, loaded.file);
+    EXPECT_EQ(service->query()->coreness, expected_);
+  }
+  // The same checkpoint without the order section (the format before
+  // it, or data written with an empty order) keeps the bucket peel.
+  CheckpointData orderless = *loaded.data;
+  orderless.order.clear();
+  ASSERT_EQ(write_checkpoint(fs_, kDir, orderless, 2), loaded.file);
+  ASSERT_TRUE(load_latest_checkpoint(fs_, kDir).data->order.empty());
+
+  RecoveryInfo info;
+  const auto service =
+      Service::open(fast_options(), mem_durability(fs_), &info);
+  EXPECT_FALSE(info.order_checked);
+  EXPECT_TRUE(info.rejected_checkpoints.empty());
+  EXPECT_EQ(info.checkpoint_file, loaded.file);
+  EXPECT_EQ(info.recovered_epoch, trace_.log.size());
+  EXPECT_EQ(service->query()->coreness, expected_);
+  // The recovered service keeps a k-order of its own: it goes on exactly
+  // and writes the section into its next checkpoint.
+  service->apply(trace_.log[0].updates);
+  EXPECT_EQ(service->query()->coreness,
+            seq::coreness_bz(service->graph().snapshot()));
+  service->checkpoint();
+  const CheckpointLoadResult next = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(next.data.has_value());
+  EXPECT_EQ(next.data->order.size(), next.data->num_nodes);
+}
+
+TEST_F(RecoveryDegenerate, OrderThatIsNotAPermutationFallsBackToOlder) {
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  CheckpointData bad = *loaded.data;
+  ASSERT_GE(bad.order.size(), 2U);
+  bad.order[1] = bad.order[0];
+  ASSERT_EQ(write_checkpoint(fs_, kDir, bad, 2), loaded.file);
+
+  RecoveryInfo info;
+  const auto service =
+      Service::open(fast_options(), mem_durability(fs_), &info);
+  ASSERT_EQ(info.rejected_checkpoints.size(), 1U);
+  EXPECT_NE(info.rejected_checkpoints[0].find(loaded.file), std::string::npos);
+  EXPECT_NE(info.rejected_checkpoints[0].find("not a permutation"),
+            std::string::npos)
+      << info.rejected_checkpoints[0];
+  EXPECT_LT(info.checkpoint_epoch, loaded.data->epoch);
+  EXPECT_TRUE(info.order_checked);
+  EXPECT_EQ(info.recovered_epoch, trace_.log.size());
+  EXPECT_EQ(service->query()->coreness, expected_);
+}
+
+/// deg+ of every node along `order`: its neighbors later in the order.
+std::vector<NodeId> later_neighbors(const CheckpointData& data) {
+  const Graph g = Graph::from_edges(data.num_nodes, data.edges);
+  std::vector<NodeId> pos(data.num_nodes);
+  for (NodeId i = 0; i < data.num_nodes; ++i) pos[data.order[i]] = i;
+  std::vector<NodeId> later(data.num_nodes, 0);
+  for (NodeId u = 0; u < data.num_nodes; ++u) {
+    for (const NodeId v : g.neighbors(u)) later[u] += pos[v] > pos[u] ? 1 : 0;
+  }
+  return later;
+}
+
+TEST_F(RecoveryDegenerate, OrderCertificateRefusalsNameTheNodeAndTheCheck) {
+  // Each mutant is a well-formed file under a valid CRC whose table or
+  // order fails one part of the certificate. Like any table that is not
+  // the coreness, it is refused naming the file, the node and the check.
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs_, kDir);
+  ASSERT_TRUE(loaded.data.has_value());
+  const CheckpointData& good = *loaded.data;
+  const std::vector<NodeId> later = later_neighbors(good);
+  const std::vector<NodeId>& order = good.order;
+  const NodeId n = good.num_nodes;
+  ASSERT_GT(n, 2U);
+
+  // Levels decrease along the order: the first node swapped with the
+  // last (the graph has more than one level).
+  CheckpointData decreasing = good;
+  ASSERT_LT(good.coreness[order.front()], good.coreness[order.back()]);
+  std::swap(decreasing.order.front(), decreasing.order.back());
+
+  // A node with more later neighbors than its level: two neighbors next
+  // to each other in one level swap, and the second already had as many
+  // later neighbors as its level.
+  CheckpointData too_many_later = good;
+  const Graph g = Graph::from_edges(n, good.edges);
+  bool found = false;
+  for (NodeId i = 0; i + 1 < n && !found; ++i) {
+    const NodeId x = order[i];
+    const NodeId y = order[i + 1];
+    const auto adj = g.neighbors(x);
+    if (good.coreness[x] == good.coreness[y] &&
+        later[y] == good.coreness[y] &&
+        std::binary_search(adj.begin(), adj.end(), y)) {
+      std::swap(too_many_later.order[i], too_many_later.order[i + 1]);
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+
+  // A table lowered by one at the order's first node: levels still never
+  // decrease, but its later neighbors now outnumber its level. Check (b)
+  // bounds the table from below.
+  CheckpointData lowered = good;
+  ASSERT_GT(lowered.coreness[order.front()], 0U);
+  lowered.coreness[order.front()] -= 1;
+
+  // A table raised by one at the order's last node: the order still
+  // fits (b), and only check (a), the bound from above, catches it.
+  CheckpointData raised = good;
+  raised.coreness[order.back()] += 1;
+
+  const struct {
+    const char* name;
+    const CheckpointData* data;
+    const char* check;
+  } cases[] = {
+      {"decreasing", &decreasing, "levels decrease along the order"},
+      {"too many later", &too_many_later, "(check b)"},
+      {"lowered", &lowered, "(check b)"},
+      {"raised", &raised, "(check a)"},
+  };
+  const std::string original = fs_.read_file(loaded.file);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(write_checkpoint(fs_, kDir, *c.data, 2), loaded.file);
+    try {
+      (void)Service::open(fast_options(), mem_durability(fs_));
+      ADD_FAILURE() << "expected util::IoError";
+    } catch (const util::IoError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(loaded.file), std::string::npos) << what;
+      EXPECT_NE(what.find("not the coreness"), std::string::npos) << what;
+      EXPECT_NE(what.find("node "), std::string::npos) << what;
+      EXPECT_NE(what.find(c.check), std::string::npos) << what;
+    }
+    fs_.write_file(loaded.file, original);
+    fs_.sync_file(loaded.file);
   }
 }
 
@@ -848,8 +1015,10 @@ TEST_F(RecoveryDegenerate, PhaseTimesFitInTheWallTimeOfOpen) {
   EXPECT_GE(info.load_ms, 0.0);
   EXPECT_GE(info.scan_ms, 0.0);
   EXPECT_GE(info.build_ms, 0.0);
+  EXPECT_GE(info.warm_ms, 0.0);
   EXPECT_GE(info.replay_ms, 0.0);
-  EXPECT_LE(info.load_ms + info.scan_ms + info.build_ms + info.replay_ms,
+  EXPECT_LE(info.load_ms + info.scan_ms + info.build_ms + info.warm_ms +
+                info.replay_ms,
             wall_ms);
 }
 

@@ -322,6 +322,36 @@ TEST(WireFormat, LongCheckpointBytesAreUnchanged) {
   EXPECT_EQ(loaded.data->edges, data.edges);
   EXPECT_EQ(loaded.data->coreness, data.coreness);
   EXPECT_EQ(loaded.data->wal_offset, data.wal_offset);
+  EXPECT_TRUE(loaded.data->order.empty());
+}
+
+// The k-order section: num_nodes × u32 after the coreness table, inside
+// the CRC. A triangle {0,1,2} with a pendant node 3, ordered 3,0,1,2.
+TEST(WireFormat, CheckpointWithAnOrderBytesAreUnchanged) {
+  util::MemStorage fs;
+  fs.make_dir("d");
+  CheckpointData data;
+  data.epoch = 3;
+  data.wal_offset = 0x8877665544332211ull;
+  data.num_nodes = 4;
+  data.edges = {{0, 1}, {0, 2}, {1, 2}, {2, 3}};
+  data.coreness = {2, 2, 2, 1};
+  data.order = {3, 0, 1, 2};
+  const std::string path = write_checkpoint(fs, "d", data, 2);
+  const std::string golden(
+      "\x70\x6b\x63\x6b\xe6\x1f\x5f\x16\x03\x00\x00\x00\x00\x00\x00\x00"
+      "\x11\x22\x33\x44\x55\x66\x77\x88\x04\x00\x00\x00\x04\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"
+      "\x02\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
+      "\x03\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
+      "\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "\x02\x00\x00\x00",
+      100);
+  EXPECT_EQ(fs.read_file(path), golden);
+  const CheckpointLoadResult loaded = load_latest_checkpoint(fs, "d");
+  ASSERT_TRUE(loaded.data.has_value());
+  EXPECT_EQ(loaded.data->coreness, data.coreness);
+  EXPECT_EQ(loaded.data->order, data.order);
 }
 
 // --- fsync policies against the durability model ----------------------------

@@ -344,7 +344,9 @@ int cmd_generate(const util::Args& args) {
   graph::Graph g;
   if (const auto profile = args.get("profile")) {
     const auto& spec = eval::dataset_by_name(*profile);
-    g = spec.build(args.get_double("scale", 1.0), seed);
+    g = spec.build(
+        api::get_checked_double(args, "scale", 1.0, 0.0, eval::kMaxScale),
+        seed);
   } else {
     const std::string family = args.get_string("family", "");
     namespace gen = graph::gen;
@@ -680,8 +682,12 @@ int cmd_stream(const util::Args& args) {
       std::cout << "; phases: load " << util::fmt_double(recovery.load_ms, 2)
                 << "ms scan " << util::fmt_double(recovery.scan_ms, 2)
                 << "ms build " << util::fmt_double(recovery.build_ms, 2)
+                << "ms warm " << util::fmt_double(recovery.warm_ms, 2)
                 << "ms replay " << util::fmt_double(recovery.replay_ms, 2)
-                << "ms); resuming at batch " << first_batch << "\n";
+                << "ms; table checked by "
+                << (recovery.order_checked ? "the stored k-order"
+                                           : "a bucket peel")
+                << "); resuming at batch " << first_batch << "\n";
       if (verify) {
         std::cout << "verify: recovered snapshot "
                   << (mismatched_epochs == 0 ? "matches" : "MISMATCHES")
