@@ -117,6 +117,7 @@ void CoreOrder::build() {
   seq::BzPeel peel = seq::bz_peel</*kCountDegPlus=*/true>(graph_);
   level_ = std::move(peel.level);
   deg_plus_ = std::move(peel.deg_plus);
+  count_.assign(n, 0);
   deg_star_.assign(n, 0);
   state_.assign(n, kIdle);
   unsettled_ = false;
@@ -147,8 +148,10 @@ std::optional<std::string> CoreOrder::adopt(std::span<const NodeId> levels,
     }
     pos[x] = i;
   }
-  // Pass 2: checks (b) and (a) at every node; (b)'s count is its deg+.
+  // Pass 2: checks (b) and (a) at every node; (b)'s count is its deg+,
+  // (a)'s its support count.
   deg_plus_.resize(n);
+  count_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     const NodeId k = levels[u];
     NodeId later = 0;
@@ -168,6 +171,7 @@ std::optional<std::string> CoreOrder::adopt(std::span<const NodeId> levels,
              " or above, fewer than its level (check a)";
     }
     deg_plus_[u] = later;
+    count_[u] = support;
   }
   level_.assign(levels.begin(), levels.end());
   deg_star_.assign(n, 0);
@@ -238,10 +242,12 @@ const std::vector<NodeId>& CoreOrder::insert(NodeId u, NodeId v) {
   for (const NodeId w : popped_) {
     if (state_[w] == kCandidate) rising_.push_back(w);
   }
-  // V* moves to the head of level K+1 in its old relative order.
+  // V* moves to the head of level K+1 in its old relative order. Their
+  // counts were against level K: start over. Everyone else's only gained.
   for (auto it = rising_.rbegin(); it != rising_.rend(); ++it) {
     lists_.erase(K, *it);
     level_[*it] = K + 1;
+    count_[*it] = 0;
     lists_.insert_after(K + 1, OrderList::kNone, *it);
   }
   for (const NodeId w : popped_) {
@@ -295,6 +301,67 @@ void CoreOrder::stay(NodeId w, NodeId K) {
       }
     }
   }
+}
+
+const std::vector<NodeId>& CoreOrder::remove(NodeId u, NodeId v) {
+  KCORE_CHECK_MSG(!unsettled_, "remove: a noted removal is not settled yet");
+  falling_.clear();
+  if (before(v, u)) std::swap(u, v);
+  const NodeId K = level_[u];
+  // v was after u: u loses a later neighbor. v is at or above K, so it
+  // counted toward u; u counted toward v only at the same level.
+  --deg_plus_[u];
+  if (count_[u] > 0) --count_[u];
+  if (level_[v] == K && count_[v] > 0) --count_[v];
+  if (K > 0) {
+    check(u, K);
+    if (level_[v] == K) check(v, K);
+  }
+  // Cascade in queue order. A falling node's count stays exact while it
+  // waits: every neighbor that falls before it takes one from it.
+  for (std::size_t i = 0; i < falling_.size(); ++i) {
+    const NodeId w = falling_[i];
+    const std::uint64_t label = lists_.label(w);
+    level_[w] = K - 1;  // a recount below no longer counts w
+    NodeId support = 0;  // neighbors at or above K-1, exact from here on
+    for (const NodeId x : graph_.neighbors(w)) {
+      if (level_[x] + 1 >= K) ++support;
+      if (level_[x] != K) continue;
+      if (count_[x] > 0) --count_[x];  // w no longer counts toward x
+      if (state_[x] == kFalling) continue;
+      // w lands before every node still at level K: an earlier x loses a
+      // later neighbor (a falling x takes its deg+ from its count).
+      if (lists_.label(x) < label) --deg_plus_[x];
+      check(x, K);
+    }
+    // The neighbors at K now are exactly those that follow w at the tail
+    // of K-1: the ones staying at K and the ones falling after it.
+    lists_.erase(K, w);
+    deg_plus_[w] = count_[w];
+    count_[w] = support;
+    lists_.push_back(K - 1, w);
+  }
+  for (const NodeId x : popped_) state_[x] = kIdle;
+  for (const NodeId x : falling_) state_[x] = kIdle;
+  visited_ = popped_.size() + falling_.size();
+  popped_.clear();
+  return falling_;
+}
+
+void CoreOrder::check(NodeId x, NodeId K) {
+  if (count_[x] >= K) return;
+  if (state_[x] != kCounted) {
+    NodeId support = 0;
+    for (const NodeId y : graph_.neighbors(x)) {
+      support += level_[y] >= K ? 1 : 0;
+    }
+    count_[x] = support;
+    state_[x] = kCounted;
+    popped_.push_back(x);
+    if (support >= K) return;
+  }
+  state_[x] = kFalling;
+  falling_.push_back(x);
 }
 
 void CoreOrder::note_remove(NodeId u, NodeId v) {
@@ -361,6 +428,7 @@ void CoreOrder::add_node() {
   const NodeId x = lists_.add_element();
   level_.push_back(0);
   deg_plus_.push_back(0);
+  count_.push_back(0);
   deg_star_.push_back(0);
   state_.push_back(kIdle);
   lists_.push_back(0, x);

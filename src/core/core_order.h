@@ -1,5 +1,6 @@
 // The k-order: the one insertion routine of both incremental paths
-// (live::RepairEngine and core::DynamicKCore).
+// (live::RepairEngine and core::DynamicKCore), and the removal routine of
+// the one-worker live repair.
 //
 // Inserting {u,v} raises coreness by at most one, and only for nodes of
 // coreness K = min(k(u), k(v)) connected to the endpoints through such
@@ -23,11 +24,25 @@
 // when a gap closes (Bender, Cole, Demaine, Farach-Colton and Zito, "Two
 // Simplified Algorithms for Maintaining Order in a List", ESA 2002).
 //
-// Removals keep the protocol's own route: the caller relaxes downward
-// from the endpoints and then hands the converged levels to settle(),
-// which moves the nodes that dropped to the tails of their new levels.
+// A removal is the mirror image (the mcd-based removal of Zhang et al.,
+// after the traversal removal of Sariyüce, Gedik, Jacques-Silva, Wu and
+// Çatalyürek, "Incremental k-core decomposition", VLDB J. 25(3), 2016).
+// Deleting {u,v} lowers coreness by at most one, and only for nodes of
+// level K = min(level(u), level(v)) that lose their support. Each node
+// keeps a count, a lower bound on its neighbors at or above its own
+// level (0: no information). remove() recounts only the level-K nodes
+// whose count falls below K, and a node whose exact count is below K
+// falls to the tail of level K-1, taking one count from each neighbor
+// still at K. The counts stay lower bounds across insertions: a raise or
+// a new edge only adds support, and the risen nodes start over at 0.
+//
+// A caller that relaxes downward by itself (the multi-worker live repair
+// and core::DynamicKCore) notes its removals with note_remove() instead
+// and hands the converged levels to settle(), which moves the nodes that
+// dropped to the tails of their new levels and forgets every count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -96,7 +111,8 @@ class OrderList {
 };
 
 /// A valid k-order over a MutableGraph, kept valid across insertions
-/// (insert), removals (note_remove + settle) and new nodes (add_node).
+/// (insert), removals (remove, or note_remove + settle) and new nodes
+/// (add_node).
 /// Single-threaded; the owner mutates the graph and calls in here.
 class CoreOrder {
  public:
@@ -115,7 +131,8 @@ class CoreOrder {
   /// along `order`, and every node u has
   ///  (b) at most levels[u] neighbors later in `order` (its deg+), and
   ///  (a) at least levels[u] neighbors v with levels[v] >= levels[u].
-  /// (a) puts each node in the levels[u]-core, so levels <= coreness.
+  /// (a) puts each node in the levels[u]-core, so levels <= coreness;
+  /// its count is kept as the node's support count.
   /// Under (b) the first node of the k-core in `order` has at least k
   /// later neighbors, so its level, and every level after it, is >= k:
   /// levels >= coreness. Returns the node and the check that failed, or
@@ -134,6 +151,13 @@ class CoreOrder {
   /// K+1 in the order; the caller stores K+1 in its own table.
   const std::vector<graph::NodeId>& insert(graph::NodeId u, graph::NodeId v);
 
+  /// The edge {u,v} was just removed from the graph and every level is
+  /// still exact for the graph before it. Returns the falling set: the
+  /// nodes whose coreness falls from K = min(level(u), level(v)) to K-1.
+  /// They are already at the tail of level K-1 in the order; the caller
+  /// stores K-1 in its own table. Not between note_remove() and settle().
+  const std::vector<graph::NodeId>& remove(graph::NodeId u, graph::NodeId v);
+
   /// The edge {u,v} was just removed from the graph: the earlier
   /// endpoint loses a later neighbor. Levels become upper bounds until
   /// settle().
@@ -141,13 +165,16 @@ class CoreOrder {
 
   /// Adopt the converged levels after the downward relaxation that
   /// followed the removals: `level_of(x)` is x's exact coreness, never
-  /// above level(x). Finds the dropped nodes with one O(n) scan and moves
-  /// them to the tails of their new levels; a no-op when no removal was
-  /// noted since the last settle().
+  /// above level(x). Finds the dropped nodes with one O(n) scan, moves
+  /// them to the tails of their new levels and returns how many there
+  /// were. The drops did not update their neighbors' support counts, so
+  /// every count is forgotten (0). A no-op returning 0 when no removal
+  /// was noted since the last settle().
   template <typename LevelOf>
-  void settle(const LevelOf& level_of) {
-    if (!unsettled_) return;
+  std::size_t settle(const LevelOf& level_of) {
+    if (!unsettled_) return 0;
     unsettled_ = false;
+    std::fill(count_.begin(), count_.end(), 0);
     dropped_.clear();
     const auto n = static_cast<graph::NodeId>(level_.size());
     for (graph::NodeId x = 0; x < n; ++x) {
@@ -158,6 +185,7 @@ class CoreOrder {
       if (k < level_[x]) dropped_.emplace_back(x, k);
     }
     if (!dropped_.empty()) place_dropped();
+    return dropped_.size();
   }
 
   /// The graph just gained an isolated node: it joins level 0 at the tail.
@@ -169,6 +197,11 @@ class CoreOrder {
   [[nodiscard]] graph::NodeId deg_plus(graph::NodeId x) const {
     return deg_plus_[x];
   }
+  /// x's support count: a lower bound on its neighbors at or above its
+  /// level, 0 for no information.
+  [[nodiscard]] graph::NodeId count(graph::NodeId x) const {
+    return count_[x];
+  }
   /// Whether x comes before y in the order.
   [[nodiscard]] bool before(graph::NodeId x, graph::NodeId y) const {
     return level_[x] != level_[y] ? level_[x] < level_[y]
@@ -176,7 +209,8 @@ class CoreOrder {
   }
   /// The per-level lists (list k holds level k in order).
   [[nodiscard]] const OrderList& lists() const noexcept { return lists_; }
-  /// Nodes the last insert() visited (its heap pops).
+  /// Nodes the last insert() visited (its heap pops), or whose neighbors
+  /// the last remove() read (its recounts and falls).
   [[nodiscard]] std::uint64_t visited() const noexcept { return visited_; }
 
  private:
@@ -188,9 +222,14 @@ class CoreOrder {
     kCandidate,  // insert(): may rise
     kEvicting,   // insert(): left the candidates, not yet placed
     kDropped,    // settle(): dropped and not yet placed
+    kCounted,    // remove(): count recounted, exact for this pass
+    kFalling,    // remove(): falls to K-1
   };
 
   void push(graph::NodeId x);
+  /// remove(): x is at level K; queue it to fall unless its count, made
+  /// exact first, is at least K.
+  void check(graph::NodeId x, graph::NodeId K);
   /// A visited node stays at level K: credit it its candidates, then
   /// evict every candidate that can no longer rise, placing each after
   /// `w` in eviction order.
@@ -200,6 +239,7 @@ class CoreOrder {
   const graph::MutableGraph& graph_;
   std::vector<graph::NodeId> level_;
   std::vector<graph::NodeId> deg_plus_;
+  std::vector<graph::NodeId> count_;  // support counts (lower bounds)
   OrderList lists_;
   bool unsettled_ = false;
 
@@ -207,10 +247,11 @@ class CoreOrder {
   std::vector<graph::NodeId> deg_star_;  // candidate neighbors before x
   std::vector<State> state_;
   std::vector<std::pair<std::uint64_t, graph::NodeId>> heap_;  // (label, x)
-  std::vector<graph::NodeId> popped_;
+  std::vector<graph::NodeId> popped_;  // insert(): pops; remove(): recounts
   std::vector<graph::NodeId> evicting_;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> moves_;  // (after, x)
   std::vector<graph::NodeId> rising_;
+  std::vector<graph::NodeId> falling_;
   std::vector<std::pair<graph::NodeId, graph::NodeId>> dropped_;  // (x, k)
   std::uint64_t visited_ = 0;
 };

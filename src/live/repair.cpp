@@ -56,9 +56,6 @@ std::optional<std::string> RepairEngine::warm_start(
   for (NodeId u = 0; u < n; ++u) {
     tables_.est[u].store(coreness[u], std::memory_order_relaxed);
   }
-  // Supports counted against the old table may overstate the adopted
-  // one: restart from the trivial bound.
-  if (tables_.one_worker) tables_.one_worker->counts.forget_support();
   if (!order.empty()) return order_.adopt(coreness, order);
   order_.build();
   if (const std::optional<NodeId> bad = first_mismatch()) {
@@ -79,26 +76,37 @@ std::optional<NodeId> RepairEngine::first_mismatch() const {
 
 void RepairEngine::note_insert(NodeId u, NodeId v) {
   const auto& rising = order_.insert(u, v);
+  noted_.raised += rising.size();
+  noted_.region_visited += order_.visited();
+  // The new coreness K+1. At one worker the table is exact again; on the
+  // pool it restores Theorem 2 safety for the downward relaxation.
   for (const NodeId w : rising) {
-    // The new coreness K+1; restores Theorem 2 safety so the downward
-    // relaxation below is exact again.
     tables_.est[w].store(order_.level(w), std::memory_order_relaxed);
-    mark_pending(w);
   }
-  raised_pending_ += rising.size();
-  visited_pending_ += order_.visited();
+  if (tables_.one_worker) return;
+  for (const NodeId w : rising) mark_pending(w);
   mark_pending(u);
   mark_pending(v);
 }
 
 void RepairEngine::note_remove(NodeId u, NodeId v) {
+  if (tables_.one_worker) {
+    const auto& falling = order_.remove(u, v);
+    noted_.dropped += falling.size();
+    noted_.removal_visited += order_.visited();
+    for (const NodeId w : falling) {
+      tables_.est[w].store(order_.level(w), std::memory_order_relaxed);
+    }
+    return;
+  }
   order_.note_remove(u, v);
   mark_pending(u);
   mark_pending(v);
 }
 
 RepairStats RepairEngine::repair() {
-  RepairStats stats;
+  RepairStats stats = noted_;
+  noted_ = {};
   if (pending_.empty()) return stats;
   const auto start = Clock::now();
 
@@ -110,11 +118,7 @@ RepairStats RepairEngine::repair() {
     tables_.seed(u, static_cast<unsigned>(i) % workers, estimate(u));
   }
   stats.seeded = pending_.size();
-  stats.raised = raised_pending_;
-  stats.region_visited = visited_pending_;
   pending_.clear();
-  raised_pending_ = 0;
-  visited_pending_ = 0;
 
   const par::AsyncStats run =
       par::relax(graph_, tables_, options_.targeted_send, nullptr);
@@ -123,7 +127,7 @@ RepairStats RepairEngine::repair() {
   stats.pop_scans = run.pop_scans;
   stats.detector_passes = run.detector_passes;
   stats.skipped_recomputes = run.skipped_recomputes;
-  order_.settle([this](NodeId x) { return estimate(x); });
+  stats.dropped += order_.settle([this](NodeId x) { return estimate(x); });
   stats.repair_ms = util::ms_between(start, Clock::now());
   return stats;
 }

@@ -1,31 +1,33 @@
-// Incremental coreness repair on the async runtime.
+// Incremental coreness repair over a LiveGraph.
 //
 // The paper's locality claim, executed as a service primitive: the
-// engine keeps a persistent shared atomic estimate table over a
-// LiveGraph and, after each topology change, re-establishes the exact
-// fixed point by chaotic relaxation seeded ONLY with the perturbed
-// region — not the whole graph. The relaxation is par::relax
-// (par/relax.h), the same kernel the bsp-async engine runs, started from
-// a warm table instead of the degrees. Next to the table the engine
-// keeps a k-order, core::CoreOrder (core/core_order.h, shared with
-// core::DynamicKCore), which finds each insertion's rising set.
+// engine keeps an exact coreness table over a LiveGraph and, after each
+// topology change, re-establishes it by touching only the perturbed
+// region — not the whole graph. initialize() converges the table from
+// the degrees with par::relax (par/relax.h), the same kernel the
+// bsp-async engine runs. Next to the table the engine keeps a k-order,
+// core::CoreOrder (core/core_order.h, shared with core::DynamicKCore),
+// which finds each insertion's rising set.
 //
-// Why warm-starting is exact (core/dynamic.h has the full argument):
-//  * a DELETION only lowers coreness, so the converged table is still a
-//    safe upper bound — re-activating the two endpoints and relaxing
-//    downward restores exactness (Theorem 2 applies verbatim); the
-//    k-order then moves the nodes that dropped (CoreOrder::settle);
-//  * an INSERTION may under-estimate, so before seeding, the rising set
-//    V* (the nodes whose coreness goes from K = min(est(u), est(v)) to
-//    K+1) is raised to K+1, after which downward relaxation is again
-//    exact. The k-order finds V* visiting only the nodes of level K
-//    after the earlier endpoint that gained a candidate neighbor, not the
-//    whole K-subcore. Raises are computed one edge at a time against
-//    exact estimates, which keeps them exact in turn.
-// At one worker the kernel's neighbour-estimate histograms (par/relax.h)
-// are rebuilt every run; the support counters beside them carry over
-// between repairs: a raise only adds support, and every node whose
-// edges changed is seeded and recounts. warm_start() forgets them.
+// Every edge is noted right after it is applied, against a table that is
+// exact for the graph before it:
+//  * an INSERTION may raise coreness: the rising set V* (the nodes whose
+//    coreness goes from K = min(est(u), est(v)) to K+1) is raised to K+1.
+//    The k-order finds V* visiting only the nodes of level K after the
+//    earlier endpoint that gained a candidate neighbor, not the whole
+//    K-subcore;
+//  * a DELETION may lower coreness. How depends on the worker count:
+//     - at one worker the k-order finds the falling set the same way
+//       (CoreOrder::remove: only the level-K nodes whose support count
+//       falls below K are recounted), and lowers it to K-1. The table is
+//       exact after every note, so repair() has nothing left to do;
+//     - on the pool (two or more workers) the table is a safe upper bound
+//       after a deletion: the endpoints are seeded, repair() relaxes
+//       downward from them and the raised sets (Theorem 2 applies
+//       verbatim; core/dynamic.h has the full argument), and the k-order
+//       then moves the nodes that dropped (CoreOrder::settle). This
+//       route, run at two workers, is the oracle the one-worker route is
+//       tested against.
 //
 // Thread contract: initialize(), warm_start(), note_insert(),
 // note_remove() and repair() are called by ONE writer thread; repair()
@@ -59,7 +61,8 @@ struct RepairOptions {
 /// Cost of one repair run (or of initialize()'s full convergence).
 struct RepairStats {
   /// Nodes seeded into the worklist (endpoints + raised rising sets) —
-  /// the localized dirty set the run started from.
+  /// the localized dirty set the run started from. 0 at one worker
+  /// after initialize(): the notes leave nothing to relax.
   std::uint64_t seeded = 0;
   /// Estimates lifted by the insertion safety rule (rising-set size
   /// summed over the batch's insertions).
@@ -67,6 +70,14 @@ struct RepairStats {
   /// Nodes the insertion passes visited (CoreOrder::insert's heap pops,
   /// summed over the batch's insertions).
   std::uint64_t region_visited = 0;
+  /// Fallen nodes. At one worker, the falling-set sizes summed over the
+  /// batch's deletions (a node that falls twice counts twice); on the
+  /// pool, the nodes whose level the batch lowered (CoreOrder::settle).
+  std::uint64_t dropped = 0;
+  /// Nodes whose neighbors the removal passes read (CoreOrder::remove's
+  /// recounts and falls, summed over the batch's deletions); 0 on the
+  /// pool.
+  std::uint64_t removal_visited = 0;
   std::uint64_t relaxations = 0;
   std::uint64_t steals = 0;
   std::uint64_t pop_scans = 0;
@@ -103,18 +114,22 @@ class RepairEngine {
       std::span<const graph::NodeId> order = {});
 
   /// Record an insertion of {u,v} that was ALREADY applied to the graph:
-  /// raises the rising set (CoreOrder::insert) and marks it dirty. Must
-  /// run between repairs, before any note_remove() of the same batch
-  /// (the table is exact when it executes).
+  /// raises the rising set (CoreOrder::insert); on the pool it also
+  /// marks the set and the endpoints dirty. Must run between repairs,
+  /// before any note_remove() of the same batch (the table is exact when
+  /// it executes).
   void note_insert(graph::NodeId u, graph::NodeId v);
 
-  /// Record a deletion of {u,v} already applied to the graph: the table
-  /// is now a safe upper bound; only the endpoints need re-activation.
+  /// Record a deletion of {u,v} already applied to the graph. At one
+  /// worker it lowers the falling set (CoreOrder::remove) and the table
+  /// stays exact; on the pool the table is now a safe upper bound and
+  /// only the endpoints need re-activation.
   void note_remove(graph::NodeId u, graph::NodeId v);
 
   /// Relax the pending dirty set to quiescence, then settle the k-order;
-  /// returns the run's cost and clears the pending set. A no-op (all-zero
-  /// stats) when nothing is pending.
+  /// returns the cost of the notes since the last repair and of the run,
+  /// and clears the pending set. Relaxes nothing when nothing is pending,
+  /// as at one worker after initialize().
   RepairStats repair();
 
   [[nodiscard]] unsigned workers() const noexcept {
@@ -141,8 +156,7 @@ class RepairEngine {
   par::AsyncRunContext tables_;  // kept warm across repairs
   std::vector<graph::NodeId> pending_;   // dirty set for the next repair
   std::vector<std::uint8_t> in_pending_;
-  std::uint64_t raised_pending_ = 0;
-  std::uint64_t visited_pending_ = 0;
+  RepairStats noted_;  // the notes' counts since the last repair()
   core::CoreOrder order_{graph_};
 };
 

@@ -224,6 +224,8 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
     const ApplyResult r = service->apply(tail);
     service->replaying_ = false;
     ri.replay_relaxations = r.repair.relaxations;
+    ri.replay_dropped = r.repair.dropped;
+    ri.replay_visited = r.repair.region_visited + r.repair.removal_visited;
   }
   service->batches_since_checkpoint_ = ri.replayed_batches;
   if (durability.checkpoint_every > 0 &&
@@ -245,6 +247,7 @@ void Service::setup_metrics() {
   c_seeded_ = registry_->counter("live.seeded_nodes");
   c_raised_ = registry_->counter("live.raised_nodes");
   c_region_visited_ = registry_->counter("live.region_visited");
+  c_dropped_ = registry_->counter("live.dropped_nodes");
   c_rejected_ = registry_->counter("live.rejected_updates");
   c_wal_batches_ = registry_->counter("live.wal_batches");
   c_wal_bytes_ = registry_->counter("live.wal_bytes");
@@ -383,6 +386,7 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
     registry_->add(c_raised_, kWriterSlot, result.repair.raised);
     registry_->add(c_region_visited_, kWriterSlot,
                    result.repair.region_visited);
+    registry_->add(c_dropped_, kWriterSlot, result.repair.dropped);
     registry_->add(c_rejected_, kWriterSlot, result.rejected_updates);
     if (result.wal_bytes > 0) {
       registry_->add(c_wal_batches_, kWriterSlot, 1);

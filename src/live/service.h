@@ -59,18 +59,22 @@
 //    churn within one batch are IGNORED (only the net effect is applied);
 //  * net insertions are applied before net deletions, each insertion
 //    raising its rising set, which the k-order finds (core::CoreOrder;
-//    see live/repair.h), then one relaxation run re-converges the whole
-//    batch and the k-order settles the nodes that dropped.
+//    see live/repair.h). At one worker each deletion lowers its falling
+//    set, which the k-order finds too, and the table is exact after
+//    every edge; on the pool one relaxation run re-converges the
+//    deletions and the k-order settles the nodes that dropped.
 //
 // Metric glossary (enabled via ServiceOptions::metrics; all counters are
 // exposed through metrics() and must equal the sums over the returned
 // ApplyResults — the parity test pins this):
 //   live.repairs               repair runs that actually relaxed something
+//                              (at one worker only the constructor's)
 //   live.epoch_publishes       final snapshots published (applies + 1)
 //   live.relaxations           vertex recomputations across all repairs
 //   live.seeded_nodes          nodes seeded dirty (localized region size)
 //   live.raised_nodes          estimates raised by the insertion rule
 //   live.region_visited        nodes the insertion passes visited
+//   live.dropped_nodes         nodes whose estimate the deletions lowered
 //   live.rejected_updates      out-of-range updates dropped
 //   live.wal_batches           batch records appended to the WAL
 //   live.wal_bytes             bytes appended to the WAL
@@ -132,9 +136,13 @@ struct RecoveryInfo {
   std::uint64_t recovered_epoch = 0;  // last epoch published after replay
   std::uint64_t replayed_batches = 0;  // WAL records in the replayed tail
   std::uint64_t skipped_duplicate_batches = 0;
-  /// The warm-restart cost: relaxations of the ONE repair that applies
-  /// the whole tail's net effect.
+  /// The warm-restart cost of the ONE apply that replays the whole
+  /// tail's net effect: its relaxations (0 at one worker, where the
+  /// k-order repairs each edge), and the nodes it dropped and its
+  /// insertion and removal passes visited (RepairStats).
   std::uint64_t replay_relaxations = 0;
+  std::uint64_t replay_dropped = 0;
+  std::uint64_t replay_visited = 0;
   std::uint64_t torn_bytes_truncated = 0;
   std::vector<std::string> rejected_checkpoints;  // diagnostics
   /// True when the warm start checked the table with the checkpoint's
@@ -304,6 +312,7 @@ class Service {
   obs::Counter c_seeded_;
   obs::Counter c_raised_;
   obs::Counter c_region_visited_;
+  obs::Counter c_dropped_;
   obs::Counter c_rejected_;
   obs::Counter c_wal_batches_;
   obs::Counter c_wal_bytes_;

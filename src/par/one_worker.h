@@ -116,8 +116,7 @@ class BucketStacks {
 /// its own estimate k:
 ///  * its SUPPORT, a lower bound on the neighbours at or above k, 0 for
 ///    no information, and exact once the vertex has relaxed in the
-///    current run. It carries over from run to run (par/relax.h says why
-///    that stays sound).
+///    current run (par/relax.h says when a run may start from it).
 ///  * its HISTOGRAM, made at its first relaxation in a run: slot j < k
 ///    counts the neighbours whose estimate is j. Estimates only fall
 ///    within a run, so it never needs to grow. All histograms live in
@@ -145,11 +144,6 @@ class NeighbourCounts {
     for (const graph::NodeId u : owners_) node_[u].at = kNone;
     owners_.clear();
     arena_.clear();
-  }
-
-  /// Forget every support, for a table adopted from elsewhere.
-  void forget_support() {
-    for (Node& node : node_) node.support = 0;
   }
 
   [[nodiscard]] graph::NodeId& support(graph::NodeId u) {

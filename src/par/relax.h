@@ -58,12 +58,13 @@
 //    `refined`, so it stops after the last of them. On node orders with
 //    locality (an edge list numbered in order of first appearance) the
 //    high-estimate neighbors of a hub come early in its list.
-//  * Histograms start empty every run: a live repair's raises and edge
-//    changes never meet a stale one. Supports carry over between runs.
-//    A raise only adds to a neighbor's count, an edge change seeds both
-//    endpoints, and every vertex whose estimate was reset is seeded, so
-//    the invariant holds at the start of every run. A table adopted from
-//    elsewhere (live::RepairEngine::warm_start) zeroes them.
+//  * Histograms start empty every run. Supports stay in the context,
+//    but only a vertex that is not seeded relies on its own: a fresh
+//    context starts at 0, and a static run (par/async_engine.cpp) seeds
+//    every vertex, so a reused context's stale supports only filter
+//    wakes to vertices that are queued already. The live service runs
+//    one-worker relaxation only in RepairEngine::initialize(), which
+//    seeds every vertex too.
 // The counts need the relaxations serialized: with two workers v can
 // relax against a stale est[u] (counting u at its old level) while u
 // reads a stale est[v] and skips the update, so v's counts overstate.
@@ -451,8 +452,8 @@ static AsyncStats relax_pool(const Adjacency& g, AsyncRunContext& tables,
 /// `tables.est` must hold a safe upper bound of every coreness, and every
 /// vertex whose estimate may be above its computeIndex must be seeded.
 /// At one worker the context's supports must keep the invariant in the
-/// block comment for every vertex that is not seeded (all zero always
-/// does: NeighbourCounts::forget_support).
+/// block comment for every vertex that is not seeded (a fresh context's
+/// zeros always do).
 /// With a non-null `recorder` the async.* counters, histograms and relax
 /// spans are recorded into it; a null one turns every hook off. On the
 /// pool path the first exception a worker throws stops the pool and is

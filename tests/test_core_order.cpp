@@ -1,15 +1,18 @@
 // core::CoreOrder, the k-order behind both incremental paths.
 //
-//  * validity — after every insert(), every note_remove() + settle()
-//    batch and every add_node(), the order is a valid k-order of the
-//    current graph: levels equal bz coreness, each level's labels
-//    increase along its list, the stored deg+ equals a recount of the
-//    neighbors later in the order, and deg+ <= level. Rmat, G(n,m), BA
-//    and cliques-plus-paths graphs, including removal batches that drop
-//    a node two or more levels;
+//  * validity — after every insert(), every remove(), every
+//    note_remove() + settle() batch and every add_node(), the order is a
+//    valid k-order of the current graph: levels equal bz coreness, each
+//    level's labels increase along its list, the stored deg+ equals a
+//    recount of the neighbors later in the order, and deg+ <= level.
+//    Rmat, G(n,m), BA and cliques-plus-paths graphs, including removal
+//    batches that drop a node two or more levels;
 //  * build() lays out seq::degeneracy_order, the one bucket peel's
 //    removal order, with deg+ counted against it;
-//  * insert() returns exactly the nodes whose coreness rises;
+//  * insert() returns exactly the nodes whose coreness rises, and
+//    remove() exactly the nodes whose coreness falls; after every
+//    remove() the copied order passes adopt()'s certificate and every
+//    support count stays a lower bound;
 //  * the label list survives an adversarial run of insertions into one
 //    gap with amortized logarithmic relabelling;
 //  * complexity — the insertion pass stays local on the profiles where
@@ -278,6 +281,171 @@ TEST(CoreOrder, AdoptTakesBackAMaintainedOrder) {
       ASSERT_EQ(adopted.insert(u, v), a) << family.name;
     }
     ASSERT_NO_FATAL_FAILURE(expect_valid(adopted, g, family.name));
+  }
+}
+
+/// Every stored support count is a lower bound: at most the node's
+/// neighbors at or above its level.
+void expect_counts_bounded(const CoreOrder& order, const MutableGraph& g,
+                           const std::string& context) {
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    NodeId above = 0;
+    for (const NodeId w : g.neighbors(v)) {
+      above += order.level(w) >= order.level(v) ? 1 : 0;
+    }
+    ASSERT_LE(order.count(v), above) << context << ": count of " << v;
+  }
+}
+
+/// The order, copied out, passes a fresh CoreOrder::adopt certificate.
+void expect_certified(const CoreOrder& order, const MutableGraph& g,
+                      const std::string& context) {
+  std::vector<NodeId> stored;
+  order.copy_order(stored);
+  CoreOrder fresh(g);
+  const auto failed = fresh.adopt(levels_of(order, g.num_nodes()), stored);
+  ASSERT_FALSE(failed.has_value()) << context << ": " << *failed;
+}
+
+/// Remove the edge {u,v} from `g` and the order, and check the falling
+/// set, the order and the counts against a fresh bz decomposition.
+void remove_and_check(CoreOrder& order, MutableGraph& g, NodeId u, NodeId v,
+                      const std::string& context) {
+  const std::vector<NodeId> before = levels_of(order, g.num_nodes());
+  ASSERT_TRUE(g.apply({EdgeOp::kRemove, u, v})) << context;
+  std::vector<NodeId> falling = order.remove(u, v);
+  const std::vector<NodeId> after = seq::coreness_bz(g.snapshot());
+  std::vector<NodeId> fell;
+  for (NodeId w = 0; w < g.num_nodes(); ++w) {
+    if (after[w] < before[w]) {
+      ASSERT_EQ(after[w] + 1, before[w]) << context << ": node " << w;
+      fell.push_back(w);
+    }
+  }
+  std::sort(falling.begin(), falling.end());
+  ASSERT_EQ(falling, fell) << context;
+  ASSERT_NO_FATAL_FAILURE(expect_valid(order, g, context));
+  ASSERT_NO_FATAL_FAILURE(expect_certified(order, g, context));
+  ASSERT_NO_FATAL_FAILURE(expect_counts_bounded(order, g, context));
+}
+
+/// A random edge of `g`; g must have one.
+graph::Edge random_edge(const MutableGraph& g, util::Xoshiro256& rng) {
+  for (;;) {
+    const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    if (g.degree(u) == 0) continue;
+    return {u, g.neighbors(u)[rng.next_below(g.degree(u))]};
+  }
+}
+
+Graph small_union(std::uint64_t seed) {
+  const std::array<Graph, 5> parts{
+      gen::clique(6), gen::star(20), gen::chain(25),
+      gen::erdos_renyi_gnm(60, 150, seed), Graph::from_edges(3, {})};
+  return gen::disjoint_union(parts);
+}
+
+TEST(CoreOrder, RemoveKeepsExactLevelsACertifiedOrderAndBoundedCounts) {
+  // Seeded runs of insert() and remove() on several families; after
+  // every remove() the falling set is exactly the nodes whose coreness
+  // fell, the levels are the bz coreness, the copied order passes a
+  // fresh certificate, and every count stays a lower bound. Odd seeds
+  // start from adopt(), whose counts are exact; even ones from build(),
+  // whose counts are 0. The clique is torn down edge by edge.
+  struct RemoveFamily {
+    const char* name;
+    Graph (*make)(std::uint64_t seed);
+    double insert_fraction;
+  };
+  const std::array<RemoveFamily, 6> families{{
+      {"ba", [](std::uint64_t seed) { return gen::barabasi_albert(150, 4, seed); }, 0.4},
+      {"er", [](std::uint64_t seed) { return gen::erdos_renyi_gnm(200, 700, seed); }, 0.4},
+      {"star", [](std::uint64_t) { return gen::star(60); }, 0.5},
+      {"path", [](std::uint64_t) { return gen::chain(80); }, 0.5},
+      {"clique teardown", [](std::uint64_t) { return gen::clique(20); }, 0.0},
+      {"union", small_union, 0.4},
+  }};
+  std::uint64_t fallen = 0;
+  for (const RemoveFamily& family : families) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      MutableGraph g(family.make(seed));
+      CoreOrder order(g);
+      order.build();
+      if (seed % 2 == 1) {
+        std::vector<NodeId> stored;
+        order.copy_order(stored);
+        ASSERT_FALSE(order.adopt(levels_of(order, g.num_nodes()), stored)
+                         .has_value());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          NodeId above = 0;
+          for (const NodeId w : g.neighbors(v)) {
+            above += order.level(w) >= order.level(v) ? 1 : 0;
+          }
+          ASSERT_EQ(order.count(v), above) << family.name << ": adopt";
+        }
+      }
+      util::Xoshiro256 rng(seed * 131 + 7);
+      for (int step = 0; g.num_edges() > 0 && step < 400; ++step) {
+        const std::string context = std::string(family.name) + " seed " +
+                                    std::to_string(seed) + " step " +
+                                    std::to_string(step);
+        if (rng.next_bool(family.insert_fraction)) {
+          const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+          const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+          if (g.apply({EdgeOp::kInsert, u, v})) (void)order.insert(u, v);
+          continue;
+        }
+        const graph::Edge e = random_edge(g, rng);
+        const NodeId before = order.level(e.u) + order.level(e.v);
+        ASSERT_NO_FATAL_FAILURE(remove_and_check(order, g, e.u, e.v, context));
+        fallen += before - (order.level(e.u) + order.level(e.v));
+      }
+      if (family.insert_fraction == 0.0) {
+        EXPECT_EQ(g.num_edges(), 0U) << family.name;
+      }
+    }
+  }
+  EXPECT_GT(fallen, 0U);
+}
+
+TEST(CoreOrder, RemoveAndSettleInterleaveOnOneOrder) {
+  // The two removal routes on one order: batches alternate between
+  // note_remove() + settle() with the exact levels and remove() edge by
+  // edge, with insertions in between. settle() forgets every count, so
+  // remove() after it recounts from nothing.
+  for (const Family& family : kFamilies) {
+    MutableGraph g(family.make(17));
+    CoreOrder order(g);
+    order.build();
+    util::Xoshiro256 rng(61);
+    for (int batch = 0; batch < 30; ++batch) {
+      const std::string context =
+          std::string(family.name) + " batch " + std::to_string(batch);
+      for (int i = 0; i < 4; ++i) {
+        const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        if (g.apply({EdgeOp::kInsert, u, v})) (void)order.insert(u, v);
+      }
+      if (batch % 2 == 0) {
+        for (int i = 0; i < 6; ++i) {
+          const graph::Edge e = random_edge(g, rng);
+          g.apply({EdgeOp::kRemove, e.u, e.v});
+          order.note_remove(e.u, e.v);
+        }
+        const std::vector<NodeId> truth = seq::coreness_bz(g.snapshot());
+        order.settle([&truth](NodeId x) { return truth[x]; });
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(order.count(v), 0U) << context << ": count of " << v;
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_valid(order, g, context + " settle"));
+        continue;
+      }
+      for (int i = 0; i < 6; ++i) {
+        const graph::Edge e = random_edge(g, rng);
+        ASSERT_NO_FATAL_FAILURE(
+            remove_and_check(order, g, e.u, e.v, context + " remove"));
+      }
+    }
   }
 }
 

@@ -179,14 +179,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
-  // The live half of the one-worker schedule pin: the relaxations a
-  // one-worker Service spends over a fixed seeded churn trace, summed
-  // over its batches. Recorded from the pool-backed kernel, whose
-  // support counters carried over between repairs; the histogram kernel
-  // rebuilds its histograms every run and must spend the same work.
-  // The insertion passes' visits and raises are pinned too: unlike the
-  // relaxations they depend on the k-order's initial layout, so they
-  // change if the bucket peel that lays it out changes its tie-breaks.
+  // The work a one-worker Service spends over a fixed seeded churn trace,
+  // summed over its batches. At one worker the k-order repairs every
+  // edge as it is noted (CoreOrder::insert raises, CoreOrder::remove
+  // lowers), so no relaxation runs after the constructor's. The
+  // insertion passes' visits and raises, the fallen nodes and the
+  // removal passes' visits are pinned as literals: they depend on the
+  // k-order's layout, which the bucket peel lays out and the falls
+  // rearrange, so a changed literal is a changed tie-break.
   const Graph g = gen::barabasi_albert(3000, 4, 21);
   for (const SchedPolicy sched : {SchedPolicy::kLifo, SchedPolicy::kBound}) {
     ServiceOptions options;
@@ -197,6 +197,8 @@ TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
     std::uint64_t relaxations = 0;
     std::uint64_t region_visited = 0;
     std::uint64_t raised = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t removal_visited = 0;
     for (int step = 0; step < 40; ++step) {
       std::vector<EdgeUpdate> batch;
       while (batch.size() < 128) {
@@ -215,10 +217,14 @@ TEST(LiveService, OneWorkerChurnRelaxationsArePinned) {
       relaxations += repair.relaxations;
       region_visited += repair.region_visited;
       raised += repair.raised;
+      dropped += repair.dropped;
+      removal_visited += repair.removal_visited;
     }
-    EXPECT_EQ(relaxations, 13983U) << core::to_string(sched);
-    EXPECT_EQ(region_visited, 9379U) << core::to_string(sched);
+    EXPECT_EQ(relaxations, 0U) << core::to_string(sched);
+    EXPECT_EQ(region_visited, 9333U) << core::to_string(sched);
     EXPECT_EQ(raised, 4166U) << core::to_string(sched);
+    EXPECT_EQ(dropped, 2750U) << core::to_string(sched);
+    EXPECT_EQ(removal_visited, 9021U) << core::to_string(sched);
     EXPECT_EQ(service.query()->coreness,
               seq::coreness_bz(service.graph().snapshot()));
   }
@@ -253,6 +259,66 @@ TEST(LiveService, ReplayMatchesDynamicKCoreOnTheSameLog) {
     ASSERT_EQ(service.graph().edges(), simulator.graph().edges())
         << "batch " << b;
   }
+}
+
+TEST(LiveService, OneWorkerOrderRepairMatchesThePoolRelaxation) {
+  // The two repair routes on one removal-heavy log: the k-order's at one
+  // worker (CoreOrder::remove per edge) and the relaxation's on the pool
+  // (threads = 2: par::relax + CoreOrder::settle). Both tables equal each
+  // other and bz after every batch, and the one-worker service's
+  // checkpoint recovers through the stored order's certificate.
+  const Graph g = gen::barabasi_albert(400, 5, 29);
+  util::MemStorage fs;
+  DurabilityOptions durability;
+  durability.dir = "state";
+  durability.storage = &fs;
+  durability.checkpoint_every = 4;
+  ServiceOptions one;
+  one.threads = 1;
+  ServiceOptions two;
+  two.threads = 2;
+  Service by_order(g, one, durability);
+  Service by_relaxation(g, two);
+  ASSERT_EQ(by_order.workers(), 1U);
+  ASSERT_EQ(by_relaxation.workers(), 2U);
+  util::Xoshiro256 rng(31);
+  std::uint64_t dropped = 0;
+  std::uint64_t pool_relaxations = 0;
+  for (int b = 0; b < 26; ++b) {
+    std::vector<EdgeUpdate> batch;
+    while (batch.size() < 40) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      if (rng.next_bool(0.2)) {
+        const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+        batch.push_back({EdgeOp::kInsert, u, v});
+        continue;
+      }
+      const auto nbrs = by_order.graph().neighbors(u);
+      if (nbrs.empty()) continue;
+      batch.push_back({EdgeOp::kRemove, u, nbrs[rng.next_below(nbrs.size())]});
+    }
+    const ApplyResult r1 = by_order.apply(batch);
+    const ApplyResult r2 = by_relaxation.apply(batch);
+    EXPECT_EQ(r1.repair.relaxations, 0U) << "batch " << b;
+    dropped += r1.repair.dropped;
+    pool_relaxations += r2.repair.relaxations;
+    const auto truth = seq::coreness_bz(by_order.graph().snapshot());
+    ASSERT_EQ(by_order.query()->coreness, truth) << "batch " << b;
+    ASSERT_EQ(by_relaxation.query()->coreness, truth) << "batch " << b;
+    ASSERT_EQ(by_order.graph().edges(), by_relaxation.graph().edges())
+        << "batch " << b;
+  }
+  EXPECT_GT(dropped, 0U);
+  EXPECT_GT(pool_relaxations, 0U);
+  // Two batches past the last cadence checkpoint, so the recovery also
+  // replays a tail through the k-order.
+  const std::vector<NodeId> final_table = by_order.query()->coreness;
+  fs.crash();
+  RecoveryInfo info;
+  const auto recovered = Service::open(one, durability, &info);
+  EXPECT_TRUE(info.order_checked);
+  EXPECT_GT(info.replayed_batches, 0U);
+  EXPECT_EQ(recovered->query()->coreness, final_table);
 }
 
 // --- snapshot consistency under concurrent readers --------------------------
@@ -325,40 +391,58 @@ TEST(LiveService, ConcurrentReadersOnlySeeQuiescentEpochs) {
 // --- metrics parity ---------------------------------------------------------
 
 TEST(LiveService, MetricsMatchApplyResults) {
-  ServiceOptions options;
-  options.metrics = true;
-  Service service(gen::barabasi_albert(120, 3, 19), options);
-  ASSERT_TRUE(service.metrics_enabled());
-  util::Xoshiro256 rng(53);
-  std::uint64_t relaxations = service.initial_stats().relaxations;
-  std::uint64_t seeded = service.initial_stats().seeded;
-  std::uint64_t raised = 0;
-  std::uint64_t region_visited = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t repairs = 1;  // the initial convergence
-  const int applies = 8;
-  for (int b = 0; b < applies; ++b) {
-    auto batch = random_batch(rng, 120, 6);
-    batch.push_back({EdgeOp::kInsert, 0, 5000});  // rejected every time
-    const ApplyResult result = service.apply(batch);
-    relaxations += result.repair.relaxations;
-    seeded += result.repair.seeded;
-    raised += result.repair.raised;
-    region_visited += result.repair.region_visited;
-    rejected += result.rejected_updates;
-    if (result.repair.seeded > 0) ++repairs;
+  // Both repair routes: the k-order's at one worker, the relaxation's on
+  // the pool.
+  for (const unsigned threads : {1U, 2U}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ServiceOptions options;
+    options.metrics = true;
+    options.threads = threads;
+    Service service(gen::barabasi_albert(120, 3, 19), options);
+    ASSERT_TRUE(service.metrics_enabled());
+    util::Xoshiro256 rng(53);
+    std::uint64_t relaxations = service.initial_stats().relaxations;
+    std::uint64_t seeded = service.initial_stats().seeded;
+    std::uint64_t raised = 0;
+    std::uint64_t region_visited = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t repairs = 1;  // the initial convergence
+    const int applies = 8;
+    for (int b = 0; b < applies; ++b) {
+      auto batch = random_batch(rng, 120, 6);
+      batch.push_back({EdgeOp::kInsert, 0, 5000});  // rejected every time
+      for (int i = 0; i < 4; ++i) {  // present edges, so nodes drop
+        const auto u = static_cast<NodeId>(rng.next_below(120));
+        const auto nbrs = service.graph().neighbors(u);
+        if (!nbrs.empty()) {
+          batch.push_back(
+              {EdgeOp::kRemove, u, nbrs[rng.next_below(nbrs.size())]});
+        }
+      }
+      const ApplyResult result = service.apply(batch);
+      relaxations += result.repair.relaxations;
+      seeded += result.repair.seeded;
+      raised += result.repair.raised;
+      region_visited += result.repair.region_visited;
+      dropped += result.repair.dropped;
+      rejected += result.rejected_updates;
+      if (result.repair.seeded > 0) ++repairs;
+    }
+    const obs::MetricsSnapshot snapshot = service.metrics();
+    EXPECT_EQ(snapshot.value("live.epoch_publishes"),
+              static_cast<std::uint64_t>(applies) + 1);
+    EXPECT_EQ(snapshot.value("live.relaxations"), relaxations);
+    EXPECT_EQ(snapshot.value("live.seeded_nodes"), seeded);
+    EXPECT_EQ(snapshot.value("live.raised_nodes"), raised);
+    EXPECT_EQ(snapshot.value("live.region_visited"), region_visited);
+    EXPECT_GT(region_visited, 0U);
+    EXPECT_EQ(snapshot.value("live.dropped_nodes"), dropped);
+    EXPECT_GT(dropped, 0U);
+    EXPECT_EQ(snapshot.value("live.rejected_updates"), rejected);
+    EXPECT_EQ(snapshot.value("live.repairs"), repairs);
+    EXPECT_GT(rejected, 0U);
   }
-  const obs::MetricsSnapshot snapshot = service.metrics();
-  EXPECT_EQ(snapshot.value("live.epoch_publishes"),
-            static_cast<std::uint64_t>(applies) + 1);
-  EXPECT_EQ(snapshot.value("live.relaxations"), relaxations);
-  EXPECT_EQ(snapshot.value("live.seeded_nodes"), seeded);
-  EXPECT_EQ(snapshot.value("live.raised_nodes"), raised);
-  EXPECT_EQ(snapshot.value("live.region_visited"), region_visited);
-  EXPECT_GT(region_visited, 0U);
-  EXPECT_EQ(snapshot.value("live.rejected_updates"), rejected);
-  EXPECT_EQ(snapshot.value("live.repairs"), repairs);
-  EXPECT_GT(rejected, 0U);
 }
 
 TEST(LiveService, MetricsOffByDefault) {

@@ -1216,7 +1216,10 @@ TEST(Recovery, OneNetReplayPaysLessThanThePerBatchRepairs) {
   // A churn-burst-like excursion: each batch inserts a fresh set of
   // edges and removes the set the batch before inserted, so four batches
   // net out to one set in and one set out. The per-batch repairs pay for
-  // all eight sets; the one net repair pays for two.
+  // all eight sets; the one net repair pays for two. At one worker the
+  // k-order repairs every edge and nothing relaxes, so the work is the
+  // fallen nodes plus the insertion and removal passes' visits; on the
+  // pool it is the relaxations.
   const Graph base = gen::barabasi_albert(1500, 4, 3);
   util::Xoshiro256 rng(17);
   const std::vector<graph::Edge> pool = absent_edges(base, 5 * 96, rng);
@@ -1225,32 +1228,54 @@ TEST(Recovery, OneNetReplayPaysLessThanThePerBatchRepairs) {
                                     pool.begin() + static_cast<std::ptrdiff_t>(96 * (i + 1)));
   };
 
-  util::MemStorage fs;
-  DurabilityOptions durability = mem_durability(fs);
-  durability.checkpoint_every = 1000;
-  std::uint64_t per_batch_relaxations = 0;
-  std::vector<NodeId> before;
-  {
-    Service service(base, fast_options(), durability);
-    service.apply(updates_of(EdgeOp::kInsert, set(0)));
-    service.checkpoint();
-    for (std::size_t b = 1; b <= 4; ++b) {
-      std::vector<EdgeUpdate> batch = updates_of(EdgeOp::kInsert, set(b));
-      for (const EdgeUpdate& u : updates_of(EdgeOp::kRemove, set(b - 1))) {
-        batch.push_back(u);
+  for (const unsigned threads : {1U, 2U}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ServiceOptions options;
+    options.threads = threads;
+    const auto work = [threads](const RepairStats& r) {
+      return threads == 1
+                 ? r.dropped + r.region_visited + r.removal_visited
+                 : r.relaxations;
+    };
+    util::MemStorage fs;
+    DurabilityOptions durability = mem_durability(fs);
+    durability.checkpoint_every = 1000;
+    std::uint64_t per_batch_work = 0;
+    std::uint64_t per_batch_relaxations = 0;
+    std::vector<NodeId> before;
+    {
+      Service service(base, options, durability);
+      service.apply(updates_of(EdgeOp::kInsert, set(0)));
+      service.checkpoint();
+      for (std::size_t b = 1; b <= 4; ++b) {
+        std::vector<EdgeUpdate> batch = updates_of(EdgeOp::kInsert, set(b));
+        for (const EdgeUpdate& u : updates_of(EdgeOp::kRemove, set(b - 1))) {
+          batch.push_back(u);
+        }
+        const RepairStats repair = service.apply(batch).repair;
+        per_batch_work += work(repair);
+        per_batch_relaxations += repair.relaxations;
       }
-      per_batch_relaxations += service.apply(batch).repair.relaxations;
+      before = service.query()->coreness;
     }
-    before = service.query()->coreness;
-  }
-  fs.crash();
+    fs.crash();
 
-  RecoveryInfo info;
-  const auto recovered = Service::open(fast_options(), durability, &info);
-  EXPECT_EQ(info.replayed_batches, 4U);
-  EXPECT_EQ(recovered->query()->coreness, before);
-  EXPECT_GT(info.replay_relaxations, 0U);
-  EXPECT_LT(info.replay_relaxations, per_batch_relaxations);
+    RecoveryInfo info;
+    const auto recovered = Service::open(options, durability, &info);
+    EXPECT_EQ(info.replayed_batches, 4U);
+    EXPECT_EQ(recovered->query()->coreness, before);
+    if (threads == 1) {
+      EXPECT_EQ(per_batch_relaxations, 0U);
+      EXPECT_EQ(info.replay_relaxations, 0U);
+      const std::uint64_t replay_work =
+          info.replay_dropped + info.replay_visited;
+      EXPECT_GT(replay_work, 0U);
+      EXPECT_LT(replay_work, per_batch_work);
+    } else {
+      EXPECT_GT(info.replay_relaxations, 0U);
+      EXPECT_LT(info.replay_relaxations, per_batch_work);
+    }
+  }
 }
 
 }  // namespace
