@@ -93,7 +93,7 @@ struct Record {
   std::uint64_t full_relaxations = 0;
   double raised_mean = 0.0;  // rising-set nodes raised by insertions
   std::uint64_t raised_max = 0;
-  double dropped_mean = 0.0;  // falling-set nodes dropped by deletions
+  double dropped_mean = 0.0;  // levels the deletions lowered
   std::uint64_t dropped_max = 0;
   double visited_mean = 0.0;  // insertion + removal pass visits
   double full_ms = 0.0;

@@ -166,26 +166,32 @@ class CoreOrder {
   /// Adopt the converged levels after the downward relaxation that
   /// followed the removals: `level_of(x)` is x's exact coreness, never
   /// above level(x). Finds the dropped nodes with one O(n) scan, moves
-  /// them to the tails of their new levels and returns how many there
-  /// were. The drops did not update their neighbors' support counts, so
-  /// every count is forgotten (0). A no-op returning 0 when no removal
-  /// was noted since the last settle().
+  /// them to the tails of their new levels and returns the levels they
+  /// fell, summed: the total of remove()'s falling-set sizes over the
+  /// same removals, since each of those falls is one level. The drops did
+  /// not update their neighbors' support counts, so every count is
+  /// forgotten (0). A no-op returning 0 when no removal was noted since
+  /// the last settle().
   template <typename LevelOf>
   std::size_t settle(const LevelOf& level_of) {
     if (!unsettled_) return 0;
     unsettled_ = false;
     std::fill(count_.begin(), count_.end(), 0);
     dropped_.clear();
+    std::size_t levels_fallen = 0;
     const auto n = static_cast<graph::NodeId>(level_.size());
     for (graph::NodeId x = 0; x < n; ++x) {
       const graph::NodeId k = level_of(x);
       KCORE_CHECK_MSG(k <= level_[x], "settle: node " << x << " rose from "
                                                       << level_[x] << " to "
                                                       << k);
-      if (k < level_[x]) dropped_.emplace_back(x, k);
+      if (k < level_[x]) {
+        dropped_.emplace_back(x, k);
+        levels_fallen += level_[x] - k;
+      }
     }
     if (!dropped_.empty()) place_dropped();
-    return dropped_.size();
+    return levels_fallen;
   }
 
   /// The graph just gained an isolated node: it joins level 0 at the tail.

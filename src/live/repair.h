@@ -70,9 +70,11 @@ struct RepairStats {
   /// Nodes the insertion passes visited (CoreOrder::insert's heap pops,
   /// summed over the batch's insertions).
   std::uint64_t region_visited = 0;
-  /// Fallen nodes. At one worker, the falling-set sizes summed over the
-  /// batch's deletions (a node that falls twice counts twice); on the
-  /// pool, the nodes whose level the batch lowered (CoreOrder::settle).
+  /// Levels the batch's deletions lowered, summed over the nodes (a node
+  /// that falls from K to K-2 counts twice) — the mirror of `raised`.
+  /// At one worker the falling-set sizes summed over the deletions; on
+  /// the pool CoreOrder::settle's sum. Both routes give the same count
+  /// for the same batch.
   std::uint64_t dropped = 0;
   /// Nodes whose neighbors the removal passes read (CoreOrder::remove's
   /// recounts and falls, summed over the batch's deletions); 0 on the

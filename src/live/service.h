@@ -74,7 +74,8 @@
 //   live.seeded_nodes          nodes seeded dirty (localized region size)
 //   live.raised_nodes          estimates raised by the insertion rule
 //   live.region_visited        nodes the insertion passes visited
-//   live.dropped_nodes         nodes whose estimate the deletions lowered
+//   live.dropped_nodes         levels the deletions lowered, summed over
+//                              nodes (a fall of two levels counts twice)
 //   live.rejected_updates      out-of-range updates dropped
 //   live.wal_batches           batch records appended to the WAL
 //   live.wal_bytes             bytes appended to the WAL
@@ -138,7 +139,7 @@ struct RecoveryInfo {
   std::uint64_t skipped_duplicate_batches = 0;
   /// The warm-restart cost of the ONE apply that replays the whole
   /// tail's net effect: its relaxations (0 at one worker, where the
-  /// k-order repairs each edge), and the nodes it dropped and its
+  /// k-order repairs each edge), the levels it dropped and the nodes its
   /// insertion and removal passes visited (RepairStats).
   std::uint64_t replay_relaxations = 0;
   std::uint64_t replay_dropped = 0;

@@ -16,7 +16,8 @@
 //  * the label list survives an adversarial run of insertions into one
 //    gap with amortized logarithmic relabelling;
 //  * complexity — the insertion pass stays local on the profiles where
-//    the K-subcore search it replaced walked most of the graph.
+//    the K-subcore search it replaced walked most of the graph, and the
+//    removal pass visits a small fraction of the level it repairs.
 #include "core/core_order.h"
 
 #include <gtest/gtest.h>
@@ -577,13 +578,14 @@ TEST(OrderList, RelabelStressHundredThousandInsertionsAfterOneNode) {
 
 struct Probe {
   const char* profile;
-  double max_mean_visited;  // 1% / 10% of the old search's nodes per insert
+  double max_mean_visited;  // bound on the nodes a pass visits, on average
 };
 
 TEST(CoreOrder, InsertionPassStaysLocalOnTheProbeProfiles) {
   // Scale 1, seed 1, 100 uniform non-edge inserts, each repaired and
   // checked against bz. The K-subcore search visited 35,873 nodes per
-  // insert on amazon-like and 7,594 on slashdot-like for these inserts.
+  // insert on amazon-like and 7,594 on slashdot-like for these inserts;
+  // the bounds are 1% and 10% of that.
   for (const Probe& probe : {Probe{"amazon-like", 359.0},
                              Probe{"slashdot-like", 760.0}}) {
     const Graph base = eval::dataset_by_name(probe.profile).build(1.0, 1);
@@ -614,6 +616,50 @@ TEST(CoreOrder, InsertionPassStaysLocalOnTheProbeProfiles) {
     const double mean = static_cast<double>(visited) / kInserts;
     EXPECT_LE(mean, probe.max_mean_visited) << probe.profile;
     std::cout << probe.profile << ": " << mean << " nodes visited per insert\n";
+  }
+}
+
+TEST(CoreOrder, RemovalPassStaysLocalOnTheProbeProfiles) {
+  // Scale 1, seed 1, 100 uniform edge removals, each repaired at one
+  // worker (CoreOrder::remove) and checked against bz. A pass that
+  // recounted every node of level K = min(level(u), level(v)) would visit
+  // about 36,000 nodes per removal on amazon-like and 13,400 on
+  // slashdot-like; the support counts keep the pass to the endpoints and
+  // the nodes the falls reach (2.2 and 12.2 measured).
+  for (const Probe& probe : {Probe{"amazon-like", 5.0},
+                             Probe{"slashdot-like", 25.0}}) {
+    const Graph base = eval::dataset_by_name(probe.profile).build(1.0, 1);
+    MutableGraph g(base);
+    live::RepairEngine engine(
+        g, live::RepairOptions{1, SchedPolicy::kBound, true});
+    engine.initialize();
+    std::vector<NodeId> before = seq::coreness_bz(base);
+    util::Xoshiro256 rng(1);
+    std::uint64_t visited = 0;
+    constexpr int kRemovals = 100;
+    for (int removed = 0; removed < kRemovals;) {
+      const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto nbrs = g.neighbors(u);
+      if (nbrs.empty()) continue;
+      const NodeId v = nbrs[rng.next_below(nbrs.size())];
+      ASSERT_TRUE(g.apply({EdgeOp::kRemove, u, v}));
+      ++removed;
+      engine.note_remove(u, v);
+      const live::RepairStats stats = engine.repair();
+      const std::vector<NodeId> after = seq::coreness_bz(g.snapshot());
+      std::uint64_t fell = 0;
+      for (NodeId w = 0; w < g.num_nodes(); ++w) {
+        if (after[w] < before[w]) ++fell;
+      }
+      ASSERT_EQ(stats.dropped, fell) << probe.profile << " removal " << removed;
+      ASSERT_EQ(stats.relaxations, 0U) << probe.profile << " removal " << removed;
+      visited += stats.removal_visited;
+      before = after;
+    }
+    const double mean = static_cast<double>(visited) / kRemovals;
+    EXPECT_GT(visited, 0U) << probe.profile;
+    EXPECT_LE(mean, probe.max_mean_visited) << probe.profile;
+    std::cout << probe.profile << ": " << mean << " nodes visited per removal\n";
   }
 }
 

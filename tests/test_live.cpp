@@ -300,6 +300,9 @@ TEST(LiveService, OneWorkerOrderRepairMatchesThePoolRelaxation) {
     const ApplyResult r1 = by_order.apply(batch);
     const ApplyResult r2 = by_relaxation.apply(batch);
     EXPECT_EQ(r1.repair.relaxations, 0U) << "batch " << b;
+    // Both routes count the same rises and the same level drops.
+    EXPECT_EQ(r1.repair.raised, r2.repair.raised) << "batch " << b;
+    EXPECT_EQ(r1.repair.dropped, r2.repair.dropped) << "batch " << b;
     dropped += r1.repair.dropped;
     pool_relaxations += r2.repair.relaxations;
     const auto truth = seq::coreness_bz(by_order.graph().snapshot());
@@ -652,24 +655,43 @@ TEST(RepairEngine, RaisedRegionIsExactlyTheNodesThatRise) {
 
 TEST(LiveService, SingleEdgeRepairIsLocal) {
   // Two 30-cliques plus a long tendril: flipping the tendril's terminal
-  // edge must not re-relax the cliques or the rest of the chain — the
-  // K-subcore of a coreness-0/1 endpoint is a handful of nodes.
+  // edge must not touch the cliques or the rest of the chain — the
+  // K-subcore of a coreness-0/1 endpoint is a handful of nodes. At one
+  // worker the k-order repairs the edge (its fallen levels and pass
+  // visits are the work); on the pool the relaxation does.
   const std::array<NodeId, 2> sizes{30, 30};
   Graph g = gen::disjoint_cliques(sizes);
   g = gen::attach_paths(g, 1, 100, 3);
   const NodeId tip = static_cast<NodeId>(g.num_nodes() - 1);
-  Service service(g);
-  const std::uint64_t full = service.initial_stats().relaxations;
-  const ApplyResult removed = service.apply(
-      std::vector<EdgeUpdate>{{EdgeOp::kRemove, tip - 1, tip}});
-  EXPECT_EQ(service.query()->coreness,
-            seq::coreness_bz(service.graph().snapshot()));
-  EXPECT_LT(removed.repair.relaxations, full / 5);
-  const ApplyResult inserted = service.apply(
-      std::vector<EdgeUpdate>{{EdgeOp::kInsert, tip - 1, tip}});
-  EXPECT_LT(inserted.repair.relaxations, full / 5);
-  EXPECT_EQ(service.query()->coreness,
-            seq::coreness_bz(service.graph().snapshot()));
+  for (const unsigned threads : {1U, 2U}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ServiceOptions options;
+    options.threads = threads;
+    Service service(g, options);
+    const std::uint64_t full = service.initial_stats().relaxations;
+    ASSERT_GE(full, g.num_nodes());
+    const auto work = [threads](const RepairStats& r) {
+      return threads == 1
+                 ? r.dropped + r.region_visited + r.removal_visited
+                 : r.relaxations;
+    };
+    const ApplyResult removed = service.apply(
+        std::vector<EdgeUpdate>{{EdgeOp::kRemove, tip - 1, tip}});
+    EXPECT_EQ(service.query()->coreness,
+              seq::coreness_bz(service.graph().snapshot()));
+    EXPECT_GT(work(removed.repair), 0U);
+    EXPECT_LT(work(removed.repair), full / 5);
+    const ApplyResult inserted = service.apply(
+        std::vector<EdgeUpdate>{{EdgeOp::kInsert, tip - 1, tip}});
+    EXPECT_GT(work(inserted.repair), 0U);
+    EXPECT_LT(work(inserted.repair), full / 5);
+    EXPECT_EQ(service.query()->coreness,
+              seq::coreness_bz(service.graph().snapshot()));
+    if (threads == 1) {
+      EXPECT_EQ(removed.repair.relaxations, 0U);
+      EXPECT_EQ(inserted.repair.relaxations, 0U);
+    }
+  }
 }
 
 }  // namespace

@@ -717,7 +717,9 @@ int cmd_stream(const util::Args& args) {
     columns.push_back("ckpt");
   }
   util::TableWriter table(columns);
-  std::uint64_t total_relax = 0;
+  std::uint64_t total_raised = 0;
+  std::uint64_t total_dropped = 0;
+  double total_apply_ms = 0.0;
   std::uint64_t total_wal_bytes = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t checkpoint_failures = 0;
@@ -729,7 +731,9 @@ int cmd_stream(const util::Args& args) {
     const live::ApplyResult result = service->apply(batch);
     const double apply_ms =
         util::ms_between(apply_start, util::SteadyClock::now());
-    total_relax += result.repair.relaxations;
+    total_raised += result.repair.raised;
+    total_dropped += result.repair.dropped;
+    total_apply_ms += apply_ms;
     total_wal_bytes += result.wal_bytes;
     if (result.checkpointed) ++checkpoints;
     if (result.checkpoint_failed) ++checkpoint_failures;
@@ -803,8 +807,9 @@ int cmd_stream(const util::Args& args) {
                       ? 0
                       : *std::max_element(snapshot->coreness.begin(),
                                           snapshot->coreness.end()))
-              << ", " << total_relax
-              << " incremental relaxations across the stream\n";
+              << "; across the stream " << total_raised << " raised, "
+              << total_dropped << " dropped, "
+              << util::fmt_double(total_apply_ms, 2) << " ms of apply\n";
     if (service->metrics_enabled()) {
       print_counters(service->metrics());
     }
