@@ -15,10 +15,10 @@
 // — in two batch regimes: `single` (one update per batch, the steady
 // drip) and `small` (~0.5% of the edge set per batch, the bursty feed).
 // After every batch we record Service::apply's wall time and the nodes
-// the k-order raised, dropped and visited (at one worker it repairs
-// every edge by itself; nothing relaxes), then run a full bsp-async
-// decomposition of the same topology (threads=1, sched=bound on both
-// sides) and record its wall time and relaxations. Every batch also
+// the k-order raised, dropped and visited (it repairs every edge by
+// itself; nothing relaxes), then run a full bsp-async decomposition of
+// the same topology (threads=1, sched=bound) and record its wall time
+// and relaxations. Every batch also
 // cross-checks the service table against that from-scratch run, so the
 // speedup numbers cannot drift away from correctness. The headline is
 // the number of cells where apply is cheaper than the full recompute.
@@ -216,9 +216,7 @@ std::vector<NodeId> hub_pool(const graph::Graph& g) {
 Record run_cell(const graph::Graph& g, const std::string& dataset,
                 const TraceKind& trace, const char* batch_mode,
                 std::size_t batch_size, int num_batches, std::uint64_t seed) {
-  live::ServiceOptions service_options;
-  service_options.threads = 1;
-  service_options.sched = core::SchedPolicy::kBound;
+  const live::ServiceOptions service_options;
   live::Service service(g, service_options);
 
   api::RunOptions full_options;

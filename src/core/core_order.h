@@ -1,6 +1,6 @@
 // The k-order: the one insertion routine of both incremental paths
 // (live::RepairEngine and core::DynamicKCore), and the removal routine of
-// the one-worker live repair.
+// the live repair.
 //
 // Inserting {u,v} raises coreness by at most one, and only for nodes of
 // coreness K = min(k(u), k(v)) connected to the endpoints through such
@@ -36,10 +36,11 @@
 // still at K. The counts stay lower bounds across insertions: a raise or
 // a new edge only adds support, and the risen nodes start over at 0.
 //
-// A caller that relaxes downward by itself (the multi-worker live repair
-// and core::DynamicKCore) notes its removals with note_remove() instead
-// and hands the converged levels to settle(), which moves the nodes that
-// dropped to the tails of their new levels and forgets every count.
+// A caller that relaxes downward by itself (core::DynamicKCore, whose
+// messages and rounds are the paper's protocol) notes its removals with
+// note_remove() instead and hands the converged levels to settle(),
+// which moves the nodes that dropped to the tails of their new levels
+// and forgets every count.
 #pragma once
 
 #include <algorithm>
@@ -165,33 +166,25 @@ class CoreOrder {
 
   /// Adopt the converged levels after the downward relaxation that
   /// followed the removals: `level_of(x)` is x's exact coreness, never
-  /// above level(x). Finds the dropped nodes with one O(n) scan, moves
-  /// them to the tails of their new levels and returns the levels they
-  /// fell, summed: the total of remove()'s falling-set sizes over the
-  /// same removals, since each of those falls is one level. The drops did
-  /// not update their neighbors' support counts, so every count is
-  /// forgotten (0). A no-op returning 0 when no removal was noted since
-  /// the last settle().
+  /// above level(x). Finds the dropped nodes with one O(n) scan and
+  /// moves them to the tails of their new levels. The drops did not
+  /// update their neighbors' support counts, so every count is forgotten
+  /// (0). A no-op when no removal was noted since the last settle().
   template <typename LevelOf>
-  std::size_t settle(const LevelOf& level_of) {
-    if (!unsettled_) return 0;
+  void settle(const LevelOf& level_of) {
+    if (!unsettled_) return;
     unsettled_ = false;
     std::fill(count_.begin(), count_.end(), 0);
     dropped_.clear();
-    std::size_t levels_fallen = 0;
     const auto n = static_cast<graph::NodeId>(level_.size());
     for (graph::NodeId x = 0; x < n; ++x) {
       const graph::NodeId k = level_of(x);
       KCORE_CHECK_MSG(k <= level_[x], "settle: node " << x << " rose from "
                                                       << level_[x] << " to "
                                                       << k);
-      if (k < level_[x]) {
-        dropped_.emplace_back(x, k);
-        levels_fallen += level_[x] - k;
-      }
+      if (k < level_[x]) dropped_.emplace_back(x, k);
     }
     if (!dropped_.empty()) place_dropped();
-    return levels_fallen;
   }
 
   /// The graph just gained an isolated node: it joins level 0 at the tail.
@@ -199,6 +192,10 @@ class CoreOrder {
 
   [[nodiscard]] graph::NodeId level(graph::NodeId x) const {
     return level_[x];
+  }
+  /// Every node's level, by node id.
+  [[nodiscard]] std::span<const graph::NodeId> levels() const noexcept {
+    return level_;
   }
   [[nodiscard]] graph::NodeId deg_plus(graph::NodeId x) const {
     return deg_plus_[x];

@@ -29,13 +29,11 @@
 // their bytes and load with an empty `order`; recovery then checks their
 // table with a bucket peel instead of the order's certificate.
 //
-// Why persisting coreness is sound: the table is detector-confirmed
-// EXACT for the checkpointed topology, and the paper's Theorems 1–2 let
-// repair re-converge from any sound upper bound — so recovery warm-
-// starts from this table and only pays relaxation for the WAL tail,
-// never a from-scratch recompute. A CRC only proves the bytes are the
-// ones written, so recovery still checks the table before serving it
-// (live::RepairEngine::warm_start).
+// Why persisting coreness is sound: the table is EXACT for the
+// checkpointed topology, so recovery warm-starts from this table and
+// only repairs the WAL tail, never a from-scratch recompute. A CRC only
+// proves the bytes are the ones written, so recovery still checks the
+// table before serving it (live::RepairEngine::warm_start).
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "util/clock.h"
@@ -68,18 +67,14 @@ Service::Service(LiveGraph initial, const ServiceOptions& options,
     : options_(options),
       durability_(durability),
       graph_(std::move(initial)),
-      engine_(graph_, RepairOptions{options.threads, options.sched,
-                                    options.targeted_send}),
+      engine_(graph_, RepairOptions{}),
       epoch_(warm != nullptr ? warm->epoch : 0) {
   if (!durability.dir.empty()) storage_ = &resolve_storage(durability);
   setup_metrics();
   if (warm != nullptr) {
-    // An exact table for the checkpointed topology means recovery pays
-    // ZERO up-front relaxations (vs initialize()'s full convergence) —
-    // the paper's warm-restart argument, in one call. A CRC only proves
-    // the bytes are the ones written, so the table is checked before it
-    // is served: by the stored k-order's O(n + m) certificate, or by a
-    // bucket peel when the checkpoint has no order.
+    // A CRC only proves the bytes are the ones written, so the table is
+    // checked before it is served: by the stored k-order's O(n + m)
+    // certificate, or by a bucket peel when the checkpoint has no order.
     if (const std::optional<std::string> failed =
             engine_.warm_start(warm->coreness, warm->order)) {
       throw util::IoError(warm->file +
@@ -88,14 +83,9 @@ Service::Service(LiveGraph initial, const ServiceOptions& options,
                           *failed + ")");
     }
   } else {
-    initial_stats_ = engine_.initialize();
-    if (registry_) {
-      registry_->add(c_repairs_, kWriterSlot, 1);
-      registry_->add(c_relaxations_, kWriterSlot, initial_stats_.relaxations);
-      registry_->add(c_seeded_, kWriterSlot, initial_stats_.seeded);
-    }
+    engine_.initialize();
   }
-  publish();  // the initial converged table, or the checkpointed epoch
+  publish();  // the initial table, or the checkpointed epoch
 }
 
 Service::~Service() = default;
@@ -239,12 +229,9 @@ std::unique_ptr<Service> Service::open(const ServiceOptions& options,
 
 void Service::setup_metrics() {
   if (!options_.metrics) return;
-  // Two single-writer lanes — see the slot constants in service.h.
-  registry_ = std::make_unique<obs::Registry>(2);
-  c_repairs_ = registry_->counter("live.repairs");
+  // One lane, the writer's — see kWriterSlot in service.h.
+  registry_ = std::make_unique<obs::Registry>(1);
   c_epochs_ = registry_->counter("live.epoch_publishes");
-  c_relaxations_ = registry_->counter("live.relaxations");
-  c_seeded_ = registry_->counter("live.seeded_nodes");
   c_raised_ = registry_->counter("live.raised_nodes");
   c_region_visited_ = registry_->counter("live.region_visited");
   c_dropped_ = registry_->counter("live.dropped_nodes");
@@ -263,12 +250,13 @@ std::shared_ptr<const Snapshot> Service::query() const {
 
 std::uint64_t Service::epoch() const { return query()->epoch; }
 
-void Service::install_snapshot(bool provisional) {
+void Service::install_snapshot(std::uint64_t topology_version,
+                               std::uint64_t num_edges, bool provisional) {
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->epoch = epoch_;
-  snapshot->topology_version = graph_.version();
+  snapshot->topology_version = topology_version;
   snapshot->num_nodes = graph_.num_nodes();
-  snapshot->num_edges = graph_.num_edges();
+  snapshot->num_edges = num_edges;
   snapshot->provisional = provisional;
   engine_.copy_coreness(snapshot->coreness);
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
@@ -276,52 +264,19 @@ void Service::install_snapshot(bool provisional) {
 }
 
 void Service::publish() {
-  install_snapshot(/*provisional=*/false);
+  install_snapshot(graph_.version(), graph_.num_edges(),
+                   /*provisional=*/false);
   ++epoch_;
   if (registry_) registry_->add(c_epochs_, kWriterSlot, 1);
 }
 
-RepairStats Service::repair_with_watchdog(
-    std::uint64_t& provisional_publishes) {
-  provisional_publishes = 0;
-  if (options_.provisional_deadline_ms == 0) return engine_.repair();
-
-  repair_done_ = false;
-  std::uint64_t published = 0;
-  std::thread watchdog([this, &published] {
-    const auto deadline =
-        std::chrono::milliseconds(options_.provisional_deadline_ms);
-    std::unique_lock<std::mutex> lock(watchdog_mutex_);
-    while (!repair_done_) {
-      if (watchdog_cv_.wait_for(lock, deadline,
-                                [this] { return repair_done_; })) {
-        break;
-      }
-      // Still repairing past the deadline: push a provisional snapshot
-      // of the PENDING epoch, finalized by publish(). The estimate table
-      // is a sound upper bound mid-repair (raises are done before the
-      // workers start; relaxation only moves estimates DOWN), so handing
-      // it out keeps readers fresh without breaking Theorem 1. Holding
-      // watchdog_mutex_ here means the writer cannot set repair_done_
-      // (let alone publish the final epoch) while a provisional publish
-      // is in flight — the final publish always lands last.
-      install_snapshot(/*provisional=*/true);
-      if (registry_) registry_->add(c_provisional_, kWatchdogSlot, 1);
-      ++published;
-    }
-  });
-  RepairStats stats = engine_.repair();
-  {
-    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    repair_done_ = true;
-  }
-  watchdog_cv_.notify_one();
-  watchdog.join();
-  provisional_publishes = published;
-  return stats;
-}
-
 ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
+  using Clock = util::SteadyClock;
+  const bool watched = options_.provisional_deadline_ms > 0;
+  const auto deadline =
+      std::chrono::milliseconds(options_.provisional_deadline_ms);
+  Clock::time_point next_provisional;
+  if (watched) next_provisional = Clock::now() + deadline;
   ApplyResult result;
 
   // WRITE-AHEAD: durable mode appends the raw batch (under the epoch it
@@ -344,9 +299,18 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
   result.applied_inserts = net.inserts.size();
   result.applied_removes = net.removes.size();
 
-  // Insertions first: each raise runs against a table that is exact for
-  // the graph-so-far, which keeps the raises (and therefore the single
-  // repair below) exact — see live/repair.h.
+  // The pending epoch's topology: coalesce leaves only absent inserts and
+  // present removes, so each one is a mutation.
+  const std::uint64_t final_version =
+      graph_.version() + net.inserts.size() + net.removes.size();
+  const std::uint64_t final_edges =
+      graph_.num_edges() + net.inserts.size() - net.removes.size();
+
+  // Each note leaves the table exact for the graph so far (see
+  // live/repair.h). Insertions first: from the last one on, the graph so
+  // far is a supergraph of the pending topology, so the table is a sound
+  // upper bound for it, and past the deadline it is published as a
+  // provisional snapshot of the pending epoch.
   for (const graph::Edge& e : net.inserts) {
     graph_.apply({graph::EdgeOp::kInsert, e.u, e.v});
     engine_.note_insert(e.u, e.v);
@@ -354,9 +318,17 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
   for (const graph::Edge& e : net.removes) {
     graph_.apply({graph::EdgeOp::kRemove, e.u, e.v});
     engine_.note_remove(e.u, e.v);
+    if (!watched) continue;
+    const Clock::time_point now = Clock::now();
+    if (now < next_provisional) continue;
+    install_snapshot(final_version, final_edges, /*provisional=*/true);
+    ++result.provisional_publishes;
+    if (registry_) registry_->add(c_provisional_, kWriterSlot, 1);
+    next_provisional = now + deadline;
   }
+  KCORE_CHECK(graph_.version() == final_version);
 
-  result.repair = repair_with_watchdog(result.provisional_publishes);
+  result.repair = engine_.repair();
   publish();
   result.epoch = epoch_ - 1;
 
@@ -380,9 +352,6 @@ ApplyResult Service::apply(std::span<const graph::EdgeUpdate> batch) {
   }
 
   if (registry_) {
-    if (result.repair.seeded > 0) registry_->add(c_repairs_, kWriterSlot, 1);
-    registry_->add(c_relaxations_, kWriterSlot, result.repair.relaxations);
-    registry_->add(c_seeded_, kWriterSlot, result.repair.seeded);
     registry_->add(c_raised_, kWriterSlot, result.repair.raised);
     registry_->add(c_region_visited_, kWriterSlot,
                    result.repair.region_visited);

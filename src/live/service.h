@@ -1,23 +1,27 @@
 // live::Service — the live graph service: streaming edge churn with
-// incremental async repair, consistent-snapshot queries, and (opt-in)
-// crash-safe durability.
+// incremental repair by k-order, consistent-snapshot queries, and
+// (opt-in) crash-safe durability. The repair runs on the writer thread,
+// edge by edge (live/repair.h); the service starts no thread of its own.
 //
 // Consistency contract:
 //  * One writer thread calls apply(); any number of reader threads call
 //    query() concurrently with it and with each other.
 //  * query() returns the last PUBLISHED snapshot: an immutable coreness
 //    table + topology version. A FINAL snapshot (provisional == false)
-//    is detector-confirmed exact for its topology. When a provisional
-//    deadline is set, a long repair additionally publishes PROVISIONAL
-//    snapshots mid-run: same (pending) epoch number, provisional ==
-//    true, and a coreness table that is a sound UPPER BOUND (Theorem 1 —
-//    estimates only move downward during relaxation), finalized by the
-//    exact publish of that same epoch. Readers that need exactness skip
-//    provisional snapshots; readers that need freshness use them.
+//    is exact for its topology. When a provisional deadline is set, a
+//    long apply additionally publishes PROVISIONAL snapshots between its
+//    removals: same (pending) epoch number, topology version and edge
+//    count as the final snapshot of that epoch, provisional == true, and
+//    a coreness table that is a sound UPPER BOUND. After the batch's
+//    insertions, and after each of its removals, the table is exact for
+//    a supergraph of the pending topology, and coreness only grows with
+//    the graph. The exact publish of the same epoch lands last. Readers
+//    that need exactness skip provisional snapshots; readers that need
+//    freshness use them.
 //  * Every apply() publishes exactly ONE new final epoch (even for an
 //    empty or fully-ignored batch), so epoch numbers count apply()
 //    calls and the `live.epoch_publishes` counter equals applies + 1
-//    (the initial convergence publishes epoch 0). A recovered service
+//    (the constructor publishes epoch 0). A recovered service
 //    counts from its own start: the checkpointed epoch, plus one publish
 //    for the whole replayed tail.
 //
@@ -31,13 +35,12 @@
 //    atomically (temp -> fsync -> rename); the WAL is synced first so a
 //    checkpoint never references bytes the disk does not have.
 //  * RECOVERY: Service::open() loads the newest valid checkpoint,
-//    warm-starts the repair engine from its coreness table (zero
-//    relaxations — the paper's re-convergence theorems make this sound;
-//    the checkpointed k-order's O(n + m) certificate checks the table,
-//    or a bucket peel when the file has no order section, and a table
-//    that fails the check is refused with util::IoError naming the
-//    checkpoint file, the node and the check), reads wal.log once and validates every
-//    record in one pass (Wal::scan: CRC and framing checked from offset
+//    warm-starts the repair engine from its coreness table (the
+//    checkpointed k-order's O(n + m) certificate checks the table, or a
+//    bucket peel when the file has no order section, and a table that
+//    fails the check is refused with util::IoError naming the checkpoint
+//    file, the node and the check), reads wal.log once and validates
+//    every record in one pass (Wal::scan: CRC and framing checked from offset
 //    0, only the records past the checkpoint's epoch decoded), truncates
 //    any torn WAL tail, and replays the decoded tail through the normal
 //    apply() path as ONE batch: the concatenated records coalesce to
@@ -58,21 +61,15 @@
 //  * self-loops, duplicate inserts, absent removes and insert+remove
 //    churn within one batch are IGNORED (only the net effect is applied);
 //  * net insertions are applied before net deletions, each insertion
-//    raising its rising set, which the k-order finds (core::CoreOrder;
-//    see live/repair.h). At one worker each deletion lowers its falling
-//    set, which the k-order finds too, and the table is exact after
-//    every edge; on the pool one relaxation run re-converges the
-//    deletions and the k-order settles the nodes that dropped.
+//    raising its rising set and each deletion lowering its falling set,
+//    both found by the k-order (core::CoreOrder; see live/repair.h), so
+//    the table is exact after every edge.
 //
 // Metric glossary (enabled via ServiceOptions::metrics; all counters are
 // exposed through metrics() and must equal the sums over the returned
 // ApplyResults — the parity test pins this):
-//   live.repairs               repair runs that actually relaxed something
-//                              (at one worker only the constructor's)
 //   live.epoch_publishes       final snapshots published (applies + 1)
-//   live.relaxations           vertex recomputations across all repairs
-//   live.seeded_nodes          nodes seeded dirty (localized region size)
-//   live.raised_nodes          estimates raised by the insertion rule
+//   live.raised_nodes          estimates raised by the insertions
 //   live.region_visited        nodes the insertion passes visited
 //   live.dropped_nodes         levels the deletions lowered, summed over
 //                              nodes (a fall of two levels counts twice)
@@ -81,10 +78,10 @@
 //   live.wal_bytes             bytes appended to the WAL
 //   live.checkpoints           checkpoints written (incl. the initial one)
 //   live.checkpoint_failures   checkpoint writes that failed (degraded)
-//   live.provisional_publishes provisional snapshots the watchdog pushed
+//   live.provisional_publishes provisional snapshots published past the
+//                              deadline
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -106,15 +103,18 @@
 namespace kcore::live {
 
 struct ServiceOptions {
-  unsigned threads = 0;  // repair width; 0 = hardware concurrency
+  /// `threads`, `sched` and `targeted_send` are ignored; removed with
+  /// perfbench's `Replayer` in the benchmark change (ROADMAP item 7).
+  unsigned threads = 0;
   core::SchedPolicy sched = core::SchedPolicy::kBound;
   bool targeted_send = true;
   /// Keep a live.* metric registry (see metrics_enabled()).
   bool metrics = false;
-  /// When > 0, a repair running longer than this publishes a provisional
-  /// upper-bound snapshot every deadline interval (graceful degradation:
-  /// readers keep getting fresh sound tables instead of a stale epoch).
-  /// 0 disables the watchdog entirely.
+  /// When > 0, an apply that runs past this many ms publishes a
+  /// provisional upper-bound snapshot between its removals, and again
+  /// every deadline interval after that (graceful degradation: readers
+  /// keep getting fresh sound tables instead of a stale epoch). 0 turns
+  /// it off, and apply() then reads no clock.
   std::uint64_t provisional_deadline_ms = 0;
 };
 
@@ -138,9 +138,10 @@ struct RecoveryInfo {
   std::uint64_t replayed_batches = 0;  // WAL records in the replayed tail
   std::uint64_t skipped_duplicate_batches = 0;
   /// The warm-restart cost of the ONE apply that replays the whole
-  /// tail's net effect: its relaxations (0 at one worker, where the
-  /// k-order repairs each edge), the levels it dropped and the nodes its
-  /// insertion and removal passes visited (RepairStats).
+  /// tail's net effect (RepairStats): the levels it dropped and the
+  /// nodes its insertion and removal passes visited.
+  /// `replay_relaxations` is always 0; removed with perfbench's
+  /// `Replayer` in the benchmark change (ROADMAP item 7).
   std::uint64_t replay_relaxations = 0;
   std::uint64_t replay_dropped = 0;
   std::uint64_t replay_visited = 0;
@@ -163,8 +164,8 @@ struct RecoveryInfo {
 };
 
 /// What query() hands out: immutable, shared. Final snapshots
-/// (provisional == false) are detector-confirmed exact; provisional ones
-/// are sound upper bounds published mid-repair (see the file comment).
+/// (provisional == false) are exact; provisional ones are sound upper
+/// bounds published mid-apply (see the file comment).
 struct Snapshot {
   std::uint64_t epoch = 0;             // publish count (0 = initial)
   std::uint64_t topology_version = 0;  // LiveGraph mutations folded in
@@ -182,7 +183,7 @@ struct ApplyResult {
   std::uint64_t ignored_updates = 0;   // self-loops + net no-ops
   std::uint64_t rejected_updates = 0;  // out-of-range node ids
   std::uint64_t wal_bytes = 0;         // 0 when durability is off / replaying
-  std::uint64_t provisional_publishes = 0;  // watchdog pushes this apply
+  std::uint64_t provisional_publishes = 0;  // past the deadline
   bool checkpointed = false;
   bool checkpoint_failed = false;  // degraded: WAL still has the data
   RepairStats repair;
@@ -219,8 +220,8 @@ class Service {
   /// with apply().
   [[nodiscard]] std::shared_ptr<const Snapshot> query() const;
 
-  /// Apply one batch: WAL-append (durable mode), mutate topology, repair
-  /// incrementally, publish a new epoch. Single-writer.
+  /// Apply one batch: WAL-append (durable mode), mutate topology and
+  /// repair edge by edge, publish a new epoch. Single-writer.
   ApplyResult apply(std::span<const graph::EdgeUpdate> batch);
 
   /// Force a checkpoint now (also syncs the WAL). Durable mode only.
@@ -230,7 +231,6 @@ class Service {
   /// with apply()).
   [[nodiscard]] const LiveGraph& graph() const noexcept { return graph_; }
 
-  [[nodiscard]] unsigned workers() const noexcept { return engine_.workers(); }
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] bool durable() const noexcept { return wal_.has_value(); }
 
@@ -240,15 +240,6 @@ class Service {
   }
   /// Snapshot of the live.* counters; empty when metrics are off.
   [[nodiscard]] obs::MetricsSnapshot metrics() const;
-
-  /// Cost of the constructor's from-scratch convergence (epoch 0); the
-  /// baseline the per-batch repair costs are compared against, and part
-  /// of the counters' parity equation (live.relaxations ==
-  /// initial_stats().relaxations + sum of ApplyResult relaxations).
-  /// All-zero after open(): a warm restart pays no up-front relaxation.
-  [[nodiscard]] const RepairStats& initial_stats() const noexcept {
-    return initial_stats_;
-  }
 
  private:
   /// A checkpoint's coreness table to warm-start from (recovery).
@@ -260,27 +251,23 @@ class Service {
   };
 
   /// The one start-up body behind every constructor: takes the built
-  /// adjacency, then metrics, then a full convergence (warm == nullptr)
-  /// or a warm start from the checked table `warm->coreness` (recovery),
-  /// then the publish of the epoch.
+  /// adjacency, then metrics, then a bucket peel (warm == nullptr) or a
+  /// warm start from the checked table `warm->coreness` (recovery), then
+  /// the publish of the epoch.
   Service(LiveGraph initial, const ServiceOptions& options,
           const DurabilityOptions& durability, const WarmStart* warm);
 
-  // Registry lanes: every slot is single-writer (obs::Registry::add is a
-  // plain load+store). Writer thread owns 0; the (one-at-a-time,
-  // spawn/joined) watchdog owns 1.
+  // The registry's one lane: obs::Registry::add is a plain load+store,
+  // and the writer thread is the only one that counts.
   static constexpr unsigned kWriterSlot = 0;
-  static constexpr unsigned kWatchdogSlot = 1;
 
   void setup_metrics();
-  /// Hand readers a snapshot of the current estimate table, stamped with
-  /// the pending epoch.
-  void install_snapshot(bool provisional);
+  /// Hand readers a snapshot of the current table, stamped with the
+  /// pending epoch and the given topology version and edge count.
+  void install_snapshot(std::uint64_t topology_version,
+                        std::uint64_t num_edges, bool provisional);
   /// Install the final snapshot of the pending epoch and advance it.
   void publish();
-  /// Run engine_.repair() under the provisional watchdog; returns the
-  /// stats and fills `provisional_publishes`.
-  RepairStats repair_with_watchdog(std::uint64_t& provisional_publishes);
   /// Sync the WAL and write a checkpoint for the last published epoch.
   void write_checkpoint_now();
 
@@ -288,7 +275,6 @@ class Service {
   DurabilityOptions durability_;
   LiveGraph graph_;
   RepairEngine engine_;
-  RepairStats initial_stats_;
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const Snapshot> snapshot_;  // guarded by snapshot_mutex_
@@ -300,17 +286,9 @@ class Service {
   std::uint64_t batches_since_checkpoint_ = 0;
   bool replaying_ = false;  // recovery replay: no re-append, no checkpoints
 
-  // Watchdog handshake (writer spawns/joins one watchdog per apply)
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool repair_done_ = false;  // guarded by watchdog_mutex_
-
-  // live.* telemetry (lanes: see slot constants above)
+  // live.* telemetry (writer lane only, see kWriterSlot)
   std::unique_ptr<obs::Registry> registry_;
-  obs::Counter c_repairs_;
   obs::Counter c_epochs_;
-  obs::Counter c_relaxations_;
-  obs::Counter c_seeded_;
   obs::Counter c_raised_;
   obs::Counter c_region_visited_;
   obs::Counter c_dropped_;

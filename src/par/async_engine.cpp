@@ -15,9 +15,9 @@
 namespace kcore::par {
 
 // --- bsp-async ---------------------------------------------------------------
-// The worker loop is par::relax (par/relax.h), shared with live repair;
-// this runner owns what is static-only: the degree reset, the prepared
-// per-worker seed order, the convergence sampler and the AsyncStats fold.
+// The worker loop is par::relax (par/relax.h); this runner owns the
+// rest: the degree reset, the prepared per-worker seed order, the
+// convergence sampler and the AsyncStats fold.
 
 namespace {
 

@@ -80,7 +80,7 @@ struct AsyncResult {
 ///    array),
 ///  * the resolved worker count and scheduling policy.
 /// The mutable tables live apart, in an AsyncRunContext, so callers
-/// without a prepared run (live::RepairEngine, bench/kernel_bench) can
+/// without a prepared run (bench/kernel_bench, the kernel's tests) can
 /// build and keep one of their own.
 struct AsyncPrepared {
   unsigned workers = 0;
@@ -91,7 +91,8 @@ struct AsyncPrepared {
 /// The mutable tables par::relax (par/relax.h) works on, owned privately
 /// by one run at a time:
 ///  * the shared atomic estimate table (run_bsp_async_prepared resets it
-///    to the degrees per run; live::RepairEngine keeps it warm),
+///    to the degrees per run; a caller may start it from any safe upper
+///    bound),
 ///  * one counting scratch per worker,
 ///  * the queue: at one worker the plain bucket stacks, the support
 ///    counters and the neighbour-estimate histogram arena

@@ -1,21 +1,18 @@
-// The chaotic-relaxation kernel: the one worker loop every async caller
-// runs.
+// The chaotic-relaxation kernel: the one worker loop of the static async
+// protocol (bsp-async, par/async_engine.cpp, whose table starts at the
+// degrees).
 //
 // Theorems 1–2 make the protocol converge to the exact coreness from ANY
-// safe upper-bound table. Static decomposition (par/async_engine.cpp:
-// the table starts at the degrees) and live repair (live/repair.cpp: the
-// table starts at the previous fixed point, raised on the insertion
-// region) are therefore one algorithm with two starting tables. The
-// caller fills the estimate table and seeds the context's queue;
-// relax() runs it to quiescence. It has two paths, chosen at entry by
-// the context's worker count; no option selects one.
+// safe upper-bound table, so the loop assumes nothing about where the
+// table starts. The caller fills the estimate table and seeds the
+// context's queue; relax() runs it to quiescence. It has two paths,
+// chosen at entry by the context's worker count; no option selects one.
 //
 // Both paths share:
 //  * ONE atomic estimate table — no epochs, no double buffering, no
 //    barriers. Readers may observe half-propagated states; Theorems 1–2
 //    make every such state safe. The table stays atomic at one worker
-//    too, so the obs sampler and live::Service's provisional watchdog
-//    may read it mid-run.
+//    too, so the obs sampler may read it mid-run.
 //  * A SCHEDULING POLICY (core::SchedPolicy): because any schedule
 //    converges, pop order is a pure performance lever. Every vertex is
 //    queued with its current estimate as priority; the policy only sets
@@ -62,9 +59,7 @@
 //    but only a vertex that is not seeded relies on its own: a fresh
 //    context starts at 0, and a static run (par/async_engine.cpp) seeds
 //    every vertex, so a reused context's stale supports only filter
-//    wakes to vertices that are queued already. The live service runs
-//    one-worker relaxation only in RepairEngine::initialize(), which
-//    seeds every vertex too.
+//    wakes to vertices that are queued already.
 // The counts need the relaxations serialized: with two workers v can
 // relax against a stale est[u] (counting u at its old level) while u
 // reads a stale est[v] and skips the update, so v's counts overstate.
@@ -194,10 +189,10 @@ static AsyncStats relax_one_worker(const Adjacency& g,
         if (refined < stored) above = cum - h[refined];
       }
     } else {
-      // First relaxation in this run. A live deletion can leave the
-      // stored estimate ABOVE the degree, the one place refine()'s
-      // premise breaks; coreness <= degree, so the clamp keeps a safe
-      // upper bound.
+      // First relaxation in this run. A warm table (any safe upper bound
+      // is a legal start) can hold an estimate ABOVE the degree, the one
+      // place refine()'s premise breaks; coreness <= degree, so the
+      // clamp keeps a safe upper bound.
       const graph::NodeId k = std::min(stored, degree);
       const core::IndexScratch::Refined r =
           scratch.refine(nbrs.size(), k, [&](std::size_t i) {

@@ -80,8 +80,8 @@ struct BspParResult {
 // repeatably from it, every run bit-identical under the same options.
 // Per-run mutable state (estimate tables, activation flags, worklists)
 // lives in a separate *RunContext owned by the caller: api::Session keeps
-// one across its runs, and live::RepairEngine and bench/kernel_bench
-// build the async one without a Session. A context is reset in place at
+// one across its runs, and bench/kernel_bench builds the async one
+// without a Session. A context is reset in place at
 // the start of every run (O(N) stores, zero reallocation), so reusing
 // one across runs is allocation-free.
 

@@ -406,7 +406,7 @@ Graph star_of_cliques(NodeId cliques, NodeId size) {
   return Graph::from_edges(1 + cliques * size, edges);
 }
 
-/// Mixed batches through a one-worker RepairEngine: each batch inserts
+/// Mixed batches through a RepairEngine: each batch inserts
 /// some non-edges, then removes some edges, repairs, and must equal bz.
 void expect_repairs_exact(live::RepairEngine& engine, graph::MutableGraph& g,
                           std::uint64_t seed, const std::string& label) {
@@ -440,10 +440,9 @@ void expect_repairs_exact(live::RepairEngine& engine, graph::MutableGraph& g,
 TEST(AsyncProperty, OneWorkerHistogramWakesStayExact) {
   // The histogram wake runs only on a one-worker context with the
   // targeted filter on; with it off every neighbor of a lowered vertex
-  // is woken. Both must land on bz under every policy, for static
-  // decomposition and for live repair (whose table starts warm, either
-  // converged by the engine or adopted by a warm start; histograms are
-  // rebuilt every run either way).
+  // is woken. Both must land on bz under every policy. The same graphs
+  // then go through live repair, from an engine that was initialized and
+  // from one that adopted a table by a warm start.
   graph::gen::RmatParams params;
   params.scale = 10;
   params.edge_factor = 8.0;
@@ -470,32 +469,26 @@ TEST(AsyncProperty, OneWorkerHistogramWakesStayExact) {
             << test_case.name << " sched=" << api::to_string(sched)
             << " targeted=" << targeted;
       }
-      const live::RepairOptions one_worker{1, sched, true};
-      graph::MutableGraph fresh(test_case.g);
-      live::RepairEngine initialized(fresh, one_worker);
-      initialized.initialize();
-      expect_repairs_exact(initialized, fresh, 11,
-                           test_case.name + " initialize sched=" +
-                               std::string(api::to_string(sched)));
-      // Adopt a table after the graph moved underneath the engine (the
-      // recovery shape).
-      graph::MutableGraph adopted(test_case.g);
-      live::RepairEngine warm(adopted, one_worker);
-      warm.initialize();
-      util::Xoshiro256 rng(17);
-      for (int inserted = 0; inserted < 32;) {
-        const auto u =
-            static_cast<NodeId>(rng.next_below(adopted.num_nodes()));
-        const auto v =
-            static_cast<NodeId>(rng.next_below(adopted.num_nodes()));
-        if (adopted.apply({graph::EdgeOp::kInsert, u, v})) ++inserted;
-      }
-      ASSERT_FALSE(
-          warm.warm_start(seq::coreness_bz(adopted.snapshot())).has_value());
-      expect_repairs_exact(warm, adopted, 13,
-                           test_case.name + " warm_start sched=" +
-                               std::string(api::to_string(sched)));
     }
+    graph::MutableGraph fresh(test_case.g);
+    live::RepairEngine initialized(fresh, live::RepairOptions{});
+    initialized.initialize();
+    expect_repairs_exact(initialized, fresh, 11,
+                         test_case.name + " initialize");
+    // Adopt a table after the graph moved underneath the engine (the
+    // recovery shape).
+    graph::MutableGraph adopted(test_case.g);
+    live::RepairEngine warm(adopted, live::RepairOptions{});
+    warm.initialize();
+    util::Xoshiro256 rng(17);
+    for (int inserted = 0; inserted < 32;) {
+      const auto u = static_cast<NodeId>(rng.next_below(adopted.num_nodes()));
+      const auto v = static_cast<NodeId>(rng.next_below(adopted.num_nodes()));
+      if (adopted.apply({graph::EdgeOp::kInsert, u, v})) ++inserted;
+    }
+    ASSERT_FALSE(
+        warm.warm_start(seq::coreness_bz(adopted.snapshot())).has_value());
+    expect_repairs_exact(warm, adopted, 13, test_case.name + " warm_start");
   }
 }
 
@@ -558,11 +551,9 @@ TEST(AsyncProperty, OneWorkerRelaxFromWarmTablesIsExact) {
         EXPECT_LE(stats.skipped_recomputes, stats.relaxations);
       }
     }
-    // One-worker live repairs after mixed insert/remove batches.
+    // Live repairs after mixed insert/remove batches.
     graph::MutableGraph live(g);
-    live::RepairEngine engine(live,
-                              live::RepairOptions{1, kScheds[index % 2],
-                                                  true});
+    live::RepairEngine engine(live, live::RepairOptions{});
     engine.initialize();
     expect_repairs_exact(engine, live, 7 + index, test_case.name);
   }

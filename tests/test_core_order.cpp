@@ -590,8 +590,7 @@ TEST(CoreOrder, InsertionPassStaysLocalOnTheProbeProfiles) {
                              Probe{"slashdot-like", 760.0}}) {
     const Graph base = eval::dataset_by_name(probe.profile).build(1.0, 1);
     MutableGraph g(base);
-    live::RepairEngine engine(
-        g, live::RepairOptions{1, SchedPolicy::kBound, true});
+    live::RepairEngine engine(g, live::RepairOptions{});
     engine.initialize();
     std::vector<NodeId> before = seq::coreness_bz(base);
     util::Xoshiro256 rng(1);
@@ -630,8 +629,7 @@ TEST(CoreOrder, RemovalPassStaysLocalOnTheProbeProfiles) {
                              Probe{"slashdot-like", 25.0}}) {
     const Graph base = eval::dataset_by_name(probe.profile).build(1.0, 1);
     MutableGraph g(base);
-    live::RepairEngine engine(
-        g, live::RepairOptions{1, SchedPolicy::kBound, true});
+    live::RepairEngine engine(g, live::RepairOptions{});
     engine.initialize();
     std::vector<NodeId> before = seq::coreness_bz(base);
     util::Xoshiro256 rng(1);

@@ -12,7 +12,7 @@
 //   generate   --family NAME [--n N] [--seed S] [--output FILE] [...]
 //   stream     --input FILE --updates FILE [--window W] [--verify]
 //              [--wal DIR [--recover]] [--fsync POLICY]
-//              [--checkpoint-every N] [run options] [--json]
+//              [--checkpoint-every N] [--metrics] [--json]
 //   stats      --input FILE
 //   dot        --input FILE [--output FILE] [--max-nodes N]
 //   profiles   (list the built-in paper dataset profiles)
@@ -111,13 +111,15 @@ int usage() {
                "as the original run)\n"
             << "            [--provisional-deadline MS] (publish sound "
                "upper-bound snapshots\n"
-            << "                            when a repair overruns MS)\n"
+            << "                            when an apply overruns MS)\n"
             << "            [--metrics]    (print the live.* counters after "
                "the final line)\n"
-            << "            [--sched lifo|bound] (default here: bound, the "
-               "service's default)\n"
-            << "            [run options] [--json]  (NDJSON: one object "
-               "per batch)\n"
+            << "            [--json]       (NDJSON: one object per batch; "
+               "the service\n"
+            << "                            repairs on its one writer "
+               "thread, so --threads,\n"
+            << "                            --sched and --no-targeted-send "
+               "are refused)\n"
             << "  generate  --family "
                "chain|cycle|clique|star|grid|er|ba|ws|rmat|regular|worst\n"
             << "            [--n N] [--m M] [--k K] [--beta B] [--seed S] "
@@ -587,18 +589,18 @@ int cmd_stream(const util::Args& args) {
   const bool json = args.has("json");
   const bool recover = args.has("recover");
 
-  // The run-option parser starts from the service's defaults, so a flag
-  // left out keeps ServiceOptions' value (sched=bound), not RunOptions'.
+  // The service repairs on its one writer thread, so the relaxation
+  // runtime's knobs have nothing to act on: refused by name, like any
+  // knob aimed at a runtime that does not consume it.
+  for (const char* knob : {"threads", "sched", "no-targeted-send"}) {
+    if (args.has(knob)) {
+      throw util::IoError("--" + std::string(knob) +
+                          " does not apply to stream: the live service "
+                          "repairs on its one writer thread");
+    }
+  }
   live::ServiceOptions options;
-  core::RunOptions service_defaults;
-  service_defaults.threads = options.threads;
-  service_defaults.sched = options.sched;
-  service_defaults.targeted_send = options.targeted_send;
-  const auto run = api::run_options_from_args(args, service_defaults);
-  options.threads = run.threads;
-  options.sched = run.sched;
-  options.targeted_send = run.targeted_send;
-  options.metrics = run.obs.metrics;
+  options.metrics = args.has("metrics");
   options.provisional_deadline_ms =
       static_cast<std::uint64_t>(api::get_checked(
           args, "provisional-deadline",
@@ -625,9 +627,12 @@ int cmd_stream(const util::Args& args) {
 
   // --recover rebuilds topology + coreness from the state directory, so
   // --input is not needed; a fresh run loads the base graph from --input.
+  // The banner's start-up time covers the Service constructor or
+  // Service::open, not the --input parse.
   std::unique_ptr<live::Service> service;
   live::RecoveryInfo recovery;
   std::size_t first_batch = 0;
+  util::SteadyClock::time_point start_up = util::SteadyClock::now();
   if (recover) {
     service = live::Service::open(options, durability, &recovery);
     // Epochs count applies: batch i publishes epoch i+1, so the last
@@ -637,10 +642,13 @@ int cmd_stream(const util::Args& args) {
     first_batch = static_cast<std::size_t>(recovery.recovered_epoch);
   } else {
     const graph::Graph g = load(args);
+    start_up = util::SteadyClock::now();
     service = durability.dir.empty()
                   ? std::make_unique<live::Service>(g, options)
                   : std::make_unique<live::Service>(g, options, durability);
   }
+  const double start_up_ms =
+      util::ms_between(start_up, util::SteadyClock::now());
   const bool durable = service->durable();
 
   std::uint64_t mismatched_epochs = 0;
@@ -659,10 +667,10 @@ int cmd_stream(const util::Args& args) {
               << (window == 0 ? std::string("per-timestamp")
                               : std::to_string(window))
               << ")\n"
-              << "service: threads=" << service->workers()
-              << " sched=" << api::to_string(options.sched);
+              << "service: " << (recover ? "recovered" : "constructed")
+              << " in " << util::fmt_double(start_up_ms, 2) << " ms";
     if (durable) {
-      std::cout << " wal=" << durability.dir
+      std::cout << "; wal=" << durability.dir
                 << " fsync=" << live::to_string(durability.fsync)
                 << " checkpoint-every=" << durability.checkpoint_every;
     }
@@ -671,7 +679,6 @@ int cmd_stream(const util::Args& args) {
                 << " (checkpoint " << recovery.checkpoint_file << " @ epoch "
                 << recovery.checkpoint_epoch << ", "
                 << recovery.replayed_batches << " WAL batches replayed, "
-                << recovery.replay_relaxations << " relaxations, "
                 << recovery.replay_dropped << " dropped";
       if (recovery.skipped_duplicate_batches > 0) {
         std::cout << ", " << recovery.skipped_duplicate_batches
@@ -695,11 +702,6 @@ int cmd_stream(const util::Args& args) {
                   << (mismatched_epochs == 0 ? "matches" : "MISMATCHES")
                   << " a from-scratch bz decomposition\n";
       }
-    } else {
-      std::cout << "; initial convergence: "
-                << service->initial_stats().relaxations << " relaxations, "
-                << util::fmt_double(service->initial_stats().repair_ms, 1)
-                << " ms";
     }
     std::cout << "\n\n";
     if (first_batch >= batches.size() && !batches.empty()) {
@@ -709,9 +711,8 @@ int cmd_stream(const util::Args& args) {
   }
 
   std::vector<std::string> columns = {"batch", "events", "+ins", "-rem",
-                                      "ignored", "rejected", "seeded",
-                                      "raised", "dropped", "relax", "steals",
-                                      "apply ms", "epoch"};
+                                      "ignored", "rejected", "raised",
+                                      "dropped", "apply ms", "epoch"};
   if (durable) {
     columns.push_back("walB");
     columns.push_back("ckpt");
@@ -725,8 +726,7 @@ int cmd_stream(const util::Args& args) {
   std::uint64_t checkpoint_failures = 0;
   for (std::size_t i = first_batch; i < batches.size(); ++i) {
     const auto& batch = batches[i].updates;
-    // The whole apply: at one worker the notes do the repair and
-    // repair_ms reads about 0.
+    // The whole apply: the notes do the repair.
     const util::SteadyClock::time_point apply_start = util::SteadyClock::now();
     const live::ApplyResult result = service->apply(batch);
     const double apply_ms =
@@ -752,12 +752,8 @@ int cmd_stream(const util::Args& args) {
       w.member("applied_removes", result.applied_removes);
       w.member("ignored", result.ignored_updates);
       w.member("rejected", result.rejected_updates);
-      w.member("seeded", result.repair.seeded);
       w.member("raised", result.repair.raised);
       w.member("dropped", result.repair.dropped);
-      w.member("relaxations", result.repair.relaxations);
-      w.member("steals", result.repair.steals);
-      w.member("repair_ms", result.repair.repair_ms, 3);
       w.member("apply_ms", apply_ms, 3);
       w.member("epoch", result.epoch);
       if (durable) {
@@ -777,11 +773,8 @@ int cmd_stream(const util::Args& args) {
           std::to_string(result.applied_removes),
           std::to_string(result.ignored_updates),
           std::to_string(result.rejected_updates),
-          std::to_string(result.repair.seeded),
           std::to_string(result.repair.raised),
           std::to_string(result.repair.dropped),
-          std::to_string(result.repair.relaxations),
-          std::to_string(result.repair.steals),
           util::fmt_double(apply_ms, 2),
           std::to_string(result.epoch)};
       if (durable) {
