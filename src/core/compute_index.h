@@ -189,8 +189,8 @@ class IndexScratch {
 
   void ensure(std::size_t size) {
     if (slot_.size() < size) {
-      // Geometric growth so alternating small/large k settles after one
-      // warm-up pass; fresh slots carry stamp 0 and epoch_ is
+      // Geometric growth so alternating small/large k stops growing after
+      // one warm-up pass; fresh slots carry stamp 0 and epoch_ is
       // pre-incremented to >= 1 before first use, so they read as stale.
       std::size_t grown = slot_.empty() ? 64 : slot_.size();
       while (grown < size) grown *= 2;

@@ -120,7 +120,6 @@ void CoreOrder::build() {
   count_.assign(n, 0);
   deg_star_.assign(n, 0);
   state_.assign(n, kIdle);
-  unsettled_ = false;
   lists_.reset(n);
   for (const NodeId v : peel.order) lists_.push_back(level_[v], v);
 }
@@ -176,7 +175,6 @@ std::optional<std::string> CoreOrder::adopt(std::span<const NodeId> levels,
   level_.assign(levels.begin(), levels.end());
   deg_star_.assign(n, 0);
   state_.assign(n, kIdle);
-  unsettled_ = false;
   lists_.reset(n);
   for (const NodeId v : order) lists_.push_back(level_[v], v);
   return std::nullopt;
@@ -304,7 +302,6 @@ void CoreOrder::stay(NodeId w, NodeId K) {
 }
 
 const std::vector<NodeId>& CoreOrder::remove(NodeId u, NodeId v) {
-  KCORE_CHECK_MSG(!unsettled_, "remove: a noted removal is not settled yet");
   falling_.clear();
   if (before(v, u)) std::swap(u, v);
   const NodeId K = level_[u];
@@ -362,66 +359,6 @@ void CoreOrder::check(NodeId x, NodeId K) {
   }
   state_[x] = kFalling;
   falling_.push_back(x);
-}
-
-void CoreOrder::note_remove(NodeId u, NodeId v) {
-  if (before(v, u)) std::swap(u, v);
-  --deg_plus_[u];
-  unsettled_ = true;
-}
-
-void CoreOrder::place_dropped() {
-  // deg_star_ (zero outside insert()) holds each dropped node's new level.
-  for (const auto& [x, k] : dropped_) {
-    state_[x] = kDropped;
-    deg_star_[x] = k;
-  }
-  // One pass over the dropped nodes' neighbors, against the old order:
-  //  * a kept neighbor y above the new level k loses a later neighbor if
-  //    x was after it (x now lands below it). A dropped node never lands
-  //    before a kept node of its new level: it joins that level's tail;
-  //  * x's support is the number of neighbors that will follow it: kept
-  //    ones above k, and dropped ones at or above k (those at k are all
-  //    unplaced yet).
-  for (const auto& [x, k] : dropped_) {
-    NodeId support = 0;
-    for (const NodeId y : graph_.neighbors(x)) {
-      if (state_[y] == kDropped) {
-        if (deg_star_[y] >= k) ++support;
-      } else if (level_[y] > k) {
-        ++support;
-        if (before(y, x)) --deg_plus_[y];
-      }
-    }
-    deg_plus_[x] = support;
-  }
-  std::vector<NodeId>& ready = evicting_;
-  ready.clear();
-  for (const auto& [x, k] : dropped_) {
-    lists_.erase(level_[x], x);
-    level_[x] = k;
-    deg_star_[x] = 0;
-    if (deg_plus_[x] <= k) ready.push_back(x);
-  }
-  // Support peel: a dropped node joins its level's tail once at most
-  // `level` of its neighbors will follow it; its support is then its
-  // deg+. Placing it takes one follower from its unplaced peers.
-  for (std::size_t i = 0; i < ready.size(); ++i) {
-    const NodeId x = ready[i];
-    const NodeId k = level_[x];
-    state_[x] = kIdle;
-    lists_.push_back(k, x);
-    for (const NodeId y : graph_.neighbors(x)) {
-      if (state_[y] == kDropped && level_[y] == k && --deg_plus_[y] == k) {
-        ready.push_back(y);
-      }
-    }
-  }
-  KCORE_CHECK_MSG(ready.size() == dropped_.size(),
-                  "settle: " << dropped_.size() - ready.size() << " of "
-                             << dropped_.size()
-                             << " dropped nodes have no valid place (levels "
-                                "are not the coreness)");
 }
 
 void CoreOrder::add_node() {

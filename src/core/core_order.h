@@ -1,6 +1,5 @@
-// The k-order: the one insertion routine of both incremental paths
-// (live::RepairEngine and core::DynamicKCore), and the removal routine of
-// the live repair.
+// The k-order: the one insertion and the one removal routine of both
+// incremental paths (live::RepairEngine and core::DynamicKCore).
 //
 // Inserting {u,v} raises coreness by at most one, and only for nodes of
 // coreness K = min(k(u), k(v)) connected to the endpoints through such
@@ -17,7 +16,7 @@
 // with an O(n + m) certificate that proves the stored levels are the
 // coreness, as the peel would. An insertion only visits nodes of level K
 // after the earlier endpoint that gained a candidate neighbor before
-// them, in order, and settles each one as it is reached.
+// them, in order, and decides each one as it is reached.
 //
 // Order queries are (level, label) comparisons: each level is a doubly
 // linked list whose 64-bit labels increase along it, relabelled locally
@@ -35,15 +34,8 @@
 // falls to the tail of level K-1, taking one count from each neighbor
 // still at K. The counts stay lower bounds across insertions: a raise or
 // a new edge only adds support, and the risen nodes start over at 0.
-//
-// A caller that relaxes downward by itself (core::DynamicKCore, whose
-// messages and rounds are the paper's protocol) notes its removals with
-// note_remove() instead and hands the converged levels to settle(),
-// which moves the nodes that dropped to the tails of their new levels
-// and forgets every count.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -112,8 +104,8 @@ class OrderList {
 };
 
 /// A valid k-order over a MutableGraph, kept valid across insertions
-/// (insert), removals (remove, or note_remove + settle) and new nodes
-/// (add_node).
+/// (insert), removals (remove) and new nodes (add_node), one edge at a
+/// time.
 /// Single-threaded; the owner mutates the graph and calls in here.
 class CoreOrder {
  public:
@@ -156,36 +148,8 @@ class CoreOrder {
   /// still exact for the graph before it. Returns the falling set: the
   /// nodes whose coreness falls from K = min(level(u), level(v)) to K-1.
   /// They are already at the tail of level K-1 in the order; the caller
-  /// stores K-1 in its own table. Not between note_remove() and settle().
+  /// stores K-1 in its own table.
   const std::vector<graph::NodeId>& remove(graph::NodeId u, graph::NodeId v);
-
-  /// The edge {u,v} was just removed from the graph: the earlier
-  /// endpoint loses a later neighbor. Levels become upper bounds until
-  /// settle().
-  void note_remove(graph::NodeId u, graph::NodeId v);
-
-  /// Adopt the converged levels after the downward relaxation that
-  /// followed the removals: `level_of(x)` is x's exact coreness, never
-  /// above level(x). Finds the dropped nodes with one O(n) scan and
-  /// moves them to the tails of their new levels. The drops did not
-  /// update their neighbors' support counts, so every count is forgotten
-  /// (0). A no-op when no removal was noted since the last settle().
-  template <typename LevelOf>
-  void settle(const LevelOf& level_of) {
-    if (!unsettled_) return;
-    unsettled_ = false;
-    std::fill(count_.begin(), count_.end(), 0);
-    dropped_.clear();
-    const auto n = static_cast<graph::NodeId>(level_.size());
-    for (graph::NodeId x = 0; x < n; ++x) {
-      const graph::NodeId k = level_of(x);
-      KCORE_CHECK_MSG(k <= level_[x], "settle: node " << x << " rose from "
-                                                      << level_[x] << " to "
-                                                      << k);
-      if (k < level_[x]) dropped_.emplace_back(x, k);
-    }
-    if (!dropped_.empty()) place_dropped();
-  }
 
   /// The graph just gained an isolated node: it joins level 0 at the tail.
   void add_node();
@@ -224,7 +188,6 @@ class CoreOrder {
     kStayed,     // insert(): visited, keeps level K
     kCandidate,  // insert(): may rise
     kEvicting,   // insert(): left the candidates, not yet placed
-    kDropped,    // settle(): dropped and not yet placed
     kCounted,    // remove(): count recounted, exact for this pass
     kFalling,    // remove(): falls to K-1
   };
@@ -237,14 +200,12 @@ class CoreOrder {
   /// evict every candidate that can no longer rise, placing each after
   /// `w` in eviction order.
   void stay(graph::NodeId w, graph::NodeId K);
-  void place_dropped();
 
   const graph::MutableGraph& graph_;
   std::vector<graph::NodeId> level_;
   std::vector<graph::NodeId> deg_plus_;
   std::vector<graph::NodeId> count_;  // support counts (lower bounds)
   OrderList lists_;
-  bool unsettled_ = false;
 
   // Scratch, kept across calls so the steady state does not allocate.
   std::vector<graph::NodeId> deg_star_;  // candidate neighbors before x
@@ -255,7 +216,6 @@ class CoreOrder {
   std::vector<std::pair<graph::NodeId, graph::NodeId>> moves_;  // (after, x)
   std::vector<graph::NodeId> rising_;
   std::vector<graph::NodeId> falling_;
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> dropped_;  // (x, k)
   std::uint64_t visited_ = 0;
 };
 

@@ -17,12 +17,13 @@ DynamicKCore::DynamicKCore(const graph::Graph& initial)
   for (NodeId u = 0; u < initial.num_nodes(); ++u) {
     estimate_[u] = initial.degree(u);
   }
+  // The peel first, so the initial convergence is checked against it.
+  order_.build();
   // Initial convergence: everyone starts active with estimate = degree,
   // exactly Algorithm 1's initialization.
   std::vector<NodeId> all(initial.num_nodes());
   for (NodeId u = 0; u < initial.num_nodes(); ++u) all[u] = u;
   reconverge(std::move(all), 0);
-  order_.build();
 }
 
 NodeId DynamicKCore::add_node() {
@@ -81,10 +82,11 @@ MaintenanceStats DynamicKCore::apply_batch(
   // Deletions second: deletion only lowers coreness, so estimates stay
   // safe upper bounds, and the single downward reconvergence below
   // restores exactness for the whole batch. The endpoints learn of the
-  // drop with one message each.
+  // drop with one message each. The k-order repairs each deletion on its
+  // own, as the answer the reconvergence is checked against.
   for (const auto& [u, v] : net.removes) {
     graph_.apply({graph::EdgeOp::kRemove, u, v});
-    order_.note_remove(u, v);
+    order_.remove(u, v);
     extra_messages += 2;
     frontier.push_back(u);
     frontier.push_back(v);
@@ -124,9 +126,13 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
       const NodeId current = estimate_[w];
       if (current == 0) continue;
       const auto neighbors = graph_.neighbors(w);
-      const NodeId t = index.compute_index_stream(
-          neighbors.size(), current,
-          [&](std::size_t i) { return estimate_[neighbors[i]]; });
+      // computeIndex floors at 1; a node with no edges left has coreness 0.
+      const NodeId t =
+          neighbors.empty()
+              ? 0
+              : index.compute_index_stream(
+                    neighbors.size(), current,
+                    [&](std::size_t i) { return estimate_[neighbors[i]]; });
       if (t < current) updates.emplace_back(w, t);
     }
     for (const auto& [w, value] : updates) {
@@ -141,7 +147,13 @@ MaintenanceStats DynamicKCore::reconverge(std::vector<NodeId> frontier,
     }
     frontier.swap(next);
   }
-  order_.settle([this](NodeId x) { return estimate_[x]; });
+  // Two independent answers: the protocol's and the k-order's.
+  for (NodeId x = 0; x < graph_.num_nodes(); ++x) {
+    KCORE_CHECK_MSG(estimate_[x] == order_.level(x),
+                    "node " << x << " converged to " << estimate_[x]
+                            << " but its k-order level is "
+                            << order_.level(x));
+  }
   lifetime_.rounds += stats.rounds;
   lifetime_.messages += stats.messages;
   lifetime_.nodes_activated += stats.nodes_activated;

@@ -14,8 +14,9 @@
 // Consequently:
 //  * after a DELETION the old coreness values are still safe upper bounds
 //    (coreness only went down), so the protocol warm-starts from them
-//    with just the two endpoints re-activated — Theorems 2/3 apply
-//    verbatim and convergence is local and fast;
+//    with just the two endpoints re-activated and convergence is local
+//    and fast. Theorems 2/3 carry over with one exception: computeIndex
+//    floors at 1, so a node left with no edges takes 0 directly;
 //  * after an INSERTION old values may under-estimate, so safety is
 //    restored by raising every node whose coreness rises to K+1 before
 //    re-activating it. The rising set comes from the maintained k-order
@@ -23,6 +24,11 @@
 //    which visits only the nodes of level K after the earlier endpoint
 //    that gained a candidate neighbor. Everything else is provably
 //    unaffected.
+//
+// The k-order also repairs every deletion by itself (CoreOrder::remove),
+// so after each reconvergence two independent computations must agree:
+// the protocol's estimates and the k-order's levels. A disagreement
+// throws util::CheckError.
 //
 // The maintenance protocol is simulated in synchronous rounds over the
 // graph layer's mutable adjacency (graph::MutableGraph, the one the live
@@ -57,8 +63,8 @@ struct MaintenanceStats {
 /// tests/test_dynamic.cpp against the sequential baseline.
 class DynamicKCore {
  public:
-  /// Start from an initial graph; runs the protocol to convergence, then
-  /// builds the k-order.
+  /// Start from an initial graph; builds the k-order, then runs the
+  /// protocol to convergence and checks it against the k-order.
   explicit DynamicKCore(const graph::Graph& initial);
   // The k-order holds a reference to graph_.
   DynamicKCore(const DynamicKCore&) = delete;
@@ -83,7 +89,8 @@ class DynamicKCore {
   /// remain exact after every insertion step by induction. Net deletions
   /// then only lower coreness, so the table is a safe upper bound and one
   /// downward reconvergence from all touched nodes restores exactness
-  /// (Theorem 2); the k-order then settles the nodes that dropped.
+  /// (Theorem 2). CoreOrder::remove repairs the k-order one deletion at a
+  /// time, and the reconverged table must equal its levels.
   MaintenanceStats apply_batch(std::span<const graph::EdgeUpdate> updates);
 
   /// Append a fresh isolated node; returns its id.
@@ -107,7 +114,8 @@ class DynamicKCore {
 
  private:
   /// Synchronous reconvergence from the current (safe) estimates with the
-  /// given initially-active frontier, then CoreOrder::settle.
+  /// given initially-active frontier, then the check that the estimates
+  /// equal the k-order's levels.
   /// `extra_messages` (the update events and raises that led here) is
   /// charged on top of the rounds' broadcasts; the total is added to
   /// lifetime_stats().

@@ -57,12 +57,6 @@ LoadedGraph read_edge_list(std::istream& in, const std::string& source) {
     const NodeId ub = intern(b);
     builder.add_edge(ua, ub);
   }
-  // ensure isolated trailing ids (none possible from pair format) — but the
-  // builder may have fewer nodes than interned ids if the last interned id
-  // had the highest number; ensure_node covers all interned ids.
-  builder.ensure_node(static_cast<NodeId>(original_ids.size() == 0
-                                              ? 0
-                                              : original_ids.size() - 1));
   return {builder.build(), std::move(original_ids)};
 }
 

@@ -100,7 +100,7 @@ class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes = 0) : num_nodes_(num_nodes) {}
 
-  /// Make sure node ids [0, n) exist.
+  /// Make sure node ids [0, n] exist.
   void ensure_node(NodeId n) {
     if (n >= num_nodes_) num_nodes_ = n + 1;
   }

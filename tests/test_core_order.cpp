@@ -1,12 +1,12 @@
 // core::CoreOrder, the k-order behind both incremental paths.
 //
-//  * validity — after every insert(), every remove(), every
-//    note_remove() + settle() batch and every add_node(), the order is a
-//    valid k-order of the current graph: levels equal bz coreness, each
-//    level's labels increase along its list, the stored deg+ equals a
-//    recount of the neighbors later in the order, and deg+ <= level.
-//    Rmat, G(n,m), BA and cliques-plus-paths graphs, including removal
-//    batches that drop a node two or more levels;
+//  * validity — after every insert(), every remove() and every
+//    add_node(), the order is a valid k-order of the current graph:
+//    levels equal bz coreness, each level's labels increase along its
+//    list, the stored deg+ equals a recount of the neighbors later in the
+//    order, and deg+ <= level. Rmat, G(n,m), BA, cliques-plus-paths and
+//    star/path/clique-teardown graphs, including one node dropped three
+//    levels by three removals;
 //  * build() lays out seq::degeneracy_order, the one bucket peel's
 //    removal order, with deg+ counted against it;
 //  * insert() returns exactly the nodes whose coreness rises, and
@@ -179,53 +179,6 @@ TEST(CoreOrder, InsertReturnsExactlyTheRisingNodesAndStaysValid) {
   }
 }
 
-TEST(CoreOrder, MixedBatchesSettleToAValidOrder) {
-  // Each batch: inserts one at a time, then removes noted, then one
-  // settle with the exact levels (what the downward relaxation yields).
-  for (const Family& family : kFamilies) {
-    MutableGraph g(family.make(11));
-    CoreOrder order(g);
-    order.build();
-    util::Xoshiro256 rng(29);
-    std::uint64_t multi_level_drops = 0;
-    for (int batch = 0; batch < 40; ++batch) {
-      const std::string context =
-          std::string(family.name) + " batch " + std::to_string(batch);
-      for (int i = 0; i < 4; ++i) {
-        const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-        const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-        if (!g.apply({EdgeOp::kInsert, u, v})) continue;
-        (void)order.insert(u, v);
-        ASSERT_NO_FATAL_FAILURE(expect_valid(order, g, context + " insert"));
-      }
-      const std::vector<NodeId> before = seq::coreness_bz(g.snapshot());
-      // Remove existing edges: half at random, half around one node so
-      // that it loses several levels at once.
-      const auto hub = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-      std::vector<NodeId> hub_neighbors(g.neighbors(hub).begin(),
-                                        g.neighbors(hub).end());
-      for (std::size_t i = 0; i < hub_neighbors.size() && i < 4; ++i) {
-        g.apply({EdgeOp::kRemove, hub, hub_neighbors[i]});
-        order.note_remove(hub, hub_neighbors[i]);
-      }
-      for (int i = 0; i < 4; ++i) {
-        const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-        if (g.degree(u) == 0) continue;
-        const NodeId v = g.neighbors(u)[rng.next_below(g.degree(u))];
-        g.apply({EdgeOp::kRemove, u, v});
-        order.note_remove(u, v);
-      }
-      const std::vector<NodeId> after = seq::coreness_bz(g.snapshot());
-      for (NodeId w = 0; w < g.num_nodes(); ++w) {
-        if (after[w] + 2 <= before[w]) ++multi_level_drops;
-      }
-      order.settle([&after](NodeId x) { return after[x]; });
-      ASSERT_NO_FATAL_FAILURE(expect_valid(order, g, context));
-    }
-    EXPECT_GT(multi_level_drops, 0U) << family.name;
-  }
-}
-
 std::string adopt_result(const std::optional<std::string>& failed) {
   return failed.value_or("adopted");
 }
@@ -238,7 +191,7 @@ std::vector<NodeId> levels_of(const CoreOrder& order, NodeId n) {
 }
 
 TEST(CoreOrder, AdoptTakesBackAMaintainedOrder) {
-  // A k-order kept through inserts, removes and settles, copied out and
+  // A k-order kept through inserts and removes, copied out and
   // adopted by a second CoreOrder, is the same order: same layout, same
   // deg+, and the same rising sets from then on.
   for (const Family& family : kFamilies) {
@@ -256,10 +209,8 @@ TEST(CoreOrder, AdoptTakesBackAMaintainedOrder) {
       if (g.degree(u) == 0) continue;
       const NodeId v = g.neighbors(u)[rng.next_below(g.degree(u))];
       g.apply({EdgeOp::kRemove, u, v});
-      kept.note_remove(u, v);
+      (void)kept.remove(u, v);
     }
-    const std::vector<NodeId> truth = seq::coreness_bz(g.snapshot());
-    kept.settle([&truth](NodeId x) { return truth[x]; });
 
     std::vector<NodeId> stored;
     kept.copy_order(stored);
@@ -409,47 +360,6 @@ TEST(CoreOrder, RemoveKeepsExactLevelsACertifiedOrderAndBoundedCounts) {
   EXPECT_GT(fallen, 0U);
 }
 
-TEST(CoreOrder, RemoveAndSettleInterleaveOnOneOrder) {
-  // The two removal routes on one order: batches alternate between
-  // note_remove() + settle() with the exact levels and remove() edge by
-  // edge, with insertions in between. settle() forgets every count, so
-  // remove() after it recounts from nothing.
-  for (const Family& family : kFamilies) {
-    MutableGraph g(family.make(17));
-    CoreOrder order(g);
-    order.build();
-    util::Xoshiro256 rng(61);
-    for (int batch = 0; batch < 30; ++batch) {
-      const std::string context =
-          std::string(family.name) + " batch " + std::to_string(batch);
-      for (int i = 0; i < 4; ++i) {
-        const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-        const auto v = static_cast<NodeId>(rng.next_below(g.num_nodes()));
-        if (g.apply({EdgeOp::kInsert, u, v})) (void)order.insert(u, v);
-      }
-      if (batch % 2 == 0) {
-        for (int i = 0; i < 6; ++i) {
-          const graph::Edge e = random_edge(g, rng);
-          g.apply({EdgeOp::kRemove, e.u, e.v});
-          order.note_remove(e.u, e.v);
-        }
-        const std::vector<NodeId> truth = seq::coreness_bz(g.snapshot());
-        order.settle([&truth](NodeId x) { return truth[x]; });
-        for (NodeId v = 0; v < g.num_nodes(); ++v) {
-          ASSERT_EQ(order.count(v), 0U) << context << ": count of " << v;
-        }
-        ASSERT_NO_FATAL_FAILURE(expect_valid(order, g, context + " settle"));
-        continue;
-      }
-      for (int i = 0; i < 6; ++i) {
-        const graph::Edge e = random_edge(g, rng);
-        ASSERT_NO_FATAL_FAILURE(
-            remove_and_check(order, g, e.u, e.v, context + " remove"));
-      }
-    }
-  }
-}
-
 TEST(CoreOrder, AdoptAcceptsOnlyExactLevelsAndValidOrders) {
   // The certificate is sound: every table with a wrong entry is refused
   // whatever the order, and a shuffled order is either refused or is
@@ -522,12 +432,10 @@ TEST(CoreOrder, CliqueLosingThreeEdgesAtOneNodeDropsThreeLevels) {
   order.build();
   for (const NodeId v : {1U, 2U, 3U}) {
     g.apply({EdgeOp::kRemove, 0, v});
-    order.note_remove(0, v);
+    (void)order.remove(0, v);
+    expect_valid(order, g, "clique(6) minus {0," + std::to_string(v) + "}");
   }
-  const std::vector<NodeId> after = seq::coreness_bz(g.snapshot());
-  ASSERT_EQ(after[0], 2U);
-  order.settle([&after](NodeId x) { return after[x]; });
-  expect_valid(order, g, "clique(6) minus three edges at node 0");
+  EXPECT_EQ(order.level(0), 2U);
 }
 
 TEST(CoreOrder, AddNodeJoinsLevelZeroAndCanRise) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "graph/generators.h"
 #include "seq/kcore_seq.h"
 #include "util/rng.h"
@@ -16,6 +20,15 @@ using graph::NodeId;
 void expect_exact(const DynamicKCore& dyn, const char* context) {
   const auto truth = seq::coreness_bz(dyn.graph().snapshot());
   ASSERT_EQ(dyn.coreness(), truth) << context;
+}
+
+/// A random edge of `g`; g must have one.
+graph::Edge random_edge(const graph::MutableGraph& g, util::Xoshiro256& rng) {
+  for (;;) {
+    const auto u = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+    if (g.degree(u) == 0) continue;
+    return {u, g.neighbors(u)[rng.next_below(g.degree(u))]};
+  }
 }
 
 TEST(DynamicKCore, InitialConvergenceMatchesBaseline) {
@@ -71,6 +84,16 @@ TEST(DynamicKCore, RejectsSelfLoopAndRange) {
   DynamicKCore dyn(gen::clique(4));
   EXPECT_THROW(dyn.add_edge(1, 1), util::CheckError);
   EXPECT_THROW(dyn.add_edge(0, 9), util::CheckError);
+}
+
+TEST(DynamicKCore, NodeLosingItsLastEdgeFallsToZero) {
+  // computeIndex floors at 1, so the protocol alone would leave an
+  // isolated node at 1.
+  DynamicKCore dyn(gen::chain(3));
+  EXPECT_EQ(dyn.coreness(), (std::vector<NodeId>{1, 1, 1}));
+  dyn.remove_edge(0, 1);
+  EXPECT_EQ(dyn.coreness(), (std::vector<NodeId>{0, 1, 1}));
+  expect_exact(dyn, "path minus {0,1}");
 }
 
 TEST(DynamicKCore, AddNodeStartsIsolated) {
@@ -159,6 +182,71 @@ TEST(DynamicKCoreBatch, MixedInsertRaiseAndDeleteStaysExact) {
   EXPECT_EQ(dyn.coreness()[5], 1U);
 }
 
+TEST(DynamicKCoreBatch, RemovingEveryEdgeLeavesAllAtZero) {
+  DynamicKCore dyn(gen::chain(3));
+  const std::vector<EdgeUpdate> batch{{EdgeOp::kRemove, 0, 1},
+                                      {EdgeOp::kRemove, 1, 2}};
+  dyn.apply_batch(batch);
+  EXPECT_EQ(dyn.coreness(), (std::vector<NodeId>{0, 0, 0}));
+  expect_exact(dyn, "path minus both edges");
+}
+
+TEST(DynamicKCoreBatch, OneBatchDropsANodeSeveralLevels) {
+  // clique(6) minus three edges at node 0: node 0 falls from 5 to 2 in
+  // one batch, while the k-order repairs the removals one at a time.
+  DynamicKCore dyn(gen::clique(6));
+  const std::vector<EdgeUpdate> batch{{EdgeOp::kRemove, 0, 1},
+                                      {EdgeOp::kRemove, 0, 2},
+                                      {EdgeOp::kRemove, 0, 3}};
+  dyn.apply_batch(batch);
+  expect_exact(dyn, "clique(6) minus three edges at node 0");
+  EXPECT_EQ(dyn.coreness()[0], 2U);
+}
+
+TEST(DynamicKCoreBatch, MixedBatchesWithHubRemovalsStayExact) {
+  // Each batch: a few random inserts, then up to four removals around one
+  // node (so it can lose several levels at once) and a few random
+  // removals of present edges.
+  const std::array<Graph (*)(std::uint64_t), 3> families{
+      [](std::uint64_t seed) { return gen::erdos_renyi_gnm(300, 900, seed); },
+      [](std::uint64_t seed) { return gen::barabasi_albert(200, 4, seed); },
+      [](std::uint64_t seed) {
+        const std::array<NodeId, 4> sizes{12, 8, 6, 5};
+        return gen::attach_paths(gen::disjoint_cliques(sizes), 6, 10, seed);
+      },
+  };
+  std::uint64_t multi_level_drops = 0;
+  for (const auto make : families) {
+    const Graph g = make(11);
+    DynamicKCore dyn(g);
+    util::Xoshiro256 rng(29);
+    for (int round = 0; round < 40; ++round) {
+      std::vector<EdgeUpdate> batch;
+      for (int i = 0; i < 4; ++i) {
+        batch.push_back({EdgeOp::kInsert,
+                         static_cast<NodeId>(rng.next_below(g.num_nodes())),
+                         static_cast<NodeId>(rng.next_below(g.num_nodes()))});
+      }
+      const auto hub = static_cast<NodeId>(rng.next_below(g.num_nodes()));
+      const auto hub_neighbors = dyn.graph().neighbors(hub);
+      for (std::size_t i = 0; i < hub_neighbors.size() && i < 4; ++i) {
+        batch.push_back({EdgeOp::kRemove, hub, hub_neighbors[i]});
+      }
+      for (int i = 0; i < 4 && dyn.graph().num_edges() > 0; ++i) {
+        const graph::Edge e = random_edge(dyn.graph(), rng);
+        batch.push_back({EdgeOp::kRemove, e.u, e.v});
+      }
+      const std::vector<NodeId> before = dyn.coreness();
+      dyn.apply_batch(batch);
+      ASSERT_NO_FATAL_FAILURE(expect_exact(dyn, "mixed hub batch"));
+      for (NodeId w = 0; w < g.num_nodes(); ++w) {
+        if (dyn.coreness()[w] + 2 <= before[w]) ++multi_level_drops;
+      }
+    }
+  }
+  EXPECT_GT(multi_level_drops, 0U);
+}
+
 TEST(DynamicKCoreBatch, IgnoresSelfLoopsAndDuplicates) {
   DynamicKCore dyn(gen::clique(4));
   const std::vector<EdgeUpdate> batch{{EdgeOp::kInsert, 2, 2},
@@ -230,7 +318,10 @@ TEST_P(DynamicChurn, StaysExactUnderRandomUpdates) {
       if (rng.next_bool(0.55)) {
         dyn.add_edge(u, v);
       } else {
-        dyn.remove_edge(u, v);
+        // A present edge, so a node can lose its last one.
+        if (dyn.graph().num_edges() == 0) continue;
+        const graph::Edge e = random_edge(dyn.graph(), rng);
+        dyn.remove_edge(e.u, e.v);
       }
       const auto truth = seq::coreness_bz(dyn.graph().snapshot());
       ASSERT_EQ(dyn.coreness(), truth)

@@ -58,6 +58,8 @@ TEST(EdgeList, EmptyInputYieldsEmptyGraph) {
   std::istringstream in("# nothing\n");
   const auto loaded = read_edge_list(in);
   EXPECT_EQ(loaded.graph.num_edges(), 0U);
+  EXPECT_EQ(loaded.graph.num_nodes(), 0U);
+  EXPECT_EQ(loaded.original_ids.size(), loaded.graph.num_nodes());
 }
 
 // ---------------------------------------------------------------------------

@@ -338,11 +338,19 @@ int cmd_generate(const util::Args& args) {
       static_cast<std::uint64_t>(api::get_checked(args, "seed", 1, kMaxI64));
   const auto n = static_cast<graph::NodeId>(
       api::get_checked(args, "n", 1000, kMaxNode));
-  // A per-node count (--m for ba, --k, --d); the generator checks it
-  // against n.
+  // A per-node count (--m for ba, --k, --d).
   const auto node_count = [&args](const char* name, std::int64_t fallback) {
     return static_cast<graph::NodeId>(
         api::get_checked(args, name, fallback, kMaxNode));
+  };
+  // The generators' preconditions, refused by flag name before the call.
+  const auto require = [](bool ok, const std::string& message) {
+    if (!ok) throw util::IoError(message);
+  };
+  const auto min_n = [&](graph::NodeId min, const std::string& family) {
+    require(n >= min, "--n must be at least " + std::to_string(min) +
+                          " for --family " + family + ", got " +
+                          std::to_string(n));
   };
   graph::Graph g;
   if (const auto profile = args.get("profile")) {
@@ -354,29 +362,50 @@ int cmd_generate(const util::Args& args) {
     const std::string family = args.get_string("family", "");
     namespace gen = graph::gen;
     if (family == "chain") {
+      min_n(1, family);
       g = gen::chain(n);
     } else if (family == "cycle") {
+      min_n(3, family);
       g = gen::cycle(n);
     } else if (family == "clique") {
+      min_n(1, family);
       g = gen::clique(n);
     } else if (family == "star") {
+      min_n(2, family);
       g = gen::star(n);
     } else if (family == "grid") {
       // side * side nodes must stay below graph::kInvalidNode.
       const auto side = static_cast<graph::NodeId>(
-          api::get_checked(args, "side", 32, 65535));
+          api::get_checked(args, "side", 32, 1, 65535));
       g = gen::grid(side, side);
     } else if (family == "er") {
-      g = gen::erdos_renyi_gnm(
-          n,
-          static_cast<std::uint64_t>(api::get_checked(
-              args, "m", 4 * static_cast<std::int64_t>(n), kMaxI64)),
-          seed);
+      min_n(2, family);
+      const std::uint64_t max_edges =
+          static_cast<std::uint64_t>(n) * (n - 1) / 2;
+      const auto m = static_cast<std::uint64_t>(api::get_checked(
+          args, "m",
+          static_cast<std::int64_t>(
+              std::min<std::uint64_t>(4 * std::uint64_t{n}, max_edges)),
+          kMaxI64));
+      require(m <= max_edges, "--m must be at most n(n-1)/2 = " +
+                                  std::to_string(max_edges) + " for --n " +
+                                  std::to_string(n) + ", got " +
+                                  std::to_string(m));
+      g = gen::erdos_renyi_gnm(n, m, seed);
     } else if (family == "ba") {
-      g = gen::barabasi_albert(n, node_count("m", 3), seed);
+      const graph::NodeId m = node_count("m", 3);
+      require(m >= 1, "--m must be at least 1 for --family ba, got 0");
+      require(n > m, "--n must exceed --m for --family ba, got --n " +
+                         std::to_string(n) + " --m " + std::to_string(m));
+      g = gen::barabasi_albert(n, m, seed);
     } else if (family == "ws") {
-      g = gen::watts_strogatz(n, node_count("k", 6),
-                              args.get_double("beta", 0.1), seed);
+      const graph::NodeId k = node_count("k", 6);
+      require(k >= 2 && k % 2 == 0,
+              "--k must be even and at least 2, got " + std::to_string(k));
+      require(k < n, "--k must be below --n for --family ws, got --k " +
+                         std::to_string(k) + " --n " + std::to_string(n));
+      g = gen::watts_strogatz(
+          n, k, api::get_checked_double(args, "beta", 0.1, 0.0, 1.0), seed);
     } else if (family == "rmat") {
       gen::RmatParams p;
       p.scale = static_cast<std::uint32_t>(
@@ -386,8 +415,17 @@ int cmd_generate(const util::Args& args) {
           args, "edge-factor", 8.0, 0.0, static_cast<double>(kMaxNode));
       g = gen::rmat(p, seed);
     } else if (family == "regular") {
-      g = gen::random_regular(n, node_count("d", 4), seed);
+      const graph::NodeId d = node_count("d", 4);
+      require(d >= 1 && d < n, "--d must be in [1, --n) for --family "
+                               "regular, got --d " +
+                                   std::to_string(d) + " --n " +
+                                   std::to_string(n));
+      require(static_cast<std::uint64_t>(n) * d % 2 == 0,
+              "--n times --d must be even for --family regular, got --n " +
+                  std::to_string(n) + " --d " + std::to_string(d));
+      g = gen::random_regular(n, d, seed);
     } else if (family == "worst") {
+      min_n(5, family);
       g = gen::montresor_worst_case(n);
     } else {
       std::cerr << "unknown --family '" << family << "'\n";
