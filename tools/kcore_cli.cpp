@@ -401,7 +401,8 @@ int cmd_generate(const util::Args& args) {
     } else if (family == "ws") {
       const graph::NodeId k = node_count("k", 6);
       require(k >= 2 && k % 2 == 0,
-              "--k must be even and at least 2, got " + std::to_string(k));
+              "--k must be even and at least 2 for --family ws, got " +
+                  std::to_string(k));
       require(k < n, "--k must be below --n for --family ws, got --k " +
                          std::to_string(k) + " --n " + std::to_string(n));
       g = gen::watts_strogatz(
